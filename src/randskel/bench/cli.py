@@ -276,6 +276,7 @@ def run(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    csv_path = os.path.join(cfg.out, f"{experiment}.csv")
     try:
         if experiment == "cur_accuracy":
             rows = experiments.run_cur_accuracy(cfg)
@@ -289,6 +290,8 @@ def run(argv=None):
             rows = experiments.run_balance(cfg)
         else:  # pragma: no cover
             raise UnknownMethod(experiment)
+        os.makedirs(cfg.out, exist_ok=True)
+        experiments.write_rows(csv_path, rows)
     except UnknownMethod as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -297,9 +300,6 @@ def run(argv=None):
               file=sys.stderr)
         return 3
 
-    os.makedirs(cfg.out, exist_ok=True)
-    csv_path = os.path.join(cfg.out, f"{experiment}.csv")
-    experiments.write_rows(csv_path, rows)
     try:
         _render_svg(experiment, rows, os.path.join(cfg.out, f"{experiment}.svg"))
     except Exception as exc:  # plots are convenience only

@@ -28,10 +28,9 @@ from ..angles import (
     balance_phi,
 )
 from ..dense import cpqr, lupp, qr_ortho, svd_thin
-from ..errors import RandskelError, UnknownMethod
+from ..errors import RandskelError, SingularSkeleton, UnknownMethod
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
-from ..errors import SingularSkeleton
 from ..skeleton import (
     build_cur_stable,
     select_columns_cpqr,
@@ -66,13 +65,19 @@ class Row:
 
 
 def write_rows(path, rows):
+    """Write ``rows`` as CSV at ``path``, all or nothing: every record is
+    validated before a temporary file is written and renamed into place."""
     import csv as _csv
 
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_record())
+    records = [row.as_record() for row in rows]
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            _csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS] + records)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def worker_count():

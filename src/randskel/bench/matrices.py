@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dense import svd_thin
+from ..dense import as_operator, svd_thin
 from ..errors import BadShape, MatrixTooLarge
 from ..testmat import (
     FastDecay,
@@ -47,12 +47,8 @@ class MatrixBundle:
     def shape(self):
         return self.A.shape
 
-    @property
-    def is_implicit(self):
-        return hasattr(self.A, "rmatmat")
-
     def dense(self):
-        return self.A.to_dense() if self.is_implicit else self.A
+        return as_operator(self.A).dense()
 
     def exact_factors(self, max_dim=1500):
         """(U, sigma, V) of the matrix, computing a dense SVD if needed."""

@@ -1,16 +1,25 @@
-"""Dense factorization kernels.
+"""Dense factorization kernels and the operator adapter.
 
 Thin wrappers over LAPACK (via numpy/scipy) that add the rank checks,
 pivot bookkeeping, and error contracts the rest of the library relies on:
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
+* :func:`orth` -- orthonormal basis truncated at the detected rank,
 * :func:`svd_thin` -- economy SVD with a numerical-rank report,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate.
 
 All routines take 2-D float64 arrays, treat inputs as immutable, and are
-pure functions of their arguments (safe to call concurrently).
+pure functions of their arguments (safe to call concurrently). Every rank
+decision counts the leading diagonal entries (or singular values) at or
+above ``RANK_RTOL`` times a per-routine reference.
+
+The randomized routines also accept a matvec-only operator: an object with
+``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
+``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``), plus
+``to_dense()`` where a dense form is needed. :func:`as_operator` wraps either
+kind once, at each public entry; it is the only code that tells them apart.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import BadShape, ConvergenceFailure, RankDeficient, ZeroDimension
+from .errors import BadShape, ConvergenceFailure, RankDeficient, ShapeMismatch, ZeroDimension
 
 #: Relative magnitude below which a pivot/diagonal counts as zero.
 RANK_RTOL = 1e-12
@@ -29,12 +38,105 @@ RANK_RTOL = 1e-12
 
 def as_matrix(a, name="matrix"):
     """Validate ``a`` as a finite 2-D float64 array and return it C-ordered."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
+    try:
+        arr = np.ascontiguousarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadShape(f"{name} must be a numeric array, got {type(a).__name__}") from None
     if arr.ndim != 2:
         raise BadShape(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise BadShape(f"{name} contains non-finite entries")
     return arr
+
+
+class Operator:
+    """A dense matrix under the operator protocol, plus its sketches by an
+    embedding and a dense form. Build it with :func:`as_operator`."""
+
+    def __init__(self, A):
+        self.A, self.shape = A, tuple(A.shape)
+
+    def matmat(self, M):
+        return self.A @ M
+
+    def rmatmat(self, M):
+        return self.A.T @ M
+
+    def columns(self, J):
+        return np.ascontiguousarray(self.A[:, J])
+
+    def rows(self, I):
+        return np.ascontiguousarray(self.A[I, :])
+
+    def dense(self):
+        return self.A
+
+    def left_sketch(self, emb):
+        """``G @ A`` for an embedding ``G`` of the rows."""
+        return emb.apply(self.A)
+
+    def right_sketch(self, emb):
+        """``A @ G.T`` for an embedding ``G`` of the columns."""
+        return emb.apply_t(self.A)
+
+
+class _MatvecOperator(Operator):
+    """Products and slices are the operator's; sketches materialize the embedding."""
+
+    def matmat(self, M):
+        return self.A.matmat(M)
+
+    def rmatmat(self, M):
+        return self.A.rmatmat(M)
+
+    def columns(self, J):
+        return as_matrix(self.A.columns(J), "operator columns")
+
+    def rows(self, I):
+        return as_matrix(self.A.rows(I), "operator rows")
+
+    def dense(self):
+        return self.A.to_dense()
+
+    def left_sketch(self, emb):
+        return np.ascontiguousarray(self.A.rmatmat(_embedding_matrix(emb, self.shape[0]).T).T)
+
+    def right_sketch(self, emb):
+        return self.A.matmat(np.ascontiguousarray(_embedding_matrix(emb, self.shape[1]).T))
+
+
+def _embedding_matrix(emb, dim):
+    if emb.in_dim != dim:
+        raise ShapeMismatch(f"embedding expects dimension {emb.in_dim}, got {dim}")
+    return emb.to_dense()
+
+
+def as_operator(A):
+    """Wrap ``A`` once as an :class:`Operator`; a dense input is validated by
+    :func:`as_matrix` and not copied when already C-ordered float64."""
+    if isinstance(A, Operator):
+        return A
+    if hasattr(A, "rmatmat"):
+        return _MatvecOperator(A)
+    return Operator(as_matrix(A, "A"))
+
+
+def _detected_rank(diag, ref):
+    """Number of leading ``|d| >= RANK_RTOL * ref`` in ``diag``; 0 when ``ref == 0``."""
+    if ref == 0.0:
+        return 0
+    small = np.flatnonzero(np.abs(diag) < RANK_RTOL * ref)
+    return int(small[0]) if small.size else len(diag)
+
+
+def qr_checked(M, error=RankDeficient, name="M"):
+    """Reduced QR ``M = Q R``; raises ``error`` unless ``M`` is numerically
+    full column rank (reference ``||M||_F``)."""
+    q, r = np.linalg.qr(M)
+    rank = _detected_rank(np.diag(r), np.linalg.norm(M))
+    if rank < M.shape[1]:
+        raise error(f"{name} has detected rank {rank} of {M.shape[1]} columns")
+    return q, r
 
 
 @dataclass(frozen=True)
@@ -54,11 +156,13 @@ class PivotedLU:
 
 @dataclass(frozen=True)
 class PivotedQR:
-    """Column-pivoted QR: ``M[:, perm] = Q @ R`` with |R_ii| nonincreasing."""
+    """Column-pivoted QR: ``M[:, perm] = Q @ R`` with |R_ii| nonincreasing,
+    ``rank_detected`` of them above the rank tolerance."""
 
     perm: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    rank_detected: int
 
 
 @dataclass(frozen=True)
@@ -71,32 +175,35 @@ class ThinSVD:
 
     @property
     def rank(self):
-        """Numerical rank: singular values above ``RANK_RTOL * sigma[0]``."""
-        if self.sigma.size == 0 or self.sigma[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(self.sigma > RANK_RTOL * self.sigma[0]))
+        """Numerical rank: singular values at or above ``RANK_RTOL * sigma[0]``."""
+        return _detected_rank(self.sigma, self.sigma[0] if self.sigma.size else 0.0)
 
 
-def qr_ortho(M, rtol=RANK_RTOL):
+def qr_ortho(M):
     """Return an orthonormal basis ``Q`` with span(Q) = span(M).
 
     ``M`` must be tall (rows >= cols) and numerically full column rank;
-    otherwise :class:`RankDeficient` is raised. The rank test compares the
-    smallest |R_ii| of the reduced QR against ``rtol * ||M||_F``.
+    otherwise :class:`RankDeficient` is raised. The rank test compares each
+    |R_ii| of the reduced QR against ``RANK_RTOL * ||M||_F``.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
     if m < n:
         raise BadShape(f"need rows >= cols, got {m}x{n}")
-    q, r = np.linalg.qr(M)
-    if n:
-        fro = np.linalg.norm(M)
-        dmin = np.abs(np.diag(r)).min()
-        if fro == 0.0 or dmin < rtol * fro:
-            raise RankDeficient(
-                f"column norm {dmin:.3e} below {rtol:.1e} * ||M||_F = {rtol * fro:.3e}"
-            )
-    return q
+    return qr_checked(M)[0]
+
+
+def orth(M):
+    """Orthonormal basis of span(M), truncated at the detected rank: that of
+    :func:`qr_ortho` at full column rank, else the leading :attr:`ThinSVD.rank`
+    left singular vectors. Raises :class:`RankDeficient` at rank 0."""
+    try:
+        return qr_ortho(M)
+    except RankDeficient:
+        f = svd_thin(M)
+    if f.rank == 0:
+        raise RankDeficient("input has no numerically nonzero directions")
+    return f.U[:, :f.rank]
 
 
 def svd_thin(M):
@@ -109,12 +216,12 @@ def svd_thin(M):
     return ThinSVD(U=u, sigma=s, V=vt.T)
 
 
-def lupp(M, rtol=RANK_RTOL):
+def lupp(M):
     """LU with partial row pivoting of a tall matrix ``M`` (rows >= cols).
 
     Ties between equal pivot magnitudes break toward the lowest row index.
     Raises :class:`RankDeficient` when the pivot at step ``t`` falls below
-    ``rtol * max|M|``; the exception carries ``rank_detected = t`` and a
+    ``RANK_RTOL * max|M|``; the exception carries ``rank_detected = t`` and a
     ``partial`` :class:`PivotedLU` truncated to the detected rank.
     """
     M = as_matrix(M, "M")
@@ -133,31 +240,26 @@ def lupp(M, rtol=RANK_RTOL):
     L = np.tril(lu, -1)[:, :n] + np.eye(m, n)
     U = np.triu(lu[:n])
 
-    maxabs = np.abs(M).max() if M.size else 0.0
-    diag = np.abs(np.diag(U))
-    small = np.flatnonzero(diag < rtol * maxabs) if maxabs > 0 else np.arange(n)
-    if small.size:
-        t = int(small[0])
+    diag = np.diag(U)
+    t = _detected_rank(diag, np.abs(M).max())
+    if t < n:
         partial = PivotedLU(perm=perm, L=L[:, :t], U=U[:t, :t], rank_detected=t)
-        raise RankDeficient(
-            f"pivot magnitude {diag[t] if maxabs > 0 else 0.0:.3e} at step {t} "
-            f"below {rtol:.1e} * max|M|",
-            rank_detected=t,
-            partial=partial,
-        )
+        raise RankDeficient(f"pivot magnitude {abs(diag[t]):.3e} at step {t} below tolerance",
+                            rank_detected=t, partial=partial)
     return PivotedLU(perm=perm, L=L, U=U, rank_detected=n)
 
 
 def cpqr(M):
     """Column-pivoted QR of ``M``.
 
-    Rank deficiency is reported through trailing ~0 diagonal entries of
-    ``R`` rather than raised; the first pivot is the column of maximal
-    2-norm (lowest index on ties).
+    Rank deficiency is reported through ``rank_detected`` (diagonal entries
+    of ``R`` against ``RANK_RTOL * max|M|``) rather than raised; the first
+    pivot is the column of maximal 2-norm (lowest index on ties).
     """
     M = as_matrix(M, "M")
     q, r, p = sla.qr(M, mode="economic", pivoting=True, check_finite=False)
-    return PivotedQR(perm=p, Q=q, R=r)
+    rank = _detected_rank(np.diag(r), np.abs(M).max() if M.size else 0.0)
+    return PivotedQR(perm=p, Q=q, R=r, rank_detected=rank)
 
 
 def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):

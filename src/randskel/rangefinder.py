@@ -1,10 +1,11 @@
 """Randomized range approximation and randomized SVD.
 
-The rank-l approximation pipeline: sketch the row space with a seeded
+The rank-l approximation pipeline: sketch the column space with a seeded
 embedding, optionally sharpen the spectrum with power iterations (plain or
 re-orthonormalized), then recover an SVD-form approximation from the small
-projected matrix. All functions accept either a dense matrix or an implicit
-operator exposing ``matmat``/``rmatmat``.
+projected matrix. The sketching routines accept a dense matrix or a
+matvec-only operator (see :mod:`randskel.dense` for the protocol);
+:func:`rangefinder_error` needs a dense matrix.
 """
 
 from __future__ import annotations
@@ -13,27 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, qr_ortho, svd_thin
-from .errors import BadShape, RankDeficient, ShapeMismatch
+from .dense import as_matrix, as_operator, orth, qr_checked, svd_thin
+from .errors import BadShape, ShapeMismatch
 from .sketch import make_embedding
-
-
-def _shape(A):
-    return A.shape
-
-
-def _is_implicit(A):
-    return hasattr(A, "rmatmat")
-
-
-def _matmat(A, M):
-    """A @ M for dense or implicit A."""
-    return A.matmat(M) if _is_implicit(A) else A @ M
-
-
-def _rmatmat(A, M):
-    """A.T @ M for dense or implicit A."""
-    return A.rmatmat(M) if _is_implicit(A) else A.T @ M
 
 
 @dataclass(frozen=True)
@@ -53,18 +36,6 @@ class LowRankSVD:
         return (self.U_hat * self.sigma_hat) @ self.V_hat.T
 
 
-def _right_sketch(A, omega):
-    """A @ Omega.T for an l x n embedding ``omega``."""
-    m, n = _shape(A)
-    if omega.in_dim != n:
-        raise ShapeMismatch(
-            f"embedding expects {omega.in_dim} columns, got matrix with {n}"
-        )
-    if _is_implicit(A):
-        return A.matmat(np.ascontiguousarray(omega.to_dense().T))
-    return omega.apply_t(A)
-
-
 def power_iter_plain(A, omega, q):
     """(A A^T)^q A Omega^T by repeated multiplication.
 
@@ -73,35 +44,29 @@ def power_iter_plain(A, omega, q):
     """
     if q < 0:
         raise BadShape(f"q must be >= 0, got {q}")
-    Y = _right_sketch(A, omega)
+    A = as_operator(A)
+    Y = A.right_sketch(omega)
     for _ in range(q):
-        Y = _matmat(A, _rmatmat(A, Y))
+        Y = A.matmat(A.rmatmat(Y))
     return Y
 
 
 def power_iter_stable(A, omega, q):
     """Orthonormal basis of (A A^T)^q A Omega^T with per-step re-orthonormalization.
 
-    Orthonormalizes after every half iteration, so the returned basis keeps
-    orthonormality even when the plain product would underflow its trailing
-    directions.
+    Orthonormalizes after every half iteration with :func:`~randskel.dense.orth`,
+    so the basis stays orthonormal even where the plain product would underflow
+    its trailing directions. A half step that loses rank is truncated at the
+    detected rank instead of raising, so the basis may have fewer than l
+    columns; only an input with no nonzero direction raises RankDeficient.
     """
     if q < 0:
         raise BadShape(f"q must be >= 0, got {q}")
-    Q = qr_ortho(_right_sketch(A, omega))
+    A = as_operator(A)
+    Q = orth(A.right_sketch(omega))
     for _ in range(q):
-        Q = qr_ortho(_matmat(A, qr_ortho(_rmatmat(A, Q))))
+        Q = orth(A.matmat(orth(A.rmatmat(Q))))
     return Q
-
-
-def _ortho_trunc(M, rtol=1e-12):
-    """Orthonormal basis truncated at the numerical rank (SVD route)."""
-    f = svd_thin(M)
-    rank = f.rank if rtol == 1e-12 else int(
-        np.count_nonzero(f.sigma > rtol * f.sigma[0]))
-    if rank == 0:
-        raise RankDeficient("input has no numerically nonzero directions")
-    return f.U[:, :rank]
 
 
 #: Default oversampling margin when only a target rank is given.
@@ -120,7 +85,8 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
     factors truncate to the detected rank instead of failing (the range is
     then captured exactly).
     """
-    m, n = _shape(A)
+    A = as_operator(A)
+    m, n = A.shape
     if l is None:
         if target_rank is None:
             raise BadShape("pass either l or target_rank")
@@ -128,13 +94,8 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
     if not 1 <= l <= min(m, n):
         raise BadShape(f"need 1 <= l <= min(m,n), got l={l} for {m}x{n}")
     omega = make_embedding(embedding_kind, l, n, seed=seed)
-    try:
-        Q = power_iter_stable(A, omega, q)
-    except RankDeficient:
-        Q = _ortho_trunc(_right_sketch(A, omega))
-        for _ in range(q):
-            Q = _ortho_trunc(_matmat(A, _ortho_trunc(_rmatmat(A, Q))))
-    B = _rmatmat(A, Q)  # n x rank
+    Q = power_iter_stable(A, omega, q)
+    B = A.rmatmat(Q)    # n x rank
     f = svd_thin(B)     # B = f.U diag(f.sigma) f.V^T
     U_hat = Q @ f.V
     return LowRankSVD(U_hat=U_hat, sigma_hat=f.sigma, V_hat=f.U,
@@ -155,9 +116,6 @@ def rangefinder_error(A, X):
         raise ShapeMismatch(
             f"X has {X.shape[1]} columns, A has {A.shape[1]}"
         )
-    try:
-        Qr = qr_ortho(X.T)
-    except RankDeficient as exc:
-        raise RankDeficient(f"row approximator lost rank: {exc}") from exc
+    Qr = qr_checked(X.T, name="row approximator")[0]
     E = A - (A @ Qr) @ Qr.T
     return float(np.linalg.norm(E)), float(np.linalg.norm(E, 2))

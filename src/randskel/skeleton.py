@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_matrix, cpqr, lupp, qr_ortho, svd_thin, RANK_RTOL
+from .dense import as_matrix, as_operator, cpqr, lupp, qr_checked
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -30,7 +30,7 @@ from .errors import (
     SingularSkeleton,
     StreamExhausted,
 )
-from .rangefinder import _is_implicit, _matmat, _rmatmat, randomized_svd
+from .rangefinder import randomized_svd
 from .sketch import make_embedding, sketch_rows
 
 #: Column width of the internal panels used by the streaming accumulator.
@@ -113,76 +113,57 @@ def posterior_eta(X, J_s):
 
     This is the computable multiplier relating the skeleton error to the
     range-approximation error of X; cost O(l^2 (n - l)) plus one small SVD.
+    An empty skeleton gives 1.0: ``X1^+ X2`` is then an empty matrix.
     """
     X = as_matrix(X, "X")
     J_s = np.asarray(J_s, dtype=np.intp)
-    n = X.shape[1]
-    mask = np.ones(n, dtype=bool)
+    mask = np.ones(X.shape[1], dtype=bool)
     mask[J_s] = False
     X1 = X[:, J_s]
     X2 = X[:, mask]
-    try:
-        q1, r1 = np.linalg.qr(X1)
-        dmin = np.abs(np.diag(r1)).min() if J_s.size else 0.0
-        if J_s.size and (dmin == 0.0 or dmin < RANK_RTOL * np.linalg.norm(X1)):
-            raise SingularPivotBlock(f"pivot block nearly singular (min |R_ii| = {dmin:.3e})")
-    except np.linalg.LinAlgError as exc:
-        raise SingularPivotBlock(str(exc)) from exc
-    if X2.shape[1] == 0:
+    q1, r1 = qr_checked(X1, SingularPivotBlock, "pivot block")
+    if X2.shape[1] == 0 or J_s.size == 0:
         return 1.0
     Z = sla.solve_triangular(r1, q1.T @ X2)
     return float(np.sqrt(1.0 + np.linalg.svd(Z, compute_uv=False)[0] ** 2))
 
 
-def _take_columns(A, J):
-    if _is_implicit(A):
-        return A.columns(J)
-    return np.ascontiguousarray(as_matrix(A, "A")[:, J])
-
-
-def _take_rows(A, I):
-    if _is_implicit(A):
-        return A.rows(I)
-    return np.ascontiguousarray(as_matrix(A, "A")[I, :])
-
-
-def _lupp_pivots(M, count):
-    """First ``count`` partial pivots of the tall matrix M, truncated to the
-    detected rank when M falls short."""
-    try:
-        fac = lupp(M)
-        rank = fac.rank_detected
-        perm = fac.perm
-    except RankDeficient as exc:
-        rank = exc.rank_detected
-        perm = exc.partial.perm
-    take = min(count, rank)
-    return perm[:take], rank
-
-
-def _cpqr_pivots(M, count):
-    """First ``count`` column pivots of M, truncated to the detected rank."""
-    fac = cpqr(M)
-    diag = np.abs(np.diag(fac.R))
-    maxabs = np.abs(M).max() if M.size else 0.0
-    if maxabs == 0.0:
-        rank = 0
+def _column_pivots(pivot, M, count):
+    """First ``count`` column pivots of M, truncated to the detected rank, by
+    partial-pivoted LU of M^T (``pivot="lupp"``) or column-pivoted QR."""
+    if pivot == "lupp":
+        try:
+            fac = lupp(M.T)
+        except RankDeficient as exc:
+            fac = exc.partial
     else:
-        small = np.flatnonzero(diag < RANK_RTOL * maxabs)
-        rank = int(small[0]) if small.size else diag.size
-    take = min(count, rank)
-    return fac.perm[:take], rank
+        fac = cpqr(M)
+    return fac.perm[:min(count, fac.rank_detected)], fac.rank_detected
 
 
 def _plain_power_sketch(A, l, q, seed, embedding):
     """Row approximator Gamma (A A^T)^q A; q = 0 is the plain row sketch."""
-    m = A.shape[0]
-    gamma = make_embedding(embedding, l, m, seed=seed)
+    gamma = make_embedding(embedding, l, A.shape[0], seed=seed)
     X = sketch_rows(gamma, A)
     for _ in range(q):
-        T = np.ascontiguousarray(_matmat(A, X.T).T)    # X A^T  (l x m)
-        X = np.ascontiguousarray(_rmatmat(A, T.T).T)   # (X A^T) A  (l x n)
+        T = np.ascontiguousarray(A.matmat(X.T).T)    # X A^T  (l x m)
+        X = np.ascontiguousarray(A.rmatmat(T.T).T)   # (X A^T) A  (l x n)
     return X
+
+
+def _select_on_sketch(A, l, q, seed, embedding, pivot):
+    """Column pivots of the row sketch, then row pivots of the chosen columns."""
+    if q not in (0, 1):
+        raise BadShape(f"q must be 0 or 1, got {q}")
+    A = as_operator(A)
+    X = _plain_power_sketch(A, l, q, seed, embedding)
+    J_s, rank = _column_pivots(pivot, X, l)
+    I_s, _ = _column_pivots(pivot, A.columns(J_s).T, J_s.size)
+    eta = posterior_eta(X, J_s)
+    method = f"rand-{pivot}-1piter" if q == 1 else f"rand-{pivot}"
+    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=eta,
+                          eta_row=None, seed=seed, X=X,
+                          rank_detected=min(rank, l))
 
 
 def select_columns_lupp(A, l, q=0, seed=None, embedding="gaussian"):
@@ -191,41 +172,21 @@ def select_columns_lupp(A, l, q=0, seed=None, embedding="gaussian"):
     ``q`` in {0, 1}: the 1-iteration variant sharpens the sketch with one
     plain (unorthogonalized) power iteration before pivoting.
     """
-    if q not in (0, 1):
-        raise BadShape(f"q must be 0 or 1, got {q}")
-    X = _plain_power_sketch(A, l, q, seed, embedding)
-    J_s, rank = _lupp_pivots(X.T, l)
-    C = _take_columns(A, J_s)
-    I_s, _ = _lupp_pivots(C, J_s.size)
-    eta = posterior_eta(X, J_s)
-    method = "rand-lupp-1piter" if q == 1 else "rand-lupp"
-    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=eta,
-                          eta_row=None, seed=seed, X=X,
-                          rank_detected=min(rank, l))
+    return _select_on_sketch(A, l, q, seed, embedding, "lupp")
 
 
 def select_columns_cpqr(A, l, q=0, seed=None, embedding="gaussian"):
     """Column (and row) skeletons by column-pivoted QR on a row sketch."""
-    if q not in (0, 1):
-        raise BadShape(f"q must be 0 or 1, got {q}")
-    X = _plain_power_sketch(A, l, q, seed, embedding)
-    J_s, rank = _cpqr_pivots(X, l)
-    C = _take_columns(A, J_s)
-    I_s, _ = _cpqr_pivots(C.T, J_s.size)
-    eta = posterior_eta(X, J_s)
-    method = "rand-cpqr-1piter" if q == 1 else "rand-cpqr"
-    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=eta,
-                          eta_row=None, seed=seed, X=X,
-                          rank_detected=min(rank, l))
+    return _select_on_sketch(A, l, q, seed, embedding, "cpqr")
 
 
 def select_deim(A, l, q=0, seed=None, embedding="gaussian"):
     """Skeletons by partial-pivoted LU on approximated right singular vectors."""
+    A = as_operator(A)
     lr = randomized_svd(A, l, q=q, seed=seed, embedding_kind=embedding)
-    J_s, rank = _lupp_pivots(lr.V_hat, l)
-    C = _take_columns(A, J_s)
-    I_s, _ = _lupp_pivots(C, J_s.size)
     X = np.ascontiguousarray(lr.V_hat.T)
+    J_s, rank = _column_pivots("lupp", X, l)
+    I_s, _ = _column_pivots("lupp", A.columns(J_s).T, J_s.size)
     eta = posterior_eta(X, J_s)
     return SkeletonResult(J_s=J_s, I_s=I_s, method="rsvd-deim", eta_column=eta,
                           eta_row=None, seed=seed, X=X,
@@ -260,7 +221,7 @@ def select_leverage(A, k, l, seed=None):
     approximated singular-vector factors, normalized by k. ``l`` distinct
     columns (and rows) are drawn sequentially without replacement.
     """
-    m, n = A.shape
+    A = as_operator(A)
     if not k <= l:
         raise BadShape(f"need k <= l, got k={k}, l={l}")
     s_svd, s_col, s_row = _as_seed_sequence(seed).spawn(3)
@@ -348,12 +309,8 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     for block in blocks:
         acc.push(block)
     X, Y = acc.finish()
-    if pivot == "lupp":
-        J_s, rank = _lupp_pivots(X.T, l)
-        I_s, _ = _lupp_pivots(Y, l)
-    else:
-        J_s, rank = _cpqr_pivots(X, l)
-        I_s, _ = _cpqr_pivots(Y.T, l)
+    J_s, rank = _column_pivots(pivot, X, l)
+    I_s, _ = _column_pivots(pivot, Y.T, l)
     eta_col = posterior_eta(X, J_s)
     eta_row = posterior_eta(np.ascontiguousarray(Y.T), I_s)
     return SkeletonResult(J_s=J_s, I_s=I_s, method=f"streaming-{pivot}",
@@ -395,19 +352,9 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
     return C @ mid
 
 
-def _ortho_or_singular(M, what):
-    try:
-        return qr_ortho(M)
-    except RankDeficient as exc:
-        raise SingularSkeleton(f"{what} not full rank: {exc}") from exc
-
-
 def _interp_from_basis(M, target):
     """M^+ @ target through a QR of M (no explicit pseudoinverse)."""
-    q, r = np.linalg.qr(M)
-    dmin = np.abs(np.diag(r)).min()
-    if dmin == 0.0 or dmin < RANK_RTOL * np.linalg.norm(M):
-        raise SingularSkeleton(f"skeleton block nearly singular (min |R_ii| = {dmin:.3e})")
+    q, r = qr_checked(M, SingularSkeleton, "skeleton")
     return sla.solve_triangular(r, q.T @ target)
 
 
@@ -452,11 +399,12 @@ def build_two_sided_id(A, I_s, J_s):
 
 def build_cur_stable(A, I_s, J_s):
     """CUR decomposition assembled through orthonormal skeleton bases."""
+    A = as_operator(A)
     I_s = np.asarray(I_s, dtype=np.intp)
     J_s = np.asarray(J_s, dtype=np.intp)
-    C = _take_columns(A, J_s)
-    R = _take_rows(A, I_s)
-    Q_C = _ortho_or_singular(C, "skeleton columns")
-    Q_R = _ortho_or_singular(R.T, "skeleton rows")
-    U_mid = Q_C.T @ _matmat(A, Q_R)
+    C = A.columns(J_s)
+    R = A.rows(I_s)
+    Q_C = qr_checked(C, SingularSkeleton, "skeleton columns")[0]
+    Q_R = qr_checked(R.T, SingularSkeleton, "skeleton rows")[0]
+    U_mid = Q_C.T @ A.matmat(Q_R)
     return CurFactors(C=C, U_mid=U_mid, R=R, Q_C=Q_C, Q_R=Q_R)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import as_matrix
+from .dense import as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
 
 
@@ -113,8 +113,6 @@ class SparseSignSketch(SketchOperator):
     in_dim: int
     seed: object
     zeta: int
-    column_supports: np.ndarray = field(repr=False)  # (m, zeta) row indices
-    column_signs: np.ndarray = field(repr=False)     # (m, zeta) +-1
     _csc: sp.csc_matrix = field(repr=False)
 
     kind = "sparse_sign"
@@ -169,16 +167,13 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
     indices = supports.ravel()
     indptr = zeta * np.arange(m + 1)
     csc = sp.csc_matrix((data, indices, indptr), shape=(l, m))
-    return SparseSignSketch(out_dim=l, in_dim=m, seed=seed, zeta=int(zeta),
-                            column_supports=supports, column_signs=signs,
-                            _csc=csc)
+    return SparseSignSketch(out_dim=l, in_dim=m, seed=seed, zeta=int(zeta), _csc=csc)
 
 
 _FACTORIES = {
     "gaussian": make_gaussian,
     "srtt": make_srtt,
     "sparse_sign": make_sparse_sign,
-    "sparse-sign": make_sparse_sign,
 }
 
 
@@ -192,16 +187,6 @@ def make_embedding(kind, l, m, seed=None):
 
 
 def sketch_rows(op, A):
-    """Row sketch ``X = G @ A`` of a dense matrix or an implicit operator.
-
-    Implicit operators only need ``rmatmat`` (multiplication by the
-    adjoint); the embedding is materialized for them, which is fine at the
-    sizes this library targets.
-    """
-    if hasattr(A, "rmatmat"):
-        m = A.shape[0]
-        if op.in_dim != m:
-            raise ShapeMismatch(f"operator expects {op.in_dim} rows, got {m}")
-        G = op.to_dense()
-        return np.ascontiguousarray(A.rmatmat(G.T).T)
-    return op.apply(as_matrix(A, "A"))
+    """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator
+    (which only needs ``rmatmat`` here; the embedding is then materialized)."""
+    return as_operator(A).left_sketch(op)

@@ -82,6 +82,22 @@ class TestCurAccuracy:
         assert code == 2
         assert "does-not-exist" in capsys.readouterr().err
 
+    def test_non_finite_metric_exit_3_without_csv(self, tmp_path, monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        def rows_with_nan(cfg):
+            return [experiments.Row("cur_accuracy", "rand-lupp", TINY_SNN, 4, 0, t,
+                                    "err_fro", v, 0)
+                    for t, v in enumerate([0.5, 0.25, 0.125, float("nan")])]
+
+        monkeypatch.setattr(experiments, "run_cur_accuracy", rows_with_nan)
+        out = tmp_path / "o"
+        code = run(["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4",
+                    "--out", str(out)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_bad_rank_grid_exit_2(self, tmp_path):
         code = run(["cur-accuracy", "--matrix", TINY_SNN,
                     "--ranks", "8,4", "--out", str(tmp_path)])

@@ -11,14 +11,22 @@ import pytest
 from randskel import (
     make_srtt,
     posterior_gap,
+    posterior_simple,
     randomized_svd,
+    rangefinder_error,
     save_csv,
+    select_columns_cpqr,
     select_columns_lupp,
+    select_deim,
     gen_snn_operator,
     snn_weights,
     SnnParams,
+    build_column_id,
     build_cur_stable,
+    build_row_id,
+    build_two_sided_id,
 )
+from randskel.errors import BadShape
 from randskel.bench.cli import run
 from oracles import dht_matrix, random_matrix
 
@@ -73,18 +81,37 @@ def test_posterior_gap_estimated_norms_close():
     assert est.norm_E3132_fro == exact.norm_E3132_fro
 
 
-def test_implicit_operator_through_selection_and_cur():
+@pytest.mark.parametrize("select", [select_columns_lupp, select_columns_cpqr, select_deim],
+                         ids=lambda f: f.__name__)
+def test_implicit_operator_through_selection_and_cur(select):
     params = SnnParams(m=300, n=280, r=60, s=snn_weights(2, 20, 60),
                        density=0.05, seed=9)
     op = gen_snn_operator(params)
     A = op.to_dense()
-    sel_op = select_columns_lupp(op, 12, 1, seed=10)
-    sel_dn = select_columns_lupp(A, 12, 1, seed=10)
+    sel_op = select(op, 12, 1, seed=10)
+    sel_dn = select(A, 12, 1, seed=10)
     assert np.array_equal(sel_op.J_s, sel_dn.J_s)
     assert np.array_equal(sel_op.I_s, sel_dn.I_s)
     cur = build_cur_stable(op, sel_op.I_s, sel_op.J_s)
     cur_d = build_cur_stable(A, sel_dn.I_s, sel_dn.J_s)
     assert np.allclose(cur.reconstruct(), cur_d.reconstruct(), atol=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda op, lr: build_column_id(op, [0, 1]),
+    lambda op, lr: build_row_id(op, [0, 1]),
+    lambda op, lr: build_two_sided_id(op, [0, 1], [0, 1]),
+    lambda op, lr: posterior_simple(op, lr.U_hat, np.linspace(2, 1, 20), 2),
+    lambda op, lr: posterior_gap(op, lr, np.linspace(2, 1, 20), 2),
+    lambda op, lr: rangefinder_error(op, np.ones((2, 50))),
+], ids=["build_column_id", "build_row_id", "build_two_sided_id",
+        "posterior_simple", "posterior_gap", "rangefinder_error"])
+def test_dense_only_functions_reject_matvec_operator(call):
+    params = SnnParams(m=60, n=50, r=20, s=snn_weights(2, 5, 20), density=0.1, seed=1)
+    op = gen_snn_operator(params)
+    lr = randomized_svd(op, 5, q=0, seed=2)
+    with pytest.raises(BadShape):
+        call(op, lr)
 
 
 def test_cli_csv_matrix_route(tmp_path):

@@ -114,6 +114,12 @@ class TestSelectLupp:
         assert sel.rank_detected <= 5  # sketch rank caps at rank(A)
         assert len(sel.J_s) == sel.rank_detected
         assert len(sel.I_s) == len(sel.J_s)
+        # the zero matrix truncates to an empty skeleton with eta = 1
+        for select in (select_columns_lupp, select_columns_cpqr):
+            sel = select(np.zeros((30, 20)), 10, 0, seed=4)
+            assert sel.rank_detected == 0
+            assert sel.J_s.size == sel.I_s.size == 0
+            assert sel.eta_column == 1.0
 
     def test_skeleton_full_column_rank(self):
         rng = np.random.default_rng(5)
