@@ -28,7 +28,7 @@ from ..angles import (
     balance_phi,
 )
 from ..dense import cpqr, lupp, qr_ortho, svd_thin
-from ..errors import RandskelError, SingularSkeleton, UnknownMethod
+from ..errors import RandskelError, RankDeficient, SingularSkeleton, UnknownMethod
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
 from ..skeleton import (
@@ -125,6 +125,8 @@ def run_cur_accuracy(cfg):
     bundle = realize_matrix(cfg.matrix, seed=cfg.seed)
     A = bundle.dense()
     fro_A = np.linalg.norm(A)
+    if fro_A == 0.0:
+        raise RankDeficient("all-zero matrix: relative errors undefined")
     sigma = svd_thin(A).sigma
     tail_sq = np.concatenate([np.cumsum((sigma ** 2)[::-1])[::-1], [0.0]])
 

@@ -1,6 +1,7 @@
 """Dense factorization kernels and the operator adapter.
 
-Thin wrappers over LAPACK (via numpy/scipy) that add the rank checks,
+Thin wrappers over LAPACK (via numpy/scipy; the Householder and pivoted QR
+both go through scipy's LAPACK bindings) that add the rank checks,
 pivot bookkeeping, and error contracts the rest of the library relies on:
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
@@ -132,7 +133,10 @@ def _detected_rank(diag, ref):
 def qr_checked(M, error=RankDeficient, name="M"):
     """Reduced QR ``M = Q R``; raises ``error`` unless ``M`` is numerically
     full column rank (reference ``||M||_F``)."""
-    q, r = np.linalg.qr(M)
+    # LAPACK returns Fortran-ordered factors; callers get C order, as from
+    # as_matrix, since the layout decides how later BLAS products round
+    q, r = sla.qr(M, mode="economic", check_finite=False)
+    q, r = np.ascontiguousarray(q), np.ascontiguousarray(r)
     rank = _detected_rank(np.diag(r), np.linalg.norm(M))
     if rank < M.shape[1]:
         raise error(f"{name} has detected rank {rank} of {M.shape[1]} columns")

@@ -10,7 +10,10 @@ Scaling conventions:
 * Gaussian entries are i.i.d. normal with variance ``1/l``.
 * The trigonometric operator composes a random permutation, a random sign
   flip, an orthonormal discrete Hartley transform, and a uniform row
-  subsample, scaled by ``sqrt(m/l)``.
+  subsample, scaled by ``sqrt(m/l)``. Applying it to an ``m x n`` matrix
+  costs O(mn log m): one real FFT along the columns, of which only the
+  ``l`` sampled Hartley rows are read. Its dense ``l x m`` form is built
+  directly from the Hartley kernel in O(lm).
 * Sparse-sign columns carry exactly ``zeta`` entries of ``+-1/sqrt(zeta)``
   so that ``E[||G x||^2] = ||x||^2``.
 """
@@ -37,7 +40,8 @@ def _as_operand(A):
 
 
 class SketchOperator:
-    """Common behavior for all embedding kinds."""
+    """Common behavior for all embedding kinds; each kind also provides
+    ``to_dense()``, the operator as an ``out_dim x in_dim`` array."""
 
     out_dim: int
     in_dim: int
@@ -64,10 +68,6 @@ class SketchOperator:
                 f"operator expects {self.in_dim} columns, got {arr.shape[1]}"
             )
         return np.ascontiguousarray(self.apply(arr.T).T)
-
-    def to_dense(self):
-        """Materialize the operator as an ``out_dim x in_dim`` array."""
-        return self._apply_dense(np.eye(self.in_dim))
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,28 @@ class SrttSketch(SketchOperator):
     kind = "srtt"
 
     def _apply_dense(self, A):
+        # Hartley coefficient k is Re F_k - Im F_k of the DFT F; a real input
+        # has F_k = conj(F_{m-k}), so rows above m/2 read the rfft at m - k
+        # with the sign of the imaginary part flipped.
         m = self.in_dim
-        B = self.signs[:, None] * A[self.perm_in]
-        f = np.fft.fft(B, axis=0)
-        H = (f.real - f.imag) / np.sqrt(m)
-        return np.sqrt(m / self.out_dim) * H[self.rows]
+        B = A[self.perm_in]  # a copy, so the sign flip below leaves A alone
+        B *= self.signs[:, None]
+        f = np.fft.rfft(B, axis=0)
+        folded = self.rows > m // 2
+        fk = f[np.where(folded, m - self.rows, self.rows)]
+        H = fk.real + np.where(folded, 1.0, -1.0)[:, None] * fk.imag
+        return H / np.sqrt(self.out_dim)
+
+    def to_dense(self):
+        m = self.in_dim
+        t = 2 * np.pi * np.arange(m) / m
+        cas = (np.cos(t) + np.sin(t)) / np.sqrt(self.out_dim)
+        # row k, column j of the transform is cas(2*pi*k*j/m); int64 is exact
+        # for the product while m**2 < 2**63
+        kj = (self.rows[:, None].astype(np.int64) * np.arange(m, dtype=np.int64)) % m
+        out = np.empty((self.out_dim, m))
+        out[:, self.perm_in] = cas[kj] * self.signs
+        return out
 
 
 @dataclass(frozen=True)

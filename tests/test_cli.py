@@ -1,5 +1,6 @@
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ class TestCurAccuracy:
                     "--out", str(out)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_all_zero_matrix_exit_3_without_csv(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        np.savetxt(path, np.zeros((40, 30)), delimiter=",")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["cur-accuracy", "--matrix", f"csv:{path}", "--ranks", "5",
+                        "--methods", "rand-lupp", "--out", str(out)])
+        assert code == 3
+        assert "all-zero matrix" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_bad_rank_grid_exit_2(self, tmp_path):

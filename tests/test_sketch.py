@@ -54,8 +54,8 @@ class TestSrtt:
             x = rng.standard_normal(m)
             assert abs(np.linalg.norm(op.apply(x)) - np.linalg.norm(x)) < 1e-10
 
-    def test_transform_orthonormal_materialized(self):
-        m = 128
+    @pytest.mark.parametrize("m", [128, 127, 300])
+    def test_transform_orthonormal_materialized(self, m):
         H = dht_matrix(m)
         assert np.linalg.norm(H.T @ H - np.eye(m), 2) < 1e-10
         # operator with trivial permutation/signs applies exactly H
@@ -64,6 +64,15 @@ class TestSrtt:
                         perm_in=np.arange(m))
         X = op.to_dense()
         assert np.abs(X - H).max() < 1e-12
+        assert np.abs(op.apply(np.eye(m)) - H).max() < 1e-12
+
+    def test_subsampled_matches_oracle(self):
+        l, m = 40, 300
+        op = make_srtt(l, m, seed=12)
+        # sqrt(m/l) * (rows of H) @ diag(signs) @ P, where P @ x = x[perm_in]
+        want = np.sqrt(m / l) * dht_matrix(m)[op.rows] * op.signs @ np.eye(m)[op.perm_in]
+        assert np.abs(op.to_dense() - want).max() < 1e-12
+        assert np.abs(op.apply(np.eye(m)) - want).max() < 1e-12
 
     def test_constant_vector_concentrates(self):
         # with signs and permutation forced trivial the transform piles the
