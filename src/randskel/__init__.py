@@ -51,6 +51,7 @@ from .angles import (
     BalanceConfig,
     EstimateReport,
     PosteriorGapReport,
+    PosteriorResiduals,
     PriorBoundInputs,
     PriorBounds,
     balance_phi,
@@ -60,6 +61,7 @@ from .angles import (
     default_distortions,
     pad_spectrum,
     posterior_gap,
+    posterior_residuals,
     posterior_simple,
     prior_reference_bound,
     prior_space_agnostic,

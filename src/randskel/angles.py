@@ -5,6 +5,14 @@ the oversampling-versus-iterations balance function.
 Angles are always reported as sines in [0, 1], sorted nondecreasing (the
 smallest angle first). The prior machinery needs only a spectrum; the
 posterior machinery needs the computed low-rank factors and residuals.
+
+Cost of the posterior families: both read the singular values of the two
+m x n residuals ``(I - U_hat U_hat^T) A`` and ``A (I - V_hat V_hat^T)``, so a
+(A, rank-l SVD) pair costs two values-only m x n SVDs, shared by every
+spectrum and both families when measured once by :func:`posterior_residuals`.
+The rest is O(mnl) products, norms of m x l blocks and arithmetic on the
+spectrum. :func:`posterior_simple` and :func:`posterior_gap` each measure
+afresh, at one such SVD per call.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from .errors import (
     TailRankDeficient,
 )
 from .rangefinder import LowRankSVD
+
+
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise BadShape(f"side must be 'left' or 'right', got {side!r}")
 
 
 def canonical_angles(U, V):
@@ -113,8 +126,7 @@ class PriorBoundInputs:
             raise BadShape("spectrum must be positive and nonincreasing")
         if not 0 < self.k < self.l < r:
             raise BadShape(f"need 0 < k < l < r, got k={self.k}, l={self.l}, r={r}")
-        if self.side not in ("left", "right"):
-            raise BadShape(f"side must be 'left' or 'right', got {self.side!r}")
+        _check_side(self.side)
         if self.q < 0:
             raise BadShape(f"q must be >= 0, got {self.q}")
         e1, e2 = default_distortions(self.k, self.l, r)
@@ -186,8 +198,7 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     sigma = np.asarray(sigma, dtype=np.float64)
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
-    if side not in ("left", "right"):
-        raise BadShape(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if omega1.shape != (k, l):
         raise ShapeMismatch(f"omega1 must be {k}x{l}, got {omega1.shape}")
     if sigma.size <= k:
@@ -223,8 +234,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     r = sigma.size
-    if side not in ("left", "right"):
-        raise BadShape(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if not k < l:
         raise BadShape(f"need k < l, got k={k}, l={l}")
     if r <= k:
@@ -259,33 +269,54 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
                           max=thetas.max(axis=0), n_trials=n_trials)
 
 
+def _check_k(k, shape):
+    if not 1 <= k <= min(shape):
+        raise BadShape(f"need 1 <= k <= min(m, n), got k={k} for {shape[0]}x{shape[1]}")
+
+
+def _spectrum(sigma, k):
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.size < k:
+        raise ShapeMismatch(f"spectrum shorter than k={k}")
+    return sigma
+
+
+def _residual(A, basis, side):
+    """``(I - B B^T) A`` (left) or ``A (I - B B^T)`` (right) for a basis ``B``."""
+    if side == "left":
+        if basis.shape[0] != A.shape[0]:
+            raise ShapeMismatch("left basis rows must match A rows")
+        return A - basis @ (basis.T @ A)
+    if basis.shape[0] != A.shape[1]:
+        raise ShapeMismatch("right basis rows must match A columns")
+    return A - (A @ basis) @ basis.T
+
+
+def _residual_values(A, basis, side):
+    return np.linalg.svd(_residual(A, basis, side), compute_uv=False)
+
+
+def _simple_bound(s_res, sigma, k):
+    i = np.arange(1, k + 1)
+    first = s_res[k - i] / sigma[k - 1]
+    second = s_res[0] / sigma[i - 1]
+    return np.clip(np.minimum(first, second), 0.0, 1.0)
+
+
 def posterior_simple(A, basis, sigma, k, side="left"):
     """Residual/spectrum posterior upper bounds on the first k angle sines.
 
     ``basis`` is the computed orthonormal factor (left: m x l, right: n x l);
     ``sigma`` the true or padded spectrum. Per index the bound is
     ``min(s_{k-i+1}(residual)/s_k, s_1(residual)/s_i)``, clipped to [0, 1].
+    Needs ``1 <= k <= min(m, n)``.
     """
     A = as_matrix(A, "A")
     basis = as_matrix(basis, "basis")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if side not in ("left", "right"):
-        raise BadShape(f"side must be 'left' or 'right', got {side!r}")
-    if sigma.size < k:
-        raise ShapeMismatch(f"spectrum shorter than k={k}")
-    if side == "left":
-        if basis.shape[0] != A.shape[0]:
-            raise ShapeMismatch("left basis rows must match A rows")
-        E = A - basis @ (basis.T @ A)
-    else:
-        if basis.shape[0] != A.shape[1]:
-            raise ShapeMismatch("right basis rows must match A columns")
-        E = A - (A @ basis) @ basis.T
-    s_res = np.linalg.svd(E, compute_uv=False)
-    i = np.arange(1, k + 1)
-    first = s_res[k - i] / sigma[k - 1]
-    second = s_res[0] / sigma[i - 1]
-    return np.clip(np.minimum(first, second), 0.0, 1.0)
+    _check_side(side)
+    _check_k(k, A.shape)
+    sigma = _spectrum(sigma, k)
+    return _simple_bound(_residual_values(A, basis, side), sigma, k)
 
 
 @dataclass(frozen=True)
@@ -310,49 +341,28 @@ class PosteriorGapReport:
     anglewise: dict = field(repr=False)
 
 
-def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
-                  estimate_iters=50, estimate_seed=None):
-    """Gap-based posterior bounds from the residual norms of a rank-l SVD.
-
-    ``sigma`` supplies the true (or padded) spectrum; the (k+1)-th
-    approximated singular value comes from ``lr`` itself. Gap violations
-    flag the report invalid instead of raising, since they are data
-    facts a benchmark needs to record.
-
-    Norms are exact by default; ``estimate_spectral=True`` swaps the three
-    spectral norms for randomized power-method estimates (for inputs where
-    exact dense norms are too expensive).
-    """
-    A = as_matrix(A, "A")
+def _low_rank_factors(A, lr, k):
+    """Validated ``(U_hat, V_hat)`` of a rank-l SVD of ``A`` for index ``k``."""
     if not isinstance(lr, LowRankSVD):
         raise BadShape("lr must be a LowRankSVD")
-    sigma = np.asarray(sigma, dtype=np.float64)
+    _check_k(k, A.shape)
     if lr.sigma_hat.size <= k:
         raise BadShape(f"need l > k, got l={lr.sigma_hat.size}, k={k}")
-    if sigma.size < k:
-        raise ShapeMismatch(f"spectrum shorter than k={k}")
-    V = lr.V_hat
+    U = as_matrix(lr.U_hat, "U_hat")
+    V = as_matrix(lr.V_hat, "V_hat")
+    if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
+        raise ShapeMismatch(f"factors {U.shape}, {V.shape} do not fit A {A.shape}")
+    return U, V
+
+
+def _gap_blocks(A, lr, V, k):
+    """``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation) and ``E32``."""
     resid = A - lr.approx()
-    EV = resid @ V                      # [E31, E32] up to rotation
-    E32 = resid @ V[:, k:]
-    E33m = A - (A @ V) @ V.T
-    n_fro = float(np.linalg.norm(EV))
-    if estimate_spectral:
-        def _est(M, salt):
-            return spectral_norm_estimate(
-                lambda v: M @ v, lambda w: M.T @ w, M.shape[1],
-                estimate_iters,
-                seed=np.random.SeedSequence([0 if estimate_seed is None
-                                             else estimate_seed, salt]))
-        n_spec = _est(EV, 0)
-        n_e32 = _est(E32, 1)
-        n_e33 = _est(E33m, 2)
-    else:
-        n_spec = float(np.linalg.norm(EV, 2))
-        n_e32 = float(np.linalg.norm(E32, 2))
-        n_e33 = float(np.linalg.norm(E33m, 2))
+    return resid @ V, resid @ V[:, k:]
+
+
+def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     s_k = float(sigma[k - 1])
-    shat_k1 = float(lr.sigma_hat[k])
     valid = s_k > shat_k1 and s_k > n_e33
 
     gamma1 = (s_k ** 2 - shat_k1 ** 2) / s_k
@@ -401,6 +411,96 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
         big_gamma2=float(bg2),
         bounds=bounds,
         anglewise=anglewise,
+    )
+
+
+def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
+                  estimate_iters=50, estimate_seed=None):
+    """Gap-based posterior bounds from the residual norms of a rank-l SVD.
+
+    ``sigma`` supplies the true (or padded) spectrum; the (k+1)-th
+    approximated singular value comes from ``lr`` itself. Gap violations
+    flag the report invalid instead of raising, since they are data
+    facts a benchmark needs to record. Needs ``1 <= k <= min(m, n)`` and
+    ``l > k``.
+
+    Norms are exact by default; ``estimate_spectral=True`` swaps the three
+    spectral norms for randomized power-method estimates (for inputs where
+    exact dense norms are too expensive).
+    """
+    A = as_matrix(A, "A")
+    _, V = _low_rank_factors(A, lr, k)
+    sigma = _spectrum(sigma, k)
+    EV, E32 = _gap_blocks(A, lr, V, k)
+    if estimate_spectral:
+        def _est(M, salt):
+            return spectral_norm_estimate(
+                lambda v: M @ v, lambda w: M.T @ w, M.shape[1],
+                estimate_iters,
+                seed=np.random.SeedSequence([0 if estimate_seed is None
+                                             else estimate_seed, salt]))
+        n_spec = _est(EV, 0)
+        n_e32 = _est(E32, 1)
+        n_e33 = _est(_residual(A, V, "right"), 2)
+    else:
+        n_spec = float(np.linalg.norm(EV, 2))
+        n_e32 = float(np.linalg.norm(E32, 2))
+        n_e33 = float(_residual_values(A, V, "right")[0])
+    return _gap_report(float(np.linalg.norm(EV)), n_spec, n_e32, n_e33, sigma, k,
+                       float(lr.sigma_hat[k]))
+
+
+@dataclass(frozen=True)
+class PosteriorResiduals:
+    """What both posterior bound families need from ``A`` and a rank-l SVD,
+    measured once by :func:`posterior_residuals`; evaluating a bound for a
+    spectrum is then arithmetic on these values.
+
+    ``left``/``right`` are the singular values of ``(I - U_hat U_hat^T) A``
+    and ``A (I - V_hat V_hat^T)``; the latter is the gap family's ``E33``,
+    so ``||E33||_2 = right[0]``.
+    """
+
+    k: int
+    left: np.ndarray
+    right: np.ndarray
+    norm_EV_fro: float
+    norm_EV_spec: float
+    norm_E32_spec: float
+    shat_k1: float
+
+    def simple(self, sigma, side="left"):
+        """Equals ``posterior_simple(A, lr.U_hat or lr.V_hat, sigma, k, side)``."""
+        _check_side(side)
+        s_res = self.left if side == "left" else self.right
+        return _simple_bound(s_res, _spectrum(sigma, self.k), self.k)
+
+    def gap(self, sigma):
+        """Equals ``posterior_gap(A, lr, sigma, k)`` (exact norms)."""
+        return _gap_report(self.norm_EV_fro, self.norm_EV_spec, self.norm_E32_spec,
+                           float(self.right[0]), _spectrum(sigma, self.k), self.k,
+                           self.shat_k1)
+
+
+def posterior_residuals(A, lr, k):
+    """Measure the residual spectra and norms behind the posterior bounds once.
+
+    Costs two values-only SVDs of m x n residuals plus O(mnl) products,
+    whatever the number of spectra and sides evaluated afterwards through
+    :meth:`PosteriorResiduals.simple` and :meth:`PosteriorResiduals.gap`.
+    Needs ``1 <= k <= min(m, n)`` and ``l > k``.
+    """
+    A = as_matrix(A, "A")
+    U, V = _low_rank_factors(A, lr, k)
+    EV, E32 = _gap_blocks(A, lr, V, k)
+    return PosteriorResiduals(
+        k=k,
+        left=_residual_values(A, U, "left"),
+        right=_residual_values(A, V, "right"),
+        norm_EV_fro=float(np.linalg.norm(EV)),
+        norm_EV_spec=float(np.linalg.norm(EV, 2)),
+        norm_E32_spec=float(np.linalg.norm(E32, 2)),
+        shat_k1=float(lr.sigma_hat[k]),
     )
 
 

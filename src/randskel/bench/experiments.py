@@ -19,8 +19,7 @@ from ..angles import (
     PriorBoundInputs,
     canonical_angles,
     pad_spectrum,
-    posterior_gap,
-    posterior_simple,
+    posterior_residuals,
     prior_reference_bound,
     prior_space_agnostic,
     unbiased_estimates,
@@ -282,7 +281,8 @@ def run_angles(cfg):
     """True angles against every bound/estimate family, per (l, q, trial).
 
     Every family is evaluated twice: from the true spectrum and from the
-    run's approximated spectrum padded out to full length.
+    run's approximated spectrum padded out to full length. The posterior
+    residuals are measured once per cell and shared by both spectra and sides.
     """
     bundle = realize_matrix(cfg.matrix, seed=cfg.seed)
     U0, sigma, V0 = bundle.exact_factors(cfg.max_exact_dim)
@@ -309,6 +309,7 @@ def run_angles(cfg):
                 G = make_embedding("gaussian", l, A.shape[1], seed=seed).to_dense()
                 om1 = V0[:, :k].T @ G.T
                 om2 = V0[:, k:r].T @ G.T
+                res = posterior_residuals(A, lr, k)
 
                 for tag, spec in (("sigma", sigma), ("padded", sig_pad)):
                     for side in ("left", "right"):
@@ -323,12 +324,11 @@ def run_angles(cfg):
                         rows += _angle_rows(base, side, f"estimate_mean_{tag}", est.mean)
                         rows += _angle_rows(base, side, f"estimate_min_{tag}", est.min)
                         rows += _angle_rows(base, side, f"estimate_max_{tag}", est.max)
-                        basis = lr.U_hat if side == "left" else lr.V_hat
-                        ps = posterior_simple(A, basis, spec, k, side=side)
-                        rows += _angle_rows(base, side, f"posterior_residual_{tag}", ps)
+                        rows += _angle_rows(base, side, f"posterior_residual_{tag}",
+                                            res.simple(spec, side))
                         ref = prior_reference_bound(spec, k, l, q, om1, om2, side=side)
                         rows += _angle_rows(base, side, f"reference_{tag}", ref)
-                    gap = posterior_gap(A, lr, spec, k)
+                    gap = res.gap(spec)
                     rows += _angle_rows(base, "left", f"posterior_gap_{tag}",
                                         np.minimum(gap.anglewise["Uk_Ul"], 1.0))
                     rows += _angle_rows(base, "right", f"posterior_gap_{tag}",

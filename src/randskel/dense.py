@@ -77,8 +77,9 @@ class Operator:
         return emb.apply(self.A)
 
     def right_sketch(self, emb):
-        """``A @ G.T`` for an embedding ``G`` of the columns."""
-        return emb.apply_t(self.A)
+        """``A @ G.T`` for an embedding ``G`` of the columns; ``A`` was validated
+        once on wrapping, so the embedding's ``apply`` is called on ``A.T``."""
+        return np.ascontiguousarray(emb.apply(self.A.T).T)
 
 
 class _MatvecOperator(Operator):

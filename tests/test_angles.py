@@ -12,6 +12,7 @@ from randskel import (
     make_gaussian,
     pad_spectrum,
     posterior_gap,
+    posterior_residuals,
     posterior_simple,
     prior_reference_bound,
     prior_space_agnostic,
@@ -25,6 +26,9 @@ from randskel.errors import (
     InadmissibleQ,
     TailRankDeficient,
 )
+from randskel.bench.cli import ExperimentConfig
+from randskel.bench.experiments import _run_seed, run_angles
+from randskel.bench.matrices import realize_matrix
 from oracles import random_matrix
 
 
@@ -274,6 +278,76 @@ class TestPosteriorGap:
             assert rep.bounds["Uk_Ul_spec"] >= tl.max() - 1e-12
             assert rep.bounds["Vk_Vl_spec"] >= tr.max() - 1e-12
         assert checked >= 16  # favorable regime: flag true in >= 80% of runs
+
+
+class TestPosteriorIndexRange:
+    """k must satisfy 1 <= k <= min(m, n) in every posterior entry point."""
+
+    @pytest.mark.parametrize("k", [0, -1, 6, 7])
+    def test_simple_rejects_k(self, k):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((10, 5))
+        lr = randomized_svd(A, 4, q=0, seed=15)
+        with pytest.raises(BadShape):
+            posterior_simple(A, lr.U_hat, np.linspace(3, 1, 10), k, side="left")
+
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    @pytest.mark.parametrize("entry", ["gap", "residuals"])
+    def test_gap_and_residuals_reject_k(self, entry, k):
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((10, 5))
+        lr = randomized_svd(A, 4, q=0, seed=17)
+        with pytest.raises(BadShape):
+            if entry == "gap":
+                posterior_gap(A, lr, np.linspace(3, 1, 10), k)
+            else:
+                posterior_residuals(A, lr, k)
+
+
+class TestPosteriorResiduals:
+    def test_run_angles_rows_equal_direct_calls(self):
+        # q=2 makes every gap condition hold and every gap row fall below 1,
+        # so the rows carry the residual norms instead of the clip value
+        matrix, seed = "gauss:60x50,profile=slow,r=45", 7
+        k, l, q = 5, 20, 2
+        cfg = ExperimentConfig(experiment="angles", matrix=matrix, ranks=[l],
+                               qs=[q], trials=1, seed=seed, k=k, estimate_trials=2)
+        rows = run_angles(cfg)
+        got = {(r.method, r.metric): r.value for r in rows}
+
+        bundle = realize_matrix(matrix, seed=seed)
+        A = bundle.dense()
+        sigma = bundle.exact_factors()[1]
+        lr = randomized_svd(A, l, q=q, seed=_run_seed(seed, l, q, 0))
+        spectra = {"sigma": sigma, "padded": pad_spectrum(lr.sigma_hat, sigma.size)}
+        for tag, spec in spectra.items():
+            for side, basis in (("left", lr.U_hat), ("right", lr.V_hat)):
+                want = posterior_simple(A, basis, spec, k, side=side)
+                assert [got[(f"posterior_residual_{tag}", f"{side}_sin_{i + 1:03d}")]
+                        for i in range(k)] == want.tolist()
+            rep = posterior_gap(A, lr, spec, k)
+            for side, key in (("left", "Uk_Ul"), ("right", "Vk_Vl")):
+                want = np.minimum(rep.anglewise[key], 1.0)
+                assert [got[(f"posterior_gap_{tag}", f"{side}_sin_{i + 1:03d}")]
+                        for i in range(k)] == want.tolist()
+            assert got[(f"posterior_gap_{tag}", "gap_valid")] == float(rep.valid)
+
+    def test_measured_once_equals_wrappers(self):
+        rng = np.random.default_rng(18)
+        A = random_matrix(rng, 40, 30, spectrum=np.logspace(0, -3, 30))
+        k = 4
+        lr = randomized_svd(A, 10, q=0, seed=19)
+        sigma = np.linalg.svd(A, compute_uv=False)
+        res = posterior_residuals(A, lr, k)
+        for spec in (sigma, pad_spectrum(lr.sigma_hat, sigma.size)):
+            for side, basis in (("left", lr.U_hat), ("right", lr.V_hat)):
+                assert np.array_equal(res.simple(spec, side),
+                                      posterior_simple(A, basis, spec, k, side=side))
+            rep, direct = res.gap(spec), posterior_gap(A, lr, spec, k)
+            assert rep.norm_E33_spec == direct.norm_E33_spec == res.right[0]
+            assert rep.bounds == direct.bounds
+            for key, val in direct.anglewise.items():
+                assert np.array_equal(rep.anglewise[key], val)
 
 
 class TestRightVersusLeft:

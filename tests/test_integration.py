@@ -1,16 +1,20 @@
 """Cross-module seams: embedding kinds through the pipeline, CSV matrices
 through the CLI, the installed console script, and opt-in estimation paths."""
 
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randskel
 from randskel import (
     make_srtt,
     posterior_gap,
+    posterior_residuals,
     posterior_simple,
     randomized_svd,
     rangefinder_error,
@@ -103,9 +107,10 @@ def test_implicit_operator_through_selection_and_cur(select):
     lambda op, lr: build_two_sided_id(op, [0, 1], [0, 1]),
     lambda op, lr: posterior_simple(op, lr.U_hat, np.linspace(2, 1, 20), 2),
     lambda op, lr: posterior_gap(op, lr, np.linspace(2, 1, 20), 2),
+    lambda op, lr: posterior_residuals(op, lr, 2),
     lambda op, lr: rangefinder_error(op, np.ones((2, 50))),
 ], ids=["build_column_id", "build_row_id", "build_two_sided_id",
-        "posterior_simple", "posterior_gap", "rangefinder_error"])
+        "posterior_simple", "posterior_gap", "posterior_residuals", "rangefinder_error"])
 def test_dense_only_functions_reject_matvec_operator(call):
     params = SnnParams(m=60, n=50, r=20, s=snn_weights(2, 5, 20), density=0.1, seed=1)
     op = gen_snn_operator(params)
@@ -146,11 +151,15 @@ def test_console_script_installed(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same randskel as this suite, however it was found
+    src = str(Path(randskel.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "randskel.bench.cli", "balance", "--k", "3",
          "--alpha", "6", "--beta", "6", "--gaps", "1.3", "--trials", "1",
          "--seed", "0", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "balance.csv").exists()
     assert (tmp_path / "balance.svg").exists()

@@ -23,6 +23,9 @@ class _EyeOp:
     def to_dense(self):
         return np.eye(self.in_dim)
 
+    def apply(self, A):
+        return A
+
     def apply_t(self, A):
         return A
 
