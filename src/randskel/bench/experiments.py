@@ -27,7 +27,7 @@ from ..angles import (
     balance_phi,
 )
 from ..dense import cpqr, lupp, qr_ortho, svd_thin
-from ..errors import RandskelError, RankDeficient, SingularSkeleton, UnknownMethod
+from ..errors import RandskelError, RankDeficient, UnknownMethod
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
 from ..skeleton import (
@@ -37,6 +37,7 @@ from ..skeleton import (
     select_deim,
     select_leverage,
 )
+from . import open_replacing
 from .matrices import realize_matrix
 
 CSV_COLUMNS = ("experiment", "method", "matrix", "param_l", "param_q",
@@ -69,14 +70,8 @@ def write_rows(path, rows):
     import csv as _csv
 
     records = [row.as_record() for row in rows]
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            _csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS] + records)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with open_replacing(path) as fh:
+        _csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS] + records)
 
 
 def worker_count():
@@ -144,11 +139,12 @@ def run_cur_accuracy(cfg):
         try:
             sel = _select(method, A, l, seed)
             cur = build_cur_stable(A, sel.I_s, sel.J_s)
-        except SingularSkeleton as exc:
-            # data-dependent: sampled skeletons can be linearly dependent on
-            # spiky inputs; record the failure instead of aborting the sweep
-            print(f"cur_accuracy: {method} l={l} trial={trial} failed: {exc}",
-                  file=sys.stderr)
+        except RandskelError as exc:
+            # data-dependent: sampled skeletons can be linearly dependent, and
+            # sampling scores can run out, on spiky or low-rank inputs; record
+            # the failure instead of aborting the sweep
+            print(f"cur_accuracy: {method} l={l} trial={trial} failed "
+                  f"[{type(exc).__name__}]: {exc}", file=sys.stderr)
             q = 1 if method.endswith("1piter") else 0
             return [Row("cur_accuracy", method, cfg.matrix, l, q, trial,
                         "failed", 1.0, time.perf_counter_ns() - t0)]

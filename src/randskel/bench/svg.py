@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+from . import open_replacing
+
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
@@ -41,7 +43,8 @@ def _fmt(v):
 
 
 def render_line_chart(path, title, xlabel, ylabel, series, logy=False):
-    """Write a line chart with one polyline per (label, xs, ys) series."""
+    """Write a line chart with one polyline per (label, xs, ys) series; the
+    file appears all or nothing, as the CSV does."""
     pts = []
     for _, xs, ys in series:
         for x, y in zip(xs, ys):
@@ -127,5 +130,5 @@ def render_line_chart(path, title, xlabel, ylabel, series, logy=False):
         )
         out.append(f'<text x="{_W - _MR + 35}" y="{ly + 4}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
+    with open_replacing(path) as fh:
         fh.write("\n".join(out) + "\n")

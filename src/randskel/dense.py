@@ -21,6 +21,9 @@ The randomized routines also accept a matvec-only operator: an object with
 ``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``), plus
 ``to_dense()`` where a dense form is needed. :func:`as_operator` wraps either
 kind once, at each public entry; it is the only code that tells them apart.
+A wrapped dense matrix returns ``columns(J)`` as a Fortran-ordered block,
+gathered in row tiles, so the QR and LU that consume it reach LAPACK without
+a transposing copy.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from .errors import BadShape, ConvergenceFailure, RankDeficient, ShapeMismatch, 
 
 #: Relative magnitude below which a pivot/diagonal counts as zero.
 RANK_RTOL = 1e-12
+
+#: Rows per tile of a dense column gather: a tile's rows stay in cache while
+#: each selected column is read from them.
+_GATHER_ROWS = 512
 
 
 def as_matrix(a, name="matrix"):
@@ -64,7 +71,14 @@ class Operator:
         return self.A.T @ M
 
     def columns(self, J):
-        return np.ascontiguousarray(self.A[:, J])
+        """``A[:, J]`` as a Fortran-ordered ``m x |J|`` block (the transpose of
+        a C-ordered ``|J| x m`` buffer filled one row tile at a time)."""
+        J = np.asarray(J, dtype=np.intp)
+        m = self.shape[0]
+        out = np.empty((J.size, m))
+        for i in range(0, m, _GATHER_ROWS):
+            out[:, i:i + _GATHER_ROWS] = np.take(self.A[i:i + _GATHER_ROWS], J, axis=1).T
+        return out.T
 
     def rows(self, I):
         return np.ascontiguousarray(self.A[I, :])
@@ -221,6 +235,27 @@ def svd_thin(M):
     return ThinSVD(U=u, sigma=s, V=vt.T)
 
 
+def _lu_pivots(M):
+    """Row order, detected rank and LAPACK's packed factor of the partial-pivoted
+    LU of a finite, tall float64 ``M`` in any memory order; a Fortran-ordered
+    ``M`` reaches LAPACK without a transposing copy. ``L`` and ``U`` are not
+    formed. Ties between equal pivot magnitudes break toward the lowest row
+    index; the rank reference is ``max|M|``."""
+    m, n = M.shape
+    if m < n:
+        raise BadShape(f"need rows >= cols, got {m}x{n}")
+    if n == 0:
+        return np.arange(m), 0, np.zeros((m, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LinAlgWarning on exact singularity
+        lu, piv = sla.lu_factor(M, check_finite=False)
+    perm = np.arange(m)
+    for t, p in enumerate(piv):
+        perm[t], perm[p] = perm[p], perm[t]
+    # max|M| without an m x n temporary of absolute values
+    return perm, _detected_rank(np.diag(lu), max(M.max(), -M.min())), lu
+
+
 def lupp(M):
     """LU with partial row pivoting of a tall matrix ``M`` (rows >= cols).
 
@@ -229,27 +264,14 @@ def lupp(M):
     ``RANK_RTOL * max|M|``; the exception carries ``rank_detected = t`` and a
     ``partial`` :class:`PivotedLU` truncated to the detected rank.
     """
-    M = as_matrix(M, "M")
-    m, n = M.shape
-    if m < n:
-        raise BadShape(f"need rows >= cols, got {m}x{n}")
-    if n == 0:
-        return PivotedLU(perm=np.arange(m), L=np.zeros((m, 0)), U=np.zeros((0, 0)),
-                         rank_detected=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LinAlgWarning on exact singularity
-        lu, piv = sla.lu_factor(M, check_finite=False)
-    perm = np.arange(m)
-    for t, p in enumerate(piv):
-        perm[t], perm[p] = perm[p], perm[t]
-    L = np.tril(lu, -1)[:, :n] + np.eye(m, n)
+    perm, t, lu = _lu_pivots(as_matrix(M, "M"))
+    n = lu.shape[1]
+    L = np.tril(lu, -1)
+    np.fill_diagonal(L, 1.0)
     U = np.triu(lu[:n])
-
-    diag = np.diag(U)
-    t = _detected_rank(diag, np.abs(M).max())
     if t < n:
         partial = PivotedLU(perm=perm, L=L[:, :t], U=U[:t, :t], rank_detected=t)
-        raise RankDeficient(f"pivot magnitude {abs(diag[t]):.3e} at step {t} below tolerance",
+        raise RankDeficient(f"pivot magnitude {abs(U[t, t]):.3e} at step {t} below tolerance",
                             rank_detected=t, partial=partial)
     return PivotedLU(perm=perm, L=L, U=U, rank_detected=n)
 

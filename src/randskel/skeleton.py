@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_matrix, as_operator, cpqr, lupp, qr_checked
+from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked
 from .errors import (
     BadShape,
     DegenerateDistribution,
-    RankDeficient,
     ShapeMismatch,
     SingularPivotBlock,
     SingularSkeleton,
@@ -132,13 +131,11 @@ def _column_pivots(pivot, M, count):
     """First ``count`` column pivots of M, truncated to the detected rank, by
     partial-pivoted LU of M^T (``pivot="lupp"``) or column-pivoted QR."""
     if pivot == "lupp":
-        try:
-            fac = lupp(M.T)
-        except RankDeficient as exc:
-            fac = exc.partial
+        perm, rank, _ = _lu_pivots(M.T)
     else:
         fac = cpqr(M)
-    return fac.perm[:min(count, fac.rank_detected)], fac.rank_detected
+        perm, rank = fac.perm, fac.rank_detected
+    return perm[:min(count, rank)], rank
 
 
 def _plain_power_sketch(A, l, q, seed, embedding):

@@ -11,9 +11,11 @@ Scaling conventions:
 * The trigonometric operator composes a random permutation, a random sign
   flip, an orthonormal discrete Hartley transform, and a uniform row
   subsample, scaled by ``sqrt(m/l)``. Applying it to an ``m x n`` matrix
-  costs O(mn log m): one real FFT along the columns, of which only the
-  ``l`` sampled Hartley rows are read. Its dense ``l x m`` form is built
-  directly from the Hartley kernel in O(lm).
+  costs O(mn log m) time and one ``n x m`` real buffer: the permuted,
+  sign-flipped input is copied there transposed, so each column's real FFT
+  runs along contiguous memory; the spectra are taken a few columns at a
+  time and only the ``l`` sampled Hartley coefficients are kept. Its dense
+  ``l x m`` form is built directly from the Hartley kernel in O(lm).
 * Sparse-sign columns carry exactly ``zeta`` entries of ``+-1/sqrt(zeta)``
   so that ``E[||G x||^2] = ||x||^2``.
 """
@@ -27,6 +29,12 @@ import scipy.sparse as sp
 
 from .dense import as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
+
+#: Input rows copied per step into the transposed SRTT buffer.
+_GATHER_ROWS = 256
+#: Transforms taken per ``rfft`` call: their spectra are the only complex
+#: temporaries, so the full ``(m//2 + 1) x n`` spectrum is never held.
+_FFT_ROWS = 16
 
 
 def _as_operand(A):
@@ -103,14 +111,21 @@ class SrttSketch(SketchOperator):
         # Hartley coefficient k is Re F_k - Im F_k of the DFT F; a real input
         # has F_k = conj(F_{m-k}), so rows above m/2 read the rfft at m - k
         # with the sign of the imaginary part flipped.
-        m = self.in_dim
-        B = A[self.perm_in]  # a copy, so the sign flip below leaves A alone
-        B *= self.signs[:, None]
-        f = np.fft.rfft(B, axis=0)
+        m, n = A.shape
         folded = self.rows > m // 2
-        fk = f[np.where(folded, m - self.rows, self.rows)]
-        H = fk.real + np.where(folded, 1.0, -1.0)[:, None] * fk.imag
-        return H / np.sqrt(self.out_dim)
+        read = np.where(folded, m - self.rows, self.rows)
+        flip = np.where(folded, 1.0, -1.0)
+        # the permuted, sign-flipped input, transposed so that each transform
+        # runs along a contiguous row
+        B = np.empty((n, m))
+        for i in range(0, m, _GATHER_ROWS):
+            p = self.perm_in[i:i + _GATHER_ROWS]
+            np.multiply(A[p].T, self.signs[i:i + _GATHER_ROWS], out=B[:, i:i + _GATHER_ROWS])
+        out = np.empty((self.out_dim, n))
+        for j in range(0, n, _FFT_ROWS):
+            fk = np.fft.rfft(B[j:j + _FFT_ROWS], axis=1)[:, read]
+            out[:, j:j + _FFT_ROWS] = (fk.real + flip * fk.imag).T / np.sqrt(self.out_dim)
+        return out
 
     def to_dense(self):
         m = self.in_dim

@@ -12,6 +12,7 @@ factors where defined, so downstream tests can use them as oracles:
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,25 +231,39 @@ def _parse_cell(text, row, col):
         raise NonNumericCell(f"cell ({row}, {col}) is not numeric: {text!r}") from None
 
 
+def _numeric_row(cells):
+    try:
+        [float(c) for c in cells]
+        return True
+    except ValueError:
+        return False
+
+
 def load_csv(path):
     """Load a rectangular numeric CSV as a dense matrix.
 
     A single leading header row is skipped automatically when any of its
-    cells fails to parse as a number.
+    cells fails to parse as a number. The body is parsed by one
+    ``np.loadtxt``; only when that fails are the cells parsed one by one
+    with ``float``, which also accepts digit separators and quoted cells,
+    and otherwise names the offending row or cell.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row]
-    if not raw:
-        raise RaggedRows("empty CSV")
-
-    def _numeric_row(cells):
+        first = next((row for row in csv.reader(fh) if row), None)
+        if first is None:
+            raise RaggedRows("empty CSV")
+        if _numeric_row(first):
+            fh.seek(0)
         try:
-            [float(c) for c in cells]
-            return True
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a header-only file warns of no data
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if data.size:
+                return data
         except ValueError:
-            return False
-
+            pass
+        fh.seek(0)
+        raw = [row for row in csv.reader(fh) if row]
     start = 0 if _numeric_row(raw[0]) else 1
     body = raw[start:]
     if not body:

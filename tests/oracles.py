@@ -61,3 +61,16 @@ def random_matrix(rng, m, n, rank=None, spectrum=None):
     if rank is not None:
         return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     return rng.standard_normal((m, n))
+
+
+def srtt_apply_one_shot(op, A):
+    """``op.apply(A)`` for an SRTT ``op`` by one ``rfft`` along the rows of the
+    whole permuted, sign-flipped ``A``, reading the ``l`` sampled Hartley rows;
+    the tiled apply must reproduce it bit for bit."""
+    m = op.in_dim
+    B = A[op.perm_in] * op.signs[:, None]
+    f = np.fft.rfft(B, axis=0)
+    folded = op.rows > m // 2
+    fk = f[np.where(folded, m - op.rows, op.rows)]
+    H = fk.real + np.where(folded, 1.0, -1.0)[:, None] * fk.imag
+    return H / np.sqrt(op.out_dim)

@@ -111,10 +111,58 @@ class TestCurAccuracy:
         assert "all-zero matrix" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_any_cell_error_recorded_as_failed_row(self, tmp_path, capsys):
+        # five nonzero columns: leverage sampling of 10 columns runs out of
+        # scores, while LU pivoting truncates at the detected rank
+        A = np.zeros((40, 30))
+        A[:, :5] = np.random.default_rng(0).standard_normal((40, 5))
+        path = tmp_path / "rank5.csv"
+        np.savetxt(path, A, delimiter=",")
+        out = tmp_path / "o"
+        code = run(["cur-accuracy", "--matrix", f"csv:{path}", "--ranks", "10",
+                    "--methods", "rsvd-ls,rand-lupp", "--out", str(out)])
+        assert code == 0
+        assert "DegenerateDistribution" in capsys.readouterr().err
+        _, rows = read_rows(out / "cur_accuracy.csv")
+        failed = [r for r in rows if r["metric"] == "failed"]
+        assert len(failed) == 5 and {r["method"] for r in failed} == {"rsvd-ls"}
+        assert len([r for r in rows if r["metric"] == "err_fro"
+                    and r["method"] == "rand-lupp"]) == 5
+
     def test_bad_rank_grid_exit_2(self, tmp_path):
         code = run(["cur-accuracy", "--matrix", TINY_SNN,
                     "--ranks", "8,4", "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestSvg:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        from randskel.bench import svg
+
+        real_open = open
+
+        class DiskFull:
+            """A file that takes half of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("builtins.open", lambda *a, **k: DiskFull(real_open(*a, **k)))
+        with pytest.raises(OSError):
+            svg.render_line_chart(str(tmp_path / "chart.svg"), "t", "x", "y",
+                                  [("s", [1, 2], [3, 4])])
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTiming:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
+from randskel.dense import as_operator
 from randskel.errors import BadShape, RankDeficient, ZeroDimension
 
 
@@ -106,6 +107,20 @@ class TestLupp:
             lupp(M)
         assert exc.value.rank_detected == 1
         assert exc.value.partial.L.shape == (5, 1)
+
+
+class TestOperatorColumns:
+    @pytest.mark.parametrize("m, n, J", [
+        (1300, 7, [3, 3, 0, 6, 3]),  # repeated J; m not a multiple of the row tile
+        (1300, 7, []),
+        (1024, 1, [0, 0]),           # a 1-column A
+        (5, 4, [2, 1]),
+    ])
+    def test_equals_fancy_index_fortran_ordered(self, m, n, J):
+        A = np.random.default_rng(m + n).standard_normal((m, n))
+        C = as_operator(A).columns(J)
+        assert C.shape == (m, len(J)) and C.flags.f_contiguous
+        assert np.ascontiguousarray(C).tobytes() == A[:, J].tobytes()
 
 
 class TestCpqr:

@@ -9,6 +9,7 @@ from randskel import (
     build_two_sided_id,
     estimate_cur_from_skeletons,
     gen_snn,
+    lupp,
     posterior_eta,
     select_columns_cpqr,
     select_columns_lupp,
@@ -22,9 +23,11 @@ from randskel import (
 from randskel.errors import (
     BadShape,
     DegenerateDistribution,
+    RankDeficient,
     SingularSkeleton,
     StreamExhausted,
 )
+from randskel.skeleton import _column_pivots
 from oracles import (
     column_skeleton_residual,
     cur_residual,
@@ -74,6 +77,23 @@ class TestPosteriorEta:
 def lupp_pivots_of(X):
     from randskel import lupp
     return lupp(X.T).perm[: X.shape[0]]
+
+
+class TestColumnPivots:
+    @pytest.mark.parametrize("case", ["full", "duplicate", "zero"])
+    def test_lupp_pivots_equal_lupp(self, case):
+        X = np.random.default_rng(9).standard_normal((8, 30))
+        if case == "duplicate":
+            X = X[:, np.arange(30) % 3]  # three distinct columns: rank 3
+        elif case == "zero":
+            X = np.zeros_like(X)
+        try:
+            fac = lupp(X.T)
+        except RankDeficient as exc:
+            fac = exc.partial
+        J, rank = _column_pivots("lupp", X, 8)
+        assert rank == fac.rank_detected == {"full": 8, "duplicate": 3, "zero": 0}[case]
+        assert np.array_equal(J, fac.perm[:rank])
 
 
 class TestSelectLupp:

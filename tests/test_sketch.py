@@ -13,7 +13,7 @@ from randskel import (
     snn_weights,
 )
 from randskel.errors import BadShape, ShapeMismatch
-from oracles import dht_matrix
+from oracles import dht_matrix, srtt_apply_one_shot
 
 
 class TestGaussian:
@@ -73,6 +73,16 @@ class TestSrtt:
         want = np.sqrt(m / l) * dht_matrix(m)[op.rows] * op.signs @ np.eye(m)[op.perm_in]
         assert np.abs(op.to_dense() - want).max() < 1e-12
         assert np.abs(op.apply(np.eye(m)) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 17, 40])
+    @pytest.mark.parametrize("m", [127, 300, 5000])
+    def test_tiled_apply_equals_one_shot(self, m, n):
+        # m spans one and several row tiles, n one and several transform chunks
+        rng = np.random.default_rng(m + n)
+        A = rng.standard_normal((m, n))
+        op = make_srtt(min(40, m), m, seed=n)
+        assert np.array_equal(op.apply(A), srtt_apply_one_shot(op, A))
+        assert np.array_equal(op.apply(A[:, 0]), srtt_apply_one_shot(op, A[:, :1])[:, 0])
 
     def test_constant_vector_concentrates(self):
         # with signs and permutation forced trivial the transform piles the

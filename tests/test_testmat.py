@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,28 @@ class TestCsv:
         p.write_text("1,2\n3\n")
         with pytest.raises(RaggedRows):
             load_csv(p)
+
+    @pytest.mark.parametrize("text, want", [
+        ('"1",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),  # quoted cells
+        ("a,b\n1_0,2\n", [[10.0, 2.0]]),             # a digit separator
+        ("\nx,y\n\n1,2\n", [[1.0, 2.0]]),           # blank lines around the header
+    ])
+    def test_cells_float_accepts(self, tmp_path, text, want):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        assert np.array_equal(load_csv(p), want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("a,b\n\n", "header but no data rows"),
+    ])
+    def test_no_data_rows(self, tmp_path, text, message):
+        p = tmp_path / "g.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RaggedRows, match=message):
+                load_csv(p)
 
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "e.csv"
