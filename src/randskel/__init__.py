@@ -5,11 +5,14 @@ from .dense import (
     PivotedLU,
     PivotedQR,
     ThinSVD,
+    blas_threads,
     cpqr,
     lupp,
     qr_ortho,
+    spectral_norm,
     spectral_norm_estimate,
     svd_thin,
+    svdvals,
 )
 from .sketch import (
     GaussianSketch,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_matrix, qr_ortho, spectral_norm_estimate, svd_thin
+from .dense import (as_matrix, qr_ortho, spectral_norm, spectral_norm_estimate, svd_thin,
+                    svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -56,7 +57,7 @@ def canonical_angles(U, V):
     Qu = qr_ortho(U)
     Qv = qr_ortho(V)
     W = Qv - Qu @ (Qu.T @ Qv)
-    s = np.linalg.svd(W, compute_uv=False)
+    s = svdvals(W)
     return np.clip(s[::-1], 0.0, 1.0)
 
 
@@ -66,7 +67,7 @@ def canonical_angles_cos(U, V):
     V = as_matrix(V, "V")
     Qu = qr_ortho(U)
     Qv = qr_ortho(V)
-    c = np.clip(np.linalg.svd(Qu.T @ Qv, compute_uv=False), 0.0, 1.0)
+    c = np.clip(svdvals(Qu.T @ Qv), 0.0, 1.0)
     return np.sqrt(np.clip(1.0 - c ** 2, 0.0, 1.0))
 
 
@@ -207,7 +208,7 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     W, *_ = np.linalg.lstsq(omega1.T, omega2.T, rcond=None)
     if np.linalg.matrix_rank(omega1) < k:
         raise SingularOmega1("projected embedding lost row rank")
-    cross = np.linalg.svd(W, compute_uv=False)[0] if W.size else 0.0
+    cross = spectral_norm(W)
     head = (sigma[:k] / sigma[k]) ** p
     if cross == 0.0:
         return np.zeros(k)
@@ -263,7 +264,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
         smin = f.sigma.min() if f.sigma.size else 0.0
         if f.sigma.size < l or smin < 1e-13 * f.sigma.max():
             raise TailRankDeficient("weighted tail block lost rank")
-        nu = np.linalg.svd((w1 @ f.V) / f.sigma, compute_uv=False)
+        nu = svdvals((w1 @ f.V) / f.sigma)
         thetas[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
     return EstimateReport(mean=thetas.mean(axis=0), min=thetas.min(axis=0),
                           max=thetas.max(axis=0), n_trials=n_trials)
@@ -293,7 +294,7 @@ def _residual(A, basis, side):
 
 
 def _residual_values(A, basis, side):
-    return np.linalg.svd(_residual(A, basis, side), compute_uv=False)
+    return svdvals(_residual(A, basis, side))
 
 
 def _simple_bound(s_res, sigma, k):
@@ -443,8 +444,8 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
         n_e32 = _est(E32, 1)
         n_e33 = _est(_residual(A, V, "right"), 2)
     else:
-        n_spec = float(np.linalg.norm(EV, 2))
-        n_e32 = float(np.linalg.norm(E32, 2))
+        n_spec = spectral_norm(EV)
+        n_e32 = spectral_norm(E32)
         n_e33 = float(_residual_values(A, V, "right")[0])
     return _gap_report(float(np.linalg.norm(EV)), n_spec, n_e32, n_e33, sigma, k,
                        float(lr.sigma_hat[k]))
@@ -498,8 +499,8 @@ def posterior_residuals(A, lr, k):
         left=_residual_values(A, U, "left"),
         right=_residual_values(A, V, "right"),
         norm_EV_fro=float(np.linalg.norm(EV)),
-        norm_EV_spec=float(np.linalg.norm(EV, 2)),
-        norm_E32_spec=float(np.linalg.norm(E32, 2)),
+        norm_EV_spec=spectral_norm(EV),
+        norm_E32_spec=spectral_norm(E32),
         shat_k1=float(lr.sigma_hat[k]),
     )
 

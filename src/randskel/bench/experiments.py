@@ -7,6 +7,7 @@ so reruns with the same seed produce byte-identical metric columns.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from ..angles import (
     BalanceConfig,
     balance_phi,
 )
-from ..dense import cpqr, lupp, qr_ortho, svd_thin
+from ..dense import blas_threads, cpqr, lupp, qr_ortho, spectral_norm, svd_thin
 from ..errors import RandskelError, RankDeficient, UnknownMethod
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
@@ -83,6 +84,18 @@ def worker_count():
     return max(1, min(avail, 8))
 
 
+def _blas_single_threaded(driver):
+    """Run an accuracy driver with every BLAS runtime at 1 thread: the trial
+    pool owns the cores, and numpy's and scipy's runtimes, each at its
+    default thread count, spin against each other when calls alternate
+    between them. The metric columns do not depend on the thread count."""
+    @functools.wraps(driver)
+    def pinned(cfg):
+        with blas_threads(1):
+            return driver(cfg)
+    return pinned
+
+
 def _run_seed(base_seed, *indices):
     """Derived, collision-free substream for one (method, l, trial) cell."""
     return np.random.SeedSequence([int(base_seed)] + [int(i) for i in indices])
@@ -111,6 +124,7 @@ def _select(method, A, l, seed):
     raise UnknownMethod(f"unknown method {method!r}")
 
 
+@_blas_single_threaded
 def run_cur_accuracy(cfg):
     """Relative CUR errors versus the truncated-SVD baseline, per (method, l, trial)."""
     for m in cfg.methods:
@@ -151,7 +165,7 @@ def run_cur_accuracy(cfg):
         nanos = time.perf_counter_ns() - t0
         E = A - cur.reconstruct()
         err_fro = float(np.linalg.norm(E) / fro_A)
-        err_spec = float(np.linalg.norm(E, 2) / sigma[0])
+        err_spec = float(spectral_norm(E) / sigma[0])
         q = 1 if method.endswith("1piter") else 0
         out = [
             Row("cur_accuracy", method, cfg.matrix, l, q, trial, "err_fro",
@@ -273,6 +287,7 @@ def _angle_rows(base, side, series, values, nanos=0):
             for i, v in enumerate(np.asarray(values))]
 
 
+@_blas_single_threaded
 def run_angles(cfg):
     """True angles against every bound/estimate family, per (l, q, trial).
 
@@ -336,6 +351,7 @@ def run_angles(cfg):
 
 # --- oversampling / iteration balance -----------------------------------------
 
+@_blas_single_threaded
 def run_balance(cfg):
     """phi over admissible q, plus measured angles per (l(q), q) configuration."""
     rows = []

@@ -7,14 +7,20 @@ pivot bookkeeping, and error contracts the rest of the library relies on:
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
 * :func:`svd_thin` -- economy SVD with a numerical-rank report,
+* :func:`svdvals` -- singular values only, bitwise equal to numpy's
+  values-only SVD but with the GIL released (numpy holds it for the whole
+  LAPACK call), so threads computing spectra overlap; :func:`spectral_norm`
+  reads ``||M||_2`` off it,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
-* :func:`spectral_norm_estimate` -- randomized power-method lower estimate.
+* :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
+* :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
+  a given thread count, restoring each runtime's own count on exit.
 
-All routines take 2-D float64 arrays, treat inputs as immutable, and are
-pure functions of their arguments (safe to call concurrently). Every rank
-decision counts the leading diagonal entries (or singular values) at or
-above ``RANK_RTOL`` times a per-routine reference.
+All routines but :func:`blas_threads` take 2-D float64 arrays, treat inputs
+as immutable, and are pure functions of their arguments (safe to call
+concurrently). Every rank decision counts the leading diagonal entries (or
+singular values) at or above ``RANK_RTOL`` times a per-routine reference.
 
 The randomized routines also accept a matvec-only operator: an object with
 ``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
@@ -28,11 +34,18 @@ a transposing copy.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 
 from .errors import BadShape, ConvergenceFailure, RankDeficient, ShapeMismatch, ZeroDimension
 
@@ -233,6 +246,136 @@ def svd_thin(M):
     except np.linalg.LinAlgError as exc:  # LAPACK iteration cap exceeded
         raise ConvergenceFailure(str(exc)) from exc
     return ThinSVD(U=u, sigma=s, V=vt.T)
+
+
+@functools.cache
+def _bundled_openblas():
+    """Handles of the OpenBLAS runtimes, numpy's first, that this process
+    loaded from numpy's and scipy's bundled-library directories."""
+    libs = []
+    for pkg in (np, scipy):
+        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*")):
+            try:  # RTLD_NOLOAD: a library this process has not loaded is skipped
+                libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
+            except OSError:
+                continue
+    return tuple(libs)
+
+
+@functools.cache
+def _dgesdd():
+    """``(dgesdd, LAPACK integer type)`` as ctypes calls, which release the GIL.
+
+    numpy's bundled ILP64 OpenBLAS, when loaded, is the LAPACK numpy's own SVD
+    calls, so the bits are numpy's at any thread count and no work moves to
+    scipy's runtime. Otherwise the call goes through the function pointer of
+    scipy's LP64 Cython wrapper ``scipy.linalg.cython_lapack.dgesdd``.
+    """
+    # dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info)
+    args = [ctypes.c_char_p] + [ctypes.c_void_p] * 13
+    for lib in _bundled_openblas():
+        if hasattr(lib, "scipy_dgesdd_64_"):
+            fortran = lib.scipy_dgesdd_64_
+            fortran.argtypes = args + [ctypes.c_size_t]  # the hidden length of jobz
+            fortran.restype = None
+            return (lambda *a: fortran(*a, 1)), ctypes.c_int64
+    capsule = cython_lapack.__pyx_capi__["dgesdd"]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    pointer = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *args)(pointer), ctypes.c_int
+
+
+def svdvals(M):
+    """Singular values of ``M``, nonincreasing; empty when ``M`` is.
+
+    One LAPACK ``dgesdd`` with ``jobz='N'`` on a Fortran-ordered copy, with
+    the workspace it asks for: the call numpy's values-only SVD
+    (``compute_uv=False``) makes, but with the GIL released, where numpy
+    holds it for the whole call. It runs in numpy's bundled LAPACK when
+    loaded, with numpy's bits; otherwise in scipy's, whose bits are numpy's
+    with both BLAS runtimes at one thread.
+    """
+    M = as_matrix(M, "M")
+    m, n = M.shape
+    if min(m, n) == 0:
+        return np.zeros(0)
+    gesdd, lapack_int = _dgesdd()
+    if max(m, n) > np.iinfo(lapack_int).max:
+        raise BadShape(f"dimensions {m}x{n} exceed LAPACK's integers")
+    a = np.array(M, order="F")  # dgesdd overwrites it
+    s = np.empty(min(m, n))
+    iwork = np.empty(8 * min(m, n), dtype=lapack_int)
+    # the workspace query's answer; it also stands in for U and VT, which
+    # jobz='N' does not reference
+    query = np.empty(1)
+    m_, n_, one, lwork, info = (lapack_int(v) for v in (m, n, 1, -1, 0))
+    ref, q = ctypes.byref, query.ctypes.data
+    args = [b"N", ref(m_), ref(n_), a.ctypes.data, ref(m_), s.ctypes.data, q, ref(one),
+            q, ref(one), q, ref(lwork), iwork.ctypes.data, ref(info)]
+    gesdd(*args)
+    lwork.value = max(int(query[0]), 1)
+    work = np.empty(lwork.value)
+    args[10] = work.ctypes.data
+    gesdd(*args)
+    if info.value != 0:
+        raise ConvergenceFailure(f"dgesdd did not converge (info={info.value})")
+    return s
+
+
+def spectral_norm(M):
+    """``||M||_2`` as the largest of :func:`svdvals`; 0.0 for an empty ``M``."""
+    s = svdvals(M)
+    return float(s[0]) if s.size else 0.0
+
+
+#: (set, get) thread-count symbols of the OpenBLAS builds that numpy (ILP64,
+#: suffixed) and scipy wheels bundle.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_runtimes():
+    """``(set_num_threads, get_num_threads)`` of every bundled OpenBLAS runtime
+    this process loaded."""
+    found = []
+    for lib in _bundled_openblas():
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the block with every loaded OpenBLAS runtime (numpy's and scipy's
+    each start their own threads) at ``n`` threads, and restore each
+    runtime's own count on exit, also when the block raises.
+
+    The setting is process-wide: enter it around a thread pool that owns the
+    cores, not from inside the pool's workers. Runtimes that are not
+    OpenBLAS builds bundled with numpy or scipy are left alone.
+    """
+    if int(n) != n or n < 1:
+        raise BadShape(f"BLAS thread count must be a positive integer, got {n!r}")
+    runtimes = _blas_runtimes()
+    saved = [get() for _, get in runtimes]
+    try:
+        for set_threads, _ in runtimes:
+            set_threads(int(n))
+        yield
+    finally:
+        for (set_threads, _), count in zip(runtimes, saved):
+            set_threads(count)
 
 
 def _lu_pivots(M):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, as_operator, orth, qr_checked, svd_thin
+from .dense import as_matrix, as_operator, orth, qr_checked, spectral_norm, svd_thin
 from .errors import BadShape, ShapeMismatch
 from .sketch import make_embedding
 
@@ -118,4 +118,4 @@ def rangefinder_error(A, X):
         )
     Qr = qr_checked(X.T, name="row approximator")[0]
     E = A - (A @ Qr) @ Qr.T
-    return float(np.linalg.norm(E)), float(np.linalg.norm(E, 2))
+    return float(np.linalg.norm(E)), spectral_norm(E)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked
+from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked, spectral_norm
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -107,6 +107,20 @@ class CurFactors:
         return self.Q_C @ self.U_mid @ self.Q_R.T
 
 
+def _index_vector(idx, size, name):
+    """``idx`` as an intp vector of integers in ``[0, size)``. Anything else
+    raises :class:`BadShape`: numpy would truncate a fractional index, wrap a
+    negative one and raise a bare ``IndexError`` past the end."""
+    arr = np.asarray(idx)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+        raise BadShape(f"{name} must be a vector of integer indices")
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise BadShape(f"{name} has non-integer entries")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise BadShape(f"{name} entries must lie in [0, {size}), got {arr.min()}..{arr.max()}")
+    return arr.astype(np.intp)
+
+
 def posterior_eta(X, J_s):
     """sqrt(1 + ||X1^+ X2||_2^2) for X1 = X[:, J_s], X2 the other columns.
 
@@ -115,7 +129,7 @@ def posterior_eta(X, J_s):
     An empty skeleton gives 1.0: ``X1^+ X2`` is then an empty matrix.
     """
     X = as_matrix(X, "X")
-    J_s = np.asarray(J_s, dtype=np.intp)
+    J_s = _index_vector(J_s, X.shape[1], "J_s")
     mask = np.ones(X.shape[1], dtype=bool)
     mask[J_s] = False
     X1 = X[:, J_s]
@@ -124,7 +138,7 @@ def posterior_eta(X, J_s):
     if X2.shape[1] == 0 or J_s.size == 0:
         return 1.0
     Z = sla.solve_triangular(r1, q1.T @ X2)
-    return float(np.sqrt(1.0 + np.linalg.svd(Z, compute_uv=False)[0] ** 2))
+    return float(np.sqrt(1.0 + spectral_norm(Z) ** 2))
 
 
 def _column_pivots(pivot, M, count):
@@ -358,7 +372,7 @@ def _interp_from_basis(M, target):
 def build_column_id(A, J_s):
     """Column interpolative decomposition A ~= C (C^+ A)."""
     A = as_matrix(A, "A")
-    J_s = np.asarray(J_s, dtype=np.intp)
+    J_s = _index_vector(J_s, A.shape[1], "J_s")
     C = A[:, J_s]
     coeffs = _interp_from_basis(C, A)
     return ColumnID(J_s=J_s, coeffs=coeffs)
@@ -367,7 +381,7 @@ def build_column_id(A, J_s):
 def build_row_id(A, I_s):
     """Row interpolative decomposition A ~= (A R^+) R."""
     A = as_matrix(A, "A")
-    I_s = np.asarray(I_s, dtype=np.intp)
+    I_s = _index_vector(I_s, A.shape[0], "I_s")
     R = A[I_s, :]
     coeffs = _interp_from_basis(R.T, A.T).T
     return RowID(I_s=I_s, coeffs=coeffs)
@@ -380,8 +394,8 @@ def build_two_sided_id(A, I_s, J_s):
     evaluated by solving against S and C, never by inversion.
     """
     A = as_matrix(A, "A")
-    I_s = np.asarray(I_s, dtype=np.intp)
-    J_s = np.asarray(J_s, dtype=np.intp)
+    I_s = _index_vector(I_s, A.shape[0], "I_s")
+    J_s = _index_vector(J_s, A.shape[1], "J_s")
     if I_s.size != J_s.size:
         raise ShapeMismatch("two-sided skeleton needs |I_s| = |J_s|")
     C = A[:, J_s]
@@ -397,8 +411,8 @@ def build_two_sided_id(A, I_s, J_s):
 def build_cur_stable(A, I_s, J_s):
     """CUR decomposition assembled through orthonormal skeleton bases."""
     A = as_operator(A)
-    I_s = np.asarray(I_s, dtype=np.intp)
-    J_s = np.asarray(J_s, dtype=np.intp)
+    I_s = _index_vector(I_s, A.shape[0], "I_s")
+    J_s = _index_vector(J_s, A.shape[1], "J_s")
     C = A.columns(J_s)
     R = A.rows(I_s)
     Q_C = qr_checked(C, SingularSkeleton, "skeleton columns")[0]

@@ -77,6 +77,20 @@ class TestCurAccuracy:
                               for r in rows]
         assert strip(rows_a) == strip(rows_b)
 
+    def test_metric_columns_independent_of_worker_count(self, tmp_path, monkeypatch):
+        args = ["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4,8",
+                "--methods", "rand-lupp,rsvd-deim,rsvd-ls", "--trials", "3",
+                "--seed", "11"]
+        monkeypatch.setenv("RANDSKEL_THREADS", "1")
+        assert run(args + ["--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.delenv("RANDSKEL_THREADS")
+        assert run(args + ["--out", str(tmp_path / "pooled")]) == 0
+        _, serial = read_rows(tmp_path / "serial" / "cur_accuracy.csv")
+        _, pooled = read_rows(tmp_path / "pooled" / "cur_accuracy.csv")
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "nanos"}
+                              for r in rows]
+        assert strip(serial) == strip(pooled)
+
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         code = run(["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4",
                     "--methods", "does-not-exist", "--out", str(tmp_path)])

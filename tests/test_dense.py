@@ -1,9 +1,17 @@
+import ast
+import contextlib
+import ctypes
+import pathlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
-from randskel.dense import as_operator
+from randskel import (blas_threads, cpqr, lupp, qr_ortho, spectral_norm,
+                      spectral_norm_estimate, svd_thin, svdvals)
+from randskel import dense
+from randskel.dense import _blas_runtimes, as_operator
 from randskel.errors import BadShape, RankDeficient, ZeroDimension
 
 
@@ -107,6 +115,118 @@ class TestLupp:
             lupp(M)
         assert exc.value.rank_detected == 1
         assert exc.value.partial.L.shape == (5, 1)
+
+
+def _svdvals_inputs():
+    rng = np.random.default_rng(40)
+    tall = rng.standard_normal((301, 40))
+    return {
+        "square": rng.standard_normal((120, 120)),
+        "tall": tall,
+        "wide": rng.standard_normal((40, 301)),
+        "1xn": rng.standard_normal((1, 57)),
+        "mx1": rng.standard_normal((57, 1)),
+        "fortran": np.asfortranarray(rng.standard_normal((90, 70))),
+        "slice": tall[::3, 1::2],
+        "rank-deficient": rng.standard_normal((80, 5)) @ rng.standard_normal((5, 60)),
+        "zero": np.zeros((30, 20)),
+        "empty": np.zeros((0, 4)),
+    }
+
+
+class TestSvdvals:
+    @pytest.mark.parametrize("name", list(_svdvals_inputs()))
+    def test_bitwise_equal_to_numpy(self, name):
+        M = _svdvals_inputs()[name]
+        # through scipy's LAPACK the bits are numpy's only at one BLAS thread
+        numpy_lapack = dense._dgesdd()[1] is ctypes.c_int64
+        with contextlib.nullcontext() if numpy_lapack else blas_threads(1):
+            got, want = svdvals(M), np.linalg.svd(M, compute_uv=False)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
+
+    def test_scipy_lapack_equals_numpy_at_one_thread(self, monkeypatch):
+        inputs = _svdvals_inputs()
+        with blas_threads(1):
+            monkeypatch.setattr(dense, "_bundled_openblas", lambda: ())
+            dense._dgesdd.cache_clear()
+            try:
+                assert dense._dgesdd()[1] is ctypes.c_int
+                got = {name: svdvals(M) for name, M in inputs.items()}
+            finally:
+                monkeypatch.undo()
+                dense._dgesdd.cache_clear()
+            for name, M in inputs.items():
+                assert np.array_equal(got[name], np.linalg.svd(M, compute_uv=False)), name
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        M = np.ones((4, 3))
+        M[2, 1] = value
+        with pytest.raises(BadShape):
+            svdvals(M)
+
+    def test_threads_give_serial_bits(self):
+        rng = np.random.default_rng(41)
+        inputs = [rng.standard_normal((rng.integers(20, 90), rng.integers(20, 90)))
+                  for _ in range(40)]
+        with blas_threads(1):
+            serial = [svdvals(M) for M in inputs]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                pooled = list(pool.map(svdvals, inputs))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+
+class TestBlasThreads:
+    def counts(self):
+        return [get() for _, get in _blas_runtimes()]
+
+    def test_sets_and_restores_each_runtime(self):
+        if not _blas_runtimes():
+            pytest.skip("no bundled OpenBLAS runtime loaded")
+        before = self.counts()
+        with blas_threads(1):
+            assert self.counts() == [1] * len(before)
+            with blas_threads(2):
+                assert self.counts() == [2] * len(before)
+            assert self.counts() == [1] * len(before)
+        assert self.counts() == before
+
+    def test_restores_when_block_raises(self):
+        before = self.counts()
+        with pytest.raises(ZeroDivisionError):
+            with blas_threads(1):
+                1 / 0
+        assert self.counts() == before
+
+    @pytest.mark.parametrize("n", [0, -2, 1.5])
+    def test_bad_count_rejected(self, n):
+        with pytest.raises(BadShape):
+            with blas_threads(n):
+                pass
+
+
+def test_library_has_no_gil_holding_values_only_svd():
+    # numpy's values-only SVD (``compute_uv=False``, and ``norm(., 2)`` over
+    # it) holds the GIL for the whole LAPACK call; the library goes through
+    # dense.svdvals / dense.spectral_norm instead
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "randskel"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            kwargs = {k.arg: k.value for k in node.keywords}
+            values_only = isinstance(kwargs.get("compute_uv"), ast.Constant) \
+                and kwargs["compute_uv"].value is False
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            ord_ = node.args[1] if len(node.args) > 1 else kwargs.get("ord")
+            two_norm = name == "norm" and isinstance(ord_, ast.Constant) \
+                and ord_.value in (2, -2)
+            if values_only or two_norm:
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not found, f"use dense.svdvals/spectral_norm at {found}"
 
 
 class TestOperatorColumns:

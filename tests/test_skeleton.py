@@ -410,3 +410,29 @@ class TestBuilders:
         R = A[:3, :]
         out = estimate_cur_from_skeletons(C, S, R, allow_unstable=True)
         assert out.shape == (10, 10)
+
+
+_A6x5 = np.random.default_rng(37).standard_normal((6, 5))
+_BAD_INDICES = {"past the end": [9], "negative": [-1], "fractional": [0.5],
+                "non-finite": [float("nan")], "boolean": [True], "2-D": [[0, 1]]}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_INDICES.values()), ids=list(_BAD_INDICES))
+@pytest.mark.parametrize("call", [
+    lambda bad: build_cur_stable(_A6x5, bad, [1]),
+    lambda bad: build_cur_stable(_A6x5, [1], bad),
+    lambda bad: posterior_eta(_A6x5[:3], bad),
+    lambda bad: build_column_id(_A6x5, bad),
+    lambda bad: build_row_id(_A6x5, bad),
+    lambda bad: build_two_sided_id(_A6x5, bad, [1]),
+    lambda bad: build_two_sided_id(_A6x5, [1], bad),
+], ids=["cur-rows", "cur-columns", "eta", "column-id", "row-id", "two-sided-rows",
+        "two-sided-columns"])
+def test_bad_skeleton_index_raises_bad_shape(call, bad):
+    with pytest.raises(BadShape):
+        call(bad)
+
+
+def test_integer_valued_float_indices_accepted():
+    assert np.array_equal(build_column_id(_A6x5, [0.0, 3.0]).J_s, [0, 3])
+    assert posterior_eta(_A6x5[:3], []) == 1.0
