@@ -5,14 +5,11 @@ from .dense import (
     PivotedLU,
     PivotedQR,
     ThinSVD,
-    blas_threads,
     cpqr,
     lupp,
     qr_ortho,
-    spectral_norm,
     spectral_norm_estimate,
     svd_thin,
-    svdvals,
 )
 from .sketch import (
     GaussianSketch,

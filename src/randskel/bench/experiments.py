@@ -7,7 +7,6 @@ so reruns with the same seed produce byte-identical metric columns.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
@@ -84,18 +83,6 @@ def worker_count():
     return max(1, min(avail, 8))
 
 
-def _blas_single_threaded(driver):
-    """Run an accuracy driver with every BLAS runtime at 1 thread: the trial
-    pool owns the cores, and numpy's and scipy's runtimes, each at its
-    default thread count, spin against each other when calls alternate
-    between them. The metric columns do not depend on the thread count."""
-    @functools.wraps(driver)
-    def pinned(cfg):
-        with blas_threads(1):
-            return driver(cfg)
-    return pinned
-
-
 def _run_seed(base_seed, *indices):
     """Derived, collision-free substream for one (method, l, trial) cell."""
     return np.random.SeedSequence([int(base_seed)] + [int(i) for i in indices])
@@ -124,7 +111,6 @@ def _select(method, A, l, seed):
     raise UnknownMethod(f"unknown method {method!r}")
 
 
-@_blas_single_threaded
 def run_cur_accuracy(cfg):
     """Relative CUR errors versus the truncated-SVD baseline, per (method, l, trial)."""
     for m in cfg.methods:
@@ -180,7 +166,9 @@ def run_cur_accuracy(cfg):
 
     cells = [(m, l, t) for m in cfg.methods for l in cfg.ranks
              for t in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    # the pool owns the cores: BLAS runs at 1 thread per worker, and the
+    # metric columns do not depend on the pool size
+    with blas_threads(1), ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(lambda c: one(*c), cells))
     for chunk in results:  # pool.map preserves submission order
         rows.extend(chunk)
@@ -287,7 +275,6 @@ def _angle_rows(base, side, series, values, nanos=0):
             for i, v in enumerate(np.asarray(values))]
 
 
-@_blas_single_threaded
 def run_angles(cfg):
     """True angles against every bound/estimate family, per (l, q, trial).
 
@@ -351,7 +338,6 @@ def run_angles(cfg):
 
 # --- oversampling / iteration balance -----------------------------------------
 
-@_blas_single_threaded
 def run_balance(cfg):
     """phi over admissible q, plus measured angles per (l(q), q) configuration."""
     rows = []

@@ -8,9 +8,9 @@ pivot bookkeeping, and error contracts the rest of the library relies on:
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
 * :func:`svd_thin` -- economy SVD with a numerical-rank report,
 * :func:`svdvals` -- singular values only, bitwise equal to numpy's
-  values-only SVD but with the GIL released (numpy holds it for the whole
-  LAPACK call), so threads computing spectra overlap; :func:`spectral_norm`
-  reads ``||M||_2`` off it,
+  values-only SVD; it calls numpy's bundled LAPACK with the GIL released
+  (numpy holds it for the whole LAPACK call), so threads computing spectra
+  overlap; :func:`spectral_norm` reads ``||M||_2`` off it,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 import scipy.linalg as sla
-from scipy.linalg import cython_lapack
 
 from .errors import BadShape, ConvergenceFailure, RankDeficient, ShapeMismatch, ZeroDimension
 
@@ -251,67 +250,67 @@ def svd_thin(M):
 @functools.cache
 def _bundled_openblas():
     """Handles of the OpenBLAS runtimes, numpy's first, that this process
-    loaded from numpy's and scipy's bundled-library directories."""
+    loaded from the libraries numpy and scipy wheels bundle (``<pkg>.libs``,
+    or ``<pkg>/.dylibs`` on macOS)."""
     libs = []
     for pkg in (np, scipy):
-        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*")):
-            try:  # RTLD_NOLOAD: a library this process has not loaded is skipped
-                libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
-            except OSError:
-                continue
+        root = os.path.dirname(pkg.__file__)
+        for pattern in (root + ".libs/*openblas*", os.path.join(root, ".dylibs", "*openblas*")):
+            for path in sorted(glob.glob(pattern)):
+                try:  # RTLD_NOLOAD: a library this process has not loaded is skipped
+                    libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
+                except OSError:
+                    continue
     return tuple(libs)
 
 
 @functools.cache
-def _dgesdd():
-    """``(dgesdd, LAPACK integer type)`` as ctypes calls, which release the GIL.
+def _numpy_dgesdd():
+    """The ``dgesdd`` of numpy's bundled ILP64 OpenBLAS as a ctypes call, which
+    releases the GIL; ``None`` when that library is not loaded.
 
-    numpy's bundled ILP64 OpenBLAS, when loaded, is the LAPACK numpy's own SVD
-    calls, so the bits are numpy's at any thread count and no work moves to
-    scipy's runtime. Otherwise the call goes through the function pointer of
-    scipy's LP64 Cython wrapper ``scipy.linalg.cython_lapack.dgesdd``.
+    It is the LAPACK numpy's own SVD calls, so the bits are numpy's at any
+    thread count. numpy>=2 wheels name it ``scipy_dgesdd_64_``, older ones
+    ``dgesdd_64_``.
     """
     # dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info)
     args = [ctypes.c_char_p] + [ctypes.c_void_p] * 13
     for lib in _bundled_openblas():
-        if hasattr(lib, "scipy_dgesdd_64_"):
-            fortran = lib.scipy_dgesdd_64_
-            fortran.argtypes = args + [ctypes.c_size_t]  # the hidden length of jobz
-            fortran.restype = None
-            return (lambda *a: fortran(*a, 1)), ctypes.c_int64
-    capsule = cython_lapack.__pyx_capi__["dgesdd"]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    pointer = capsule_pointer(capsule, capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *args)(pointer), ctypes.c_int
+        for name in ("scipy_dgesdd_64_", "dgesdd_64_"):
+            if hasattr(lib, name):
+                fortran = getattr(lib, name)
+                fortran.argtypes = args + [ctypes.c_size_t]  # the hidden length of jobz
+                fortran.restype = None
+                return lambda *a: fortran(*a, 1)
+    return None
 
 
 def svdvals(M):
     """Singular values of ``M``, nonincreasing; empty when ``M`` is.
 
     One LAPACK ``dgesdd`` with ``jobz='N'`` on a Fortran-ordered copy, with
-    the workspace it asks for: the call numpy's values-only SVD
-    (``compute_uv=False``) makes, but with the GIL released, where numpy
-    holds it for the whole call. It runs in numpy's bundled LAPACK when
-    loaded, with numpy's bits; otherwise in scipy's, whose bits are numpy's
-    with both BLAS runtimes at one thread.
+    the workspace it asks for, in numpy's bundled LAPACK: the call numpy's
+    values-only SVD (``compute_uv=False``) makes, with numpy's bits, but with
+    the GIL released, where numpy holds it for the whole call. Where numpy's
+    LAPACK is not found, numpy's own values-only SVD runs instead.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
     if min(m, n) == 0:
         return np.zeros(0)
-    gesdd, lapack_int = _dgesdd()
-    if max(m, n) > np.iinfo(lapack_int).max:
-        raise BadShape(f"dimensions {m}x{n} exceed LAPACK's integers")
+    gesdd = _numpy_dgesdd()
+    if gesdd is None:
+        try:
+            return np.linalg.svd(M, compute_uv=False)
+        except np.linalg.LinAlgError as exc:  # LAPACK iteration cap exceeded
+            raise ConvergenceFailure(str(exc)) from exc
     a = np.array(M, order="F")  # dgesdd overwrites it
     s = np.empty(min(m, n))
-    iwork = np.empty(8 * min(m, n), dtype=lapack_int)
+    iwork = np.empty(8 * min(m, n), dtype=np.int64)
     # the workspace query's answer; it also stands in for U and VT, which
     # jobz='N' does not reference
     query = np.empty(1)
-    m_, n_, one, lwork, info = (lapack_int(v) for v in (m, n, 1, -1, 0))
+    m_, n_, one, lwork, info = (ctypes.c_int64(v) for v in (m, n, 1, -1, 0))
     ref, q = ctypes.byref, query.ctypes.data
     args = [b"N", ref(m_), ref(n_), a.ctypes.data, ref(m_), s.ctypes.data, q, ref(one),
             q, ref(one), q, ref(lwork), iwork.ctypes.data, ref(info)]
@@ -332,10 +331,13 @@ def spectral_norm(M):
 
 
 #: (set, get) thread-count symbols of the OpenBLAS builds that numpy (ILP64,
-#: suffixed) and scipy wheels bundle.
+#: suffixed) and scipy wheels bundle: numpy>=2 and scipy>=1.13 prefix them
+#: with ``scipy_``, older wheels do not.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 
@@ -363,11 +365,16 @@ def blas_threads(n):
 
     The setting is process-wide: enter it around a thread pool that owns the
     cores, not from inside the pool's workers. Runtimes that are not
-    OpenBLAS builds bundled with numpy or scipy are left alone.
+    OpenBLAS builds bundled with numpy or scipy are left alone; when none is
+    found, a :class:`RuntimeWarning` says so and the block runs unchanged.
     """
     if int(n) != n or n < 1:
         raise BadShape(f"BLAS thread count must be a positive integer, got {n!r}")
     runtimes = _blas_runtimes()
+    if not runtimes:
+        warnings.warn("blas_threads: no OpenBLAS runtime bundled with numpy or scipy is "
+                      "loaded; BLAS thread counts are left unchanged", RuntimeWarning,
+                      stacklevel=3)
     saved = [get() for _, get in runtimes]
     try:
         for set_threads, _ in runtimes:

@@ -1,17 +1,15 @@
 import ast
-import contextlib
-import ctypes
 import pathlib
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randskel import (blas_threads, cpqr, lupp, qr_ortho, spectral_norm,
-                      spectral_norm_estimate, svd_thin, svdvals)
+from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
 from randskel import dense
-from randskel.dense import _blas_runtimes, as_operator
+from randskel.dense import _blas_runtimes, as_operator, blas_threads, spectral_norm, svdvals
 from randskel.errors import BadShape, RankDeficient, ZeroDimension
 
 
@@ -138,26 +136,18 @@ class TestSvdvals:
     @pytest.mark.parametrize("name", list(_svdvals_inputs()))
     def test_bitwise_equal_to_numpy(self, name):
         M = _svdvals_inputs()[name]
-        # through scipy's LAPACK the bits are numpy's only at one BLAS thread
-        numpy_lapack = dense._dgesdd()[1] is ctypes.c_int64
-        with contextlib.nullcontext() if numpy_lapack else blas_threads(1):
-            got, want = svdvals(M), np.linalg.svd(M, compute_uv=False)
+        got, want = svdvals(M), np.linalg.svd(M, compute_uv=False)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
 
-    def test_scipy_lapack_equals_numpy_at_one_thread(self, monkeypatch):
-        inputs = _svdvals_inputs()
-        with blas_threads(1):
-            monkeypatch.setattr(dense, "_bundled_openblas", lambda: ())
-            dense._dgesdd.cache_clear()
-            try:
-                assert dense._dgesdd()[1] is ctypes.c_int
-                got = {name: svdvals(M) for name, M in inputs.items()}
-            finally:
-                monkeypatch.undo()
-                dense._dgesdd.cache_clear()
-            for name, M in inputs.items():
-                assert np.array_equal(got[name], np.linalg.svd(M, compute_uv=False)), name
+    def test_runs_in_numpy_lapack(self):
+        # found in numpy's wheels; where it is not, svdvals holds the GIL as numpy does
+        assert dense._numpy_dgesdd() is not None
+
+    def test_without_numpy_lapack_numpy_runs_it(self, monkeypatch):
+        monkeypatch.setattr(dense, "_numpy_dgesdd", lambda: None)
+        for name, M in _svdvals_inputs().items():
+            assert np.array_equal(svdvals(M), np.linalg.svd(M, compute_uv=False)), name
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, value):
@@ -182,8 +172,7 @@ class TestBlasThreads:
         return [get() for _, get in _blas_runtimes()]
 
     def test_sets_and_restores_each_runtime(self):
-        if not _blas_runtimes():
-            pytest.skip("no bundled OpenBLAS runtime loaded")
+        assert _blas_runtimes(), "no OpenBLAS runtime bundled with numpy or scipy found"
         before = self.counts()
         with blas_threads(1):
             assert self.counts() == [1] * len(before)
@@ -199,6 +188,30 @@ class TestBlasThreads:
                 1 / 0
         assert self.counts() == before
 
+    def test_unprefixed_symbols_of_older_wheels_found(self, monkeypatch):
+        counts = {}
+
+        def runtime(suffix):  # numpy<2 (ILP64, suffixed) and scipy<1.13 name them so
+            return types.SimpleNamespace(**{
+                f"openblas_set_num_threads{suffix}": lambda n: counts.__setitem__(suffix, n),
+                f"openblas_get_num_threads{suffix}": lambda: counts.get(suffix, 4)})
+
+        monkeypatch.setattr(dense, "_bundled_openblas", lambda: (runtime("64_"), runtime("")))
+        dense._blas_runtimes.cache_clear()
+        try:
+            with blas_threads(1):
+                assert counts == {"64_": 1, "": 1}
+        finally:
+            monkeypatch.undo()
+            dense._blas_runtimes.cache_clear()
+        assert counts == {"64_": 4, "": 4}
+
+    def test_warns_when_no_runtime_found(self, monkeypatch):
+        monkeypatch.setattr(dense, "_blas_runtimes", lambda: ())
+        with pytest.warns(RuntimeWarning, match="no OpenBLAS runtime"):
+            with blas_threads(1):
+                pass
+
     @pytest.mark.parametrize("n", [0, -2, 1.5])
     def test_bad_count_rejected(self, n):
         with pytest.raises(BadShape):
@@ -209,12 +222,17 @@ class TestBlasThreads:
 def test_library_has_no_gil_holding_values_only_svd():
     # numpy's values-only SVD (``compute_uv=False``, and ``norm(., 2)`` over
     # it) holds the GIL for the whole LAPACK call; the library goes through
-    # dense.svdvals / dense.spectral_norm instead
+    # dense.svdvals / dense.spectral_norm instead, and only svdvals' fallback,
+    # for a numpy without its bundled LAPACK, calls numpy's
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "randskel"
     found = []
     for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text(), str(path))
+        fallback = {id(node) for fn in ast.walk(tree) if path.name == "dense.py"
+                    and isinstance(fn, ast.FunctionDef) and fn.name == "svdvals"
+                    for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in fallback:
                 continue
             kwargs = {k.arg: k.value for k in node.keywords}
             values_only = isinstance(kwargs.get("compute_uv"), ast.Constant) \
