@@ -272,6 +272,8 @@ def run(argv=None):
             setattr(cfg, key, val)
     try:
         cfg.validate()
+        if experiment == "cur_accuracy":
+            experiments.worker_count()  # its pool's cap fails before any work
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

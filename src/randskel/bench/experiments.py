@@ -75,12 +75,16 @@ def write_rows(path, rows):
 
 
 def worker_count():
-    """Worker pool size; capped by the RANDSKEL_THREADS environment variable."""
-    cap = os.environ.get("RANDSKEL_THREADS", "")
+    """Worker pool size; capped by the RANDSKEL_THREADS environment variable,
+    which must be an integer when set (``ValueError`` otherwise)."""
+    cap = os.environ.get("RANDSKEL_THREADS", "").strip()
     avail = os.cpu_count() or 1
-    if cap.strip():
+    if not cap:
+        return max(1, min(avail, 8))
+    try:
         return max(1, min(avail, int(cap)))
-    return max(1, min(avail, 8))
+    except ValueError:
+        raise ValueError(f"RANDSKEL_THREADS must be an integer, got {cap!r}") from None
 
 
 def _run_seed(base_seed, *indices):

@@ -1,8 +1,12 @@
 """Dense factorization kernels and the operator adapter.
 
-Thin wrappers over LAPACK (via numpy/scipy; the Householder and pivoted QR
-both go through scipy's LAPACK bindings) that add the rank checks,
-pivot bookkeeping, and error contracts the rest of the library relies on:
+Thin wrappers over LAPACK that add the rank checks, pivot bookkeeping, and
+error contracts the rest of the library relies on. All of their LAPACK runs
+in numpy's bundled OpenBLAS: the SVD through numpy, the rest (QR, LU, pivoted
+QR, triangular solves, values-only SVD) through ctypes, which releases the
+GIL, with the calls and bits of scipy's wrappers. scipy's own OpenBLAS, a
+second runtime with its own threads, is loaded only where numpy's LAPACK is
+not found.
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
@@ -13,6 +17,7 @@ pivot bookkeeping, and error contracts the rest of the library relies on:
   overlap; :func:`spectral_norm` reads ``||M||_2`` off it,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
+* :func:`solve_upper` -- solve with an upper-triangular matrix,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
@@ -38,13 +43,12 @@ import ctypes
 import functools
 import glob
 import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-import scipy.linalg as sla
 
 from .errors import BadShape, ConvergenceFailure, RankDeficient, ShapeMismatch, ZeroDimension
 
@@ -162,7 +166,7 @@ def qr_checked(M, error=RankDeficient, name="M"):
     full column rank (reference ``||M||_F``)."""
     # LAPACK returns Fortran-ordered factors; callers get C order, as from
     # as_matrix, since the layout decides how later BLAS products round
-    q, r = sla.qr(M, mode="economic", check_finite=False)
+    q, r = _qr(M)
     q, r = np.ascontiguousarray(q), np.ascontiguousarray(r)
     rank = _detected_rank(np.diag(r), np.linalg.norm(M))
     if rank < M.shape[1]:
@@ -247,42 +251,112 @@ def svd_thin(M):
     return ThinSVD(U=u, sigma=s, V=vt.T)
 
 
-@functools.cache
-def _bundled_openblas():
-    """Handles of the OpenBLAS runtimes, numpy's first, that this process
-    loaded from the libraries numpy and scipy wheels bundle (``<pkg>.libs``,
-    or ``<pkg>/.dylibs`` on macOS)."""
+def _openblas_libs(pkg):
+    """Handles of the OpenBLAS runtimes that the wheel of ``pkg`` bundles
+    (``<pkg>.libs``, or ``<pkg>/.dylibs`` on macOS) and this process loaded."""
+    root = os.path.dirname(pkg.__file__)
     libs = []
-    for pkg in (np, scipy):
-        root = os.path.dirname(pkg.__file__)
-        for pattern in (root + ".libs/*openblas*", os.path.join(root, ".dylibs", "*openblas*")):
-            for path in sorted(glob.glob(pattern)):
-                try:  # RTLD_NOLOAD: a library this process has not loaded is skipped
-                    libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
-                except OSError:
-                    continue
+    for pattern in (root + ".libs/*openblas*", os.path.join(root, ".dylibs", "*openblas*")):
+        for path in sorted(glob.glob(pattern)):
+            try:  # RTLD_NOLOAD: a library this process has not loaded is skipped
+                libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
+            except OSError:
+                continue
     return tuple(libs)
 
 
 @functools.cache
-def _numpy_dgesdd():
-    """The ``dgesdd`` of numpy's bundled ILP64 OpenBLAS as a ctypes call, which
-    releases the GIL; ``None`` when that library is not loaded.
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS runtimes; they load with numpy, so once is enough."""
+    return _openblas_libs(np)
 
-    It is the LAPACK numpy's own SVD calls, so the bits are numpy's at any
-    thread count. numpy>=2 wheels name it ``scipy_dgesdd_64_``, older ones
-    ``dgesdd_64_``.
+
+def _bundled_openblas():
+    """The bundled OpenBLAS runtimes this process loaded, numpy's first.
+
+    scipy's runtime loads with ``scipy.linalg``, which a caller may import
+    at any time (randskel imports it only where numpy's LAPACK is not
+    found), so it is looked up on every call.
     """
-    # dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info)
-    args = [ctypes.c_char_p] + [ctypes.c_void_p] * 13
-    for lib in _bundled_openblas():
-        for name in ("scipy_dgesdd_64_", "dgesdd_64_"):
-            if hasattr(lib, name):
-                fortran = getattr(lib, name)
-                fortran.argtypes = args + [ctypes.c_size_t]  # the hidden length of jobz
+    scipy = sys.modules.get("scipy")
+    return _numpy_openblas() + (_openblas_libs(scipy) if scipy is not None else ())
+
+
+#: The LAPACK routines called here: their argument count, ``INFO`` included,
+#: and how many of the leading arguments are characters, whose lengths the
+#: Fortran ABI passes after the last argument.
+_LAPACK_ARGS = {"dgeqrf": (8, 0), "dorgqr": (9, 0), "dgeqp3": (9, 0), "dgetrf": (6, 0),
+                "dtrtrs": (10, 3), "dgesdd": (14, 1)}
+
+
+@functools.cache
+def _lapack(name):
+    """LAPACK's ``name`` in numpy's bundled ILP64 OpenBLAS, or ``None`` when
+    that library is not loaded.
+
+    The call takes every argument but the final ``INFO``, which it returns:
+    ints go by reference as 64-bit integers, arrays as their data pointers
+    and characters as bytes. ctypes releases the GIL for the call. numpy>=2
+    wheels name the routine ``scipy_<name>_64_``, older ones ``<name>_64_``.
+    """
+    count, chars = _LAPACK_ARGS[name]
+    for lib in _numpy_openblas():
+        for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
+            if hasattr(lib, symbol):
+                fortran = getattr(lib, symbol)
+                fortran.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * chars
                 fortran.restype = None
-                return lambda *a: fortran(*a, 1)
+                return functools.partial(_call_fortran, name, fortran, chars)
     return None
+
+
+def _call_fortran(name, fortran, chars, *args):
+    info = ctypes.c_int64(0)
+    fortran(*[ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+              else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args],
+            ctypes.byref(info), *[1] * chars)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of {name}")
+    return info.value
+
+
+def _with_workspace(routine, *args, after=()):
+    """Run ``routine`` with ``args``, then ``WORK, LWORK``, then ``after``:
+    first as a workspace query (``LWORK = -1``), then with the workspace it
+    asks for, as scipy's wrappers do. Returns ``INFO``."""
+    query = np.empty(1)
+    routine(*args, query, -1, *after)
+    work = np.empty(max(int(query[0]), 1))
+    return routine(*args, work, work.size, *after)
+
+
+def _qr(M, pivoting=False):
+    """Economic QR of a finite real ``M``, in float64, with greedy column
+    pivoting when ``pivoting``, as ``scipy.linalg.qr(M, mode="economic",
+    pivoting=pivoting)`` returns it: Fortran-ordered ``Q``, ``R`` and, when
+    pivoting, the 0-based column order. ``dgeqrf`` (or ``dgeqp3``) and ``dorgqr`` run in numpy's
+    LAPACK, or in scipy's where numpy's is not found."""
+    M = np.asarray(M, dtype=np.float64)  # dgeqrf and dgeqp3 read 8-byte entries
+    factor, form_q = _lapack("dgeqp3" if pivoting else "dgeqrf"), _lapack("dorgqr")
+    if factor is None or form_q is None:
+        import scipy.linalg as sla
+        return sla.qr(M, mode="economic", pivoting=pivoting, check_finite=False)
+    m, n = M.shape
+    k = min(m, n)
+    if k == 0:
+        q, r = np.empty((m, 0)), np.empty((0, n))
+        return (q, r, np.arange(n)) if pivoting else (q, r)
+    a = np.array(M, order="F")
+    tau = np.empty(k)
+    if pivoting:
+        perm = np.zeros(n, dtype=np.int64)  # 0: every column is free to pivot
+        _with_workspace(factor, m, n, a, m, perm, tau)
+    else:
+        _with_workspace(factor, m, n, a, m, tau)
+    r = np.triu(a[:k])
+    q = a[:, :k]  # dorgqr overwrites the reflectors with Q
+    _with_workspace(form_q, m, k, k, q, m, tau)
+    return (q, r, perm - 1) if pivoting else (q, r)
 
 
 def svdvals(M):
@@ -298,7 +372,7 @@ def svdvals(M):
     m, n = M.shape
     if min(m, n) == 0:
         return np.zeros(0)
-    gesdd = _numpy_dgesdd()
+    gesdd = _lapack("dgesdd")
     if gesdd is None:
         try:
             return np.linalg.svd(M, compute_uv=False)
@@ -307,20 +381,10 @@ def svdvals(M):
     a = np.array(M, order="F")  # dgesdd overwrites it
     s = np.empty(min(m, n))
     iwork = np.empty(8 * min(m, n), dtype=np.int64)
-    # the workspace query's answer; it also stands in for U and VT, which
-    # jobz='N' does not reference
-    query = np.empty(1)
-    m_, n_, one, lwork, info = (ctypes.c_int64(v) for v in (m, n, 1, -1, 0))
-    ref, q = ctypes.byref, query.ctypes.data
-    args = [b"N", ref(m_), ref(n_), a.ctypes.data, ref(m_), s.ctypes.data, q, ref(one),
-            q, ref(one), q, ref(lwork), iwork.ctypes.data, ref(info)]
-    gesdd(*args)
-    lwork.value = max(int(query[0]), 1)
-    work = np.empty(lwork.value)
-    args[10] = work.ctypes.data
-    gesdd(*args)
-    if info.value != 0:
-        raise ConvergenceFailure(f"dgesdd did not converge (info={info.value})")
+    unused = np.empty(1)  # U and VT, which jobz='N' does not reference
+    info = _with_workspace(gesdd, b"N", m, n, a, m, s, unused, 1, unused, 1, after=(iwork,))
+    if info != 0:
+        raise ConvergenceFailure(f"dgesdd did not converge (info={info})")
     return s
 
 
@@ -341,7 +405,6 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-@functools.cache
 def _blas_runtimes():
     """``(set_num_threads, get_num_threads)`` of every bundled OpenBLAS runtime
     this process loaded."""
@@ -359,9 +422,13 @@ def _blas_runtimes():
 
 @contextmanager
 def blas_threads(n):
-    """Run the block with every loaded OpenBLAS runtime (numpy's and scipy's
-    each start their own threads) at ``n`` threads, and restore each
-    runtime's own count on exit, also when the block raises.
+    """Run the block with every loaded OpenBLAS runtime at ``n`` threads, and
+    restore each runtime's own count on exit, also when the block raises.
+
+    randskel's BLAS and LAPACK run in numpy's runtime. scipy's, which starts
+    threads of its own, loads when a caller imports ``scipy.linalg`` (or
+    where numpy's LAPACK is not found); it is set too when it is loaded on
+    entry to the block.
 
     The setting is process-wide: enter it around a thread pool that owns the
     cores, not from inside the pool's workers. Runtimes that are not
@@ -387,18 +454,27 @@ def blas_threads(n):
 
 def _lu_pivots(M):
     """Row order, detected rank and LAPACK's packed factor of the partial-pivoted
-    LU of a finite, tall float64 ``M`` in any memory order; a Fortran-ordered
-    ``M`` reaches LAPACK without a transposing copy. ``L`` and ``U`` are not
-    formed. Ties between equal pivot magnitudes break toward the lowest row
-    index; the rank reference is ``max|M|``."""
+    LU of a finite, tall real ``M`` in any memory order, factored in float64; a
+    Fortran-ordered float64 ``M`` reaches LAPACK without a copy. ``L`` and
+    ``U`` are not formed. Ties between equal pivot magnitudes break toward the
+    lowest row index; the rank reference is ``max|M|``."""
+    M = np.asarray(M, dtype=np.float64)  # dgetrf reads 8-byte entries
     m, n = M.shape
     if m < n:
         raise BadShape(f"need rows >= cols, got {m}x{n}")
     if n == 0:
         return np.arange(m), 0, np.zeros((m, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LinAlgWarning on exact singularity
-        lu, piv = sla.lu_factor(M, check_finite=False)
+    getrf = _lapack("dgetrf")
+    if getrf is None:
+        import scipy.linalg as sla
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # LinAlgWarning on exact singularity
+            lu, piv = sla.lu_factor(M, check_finite=False)
+    else:
+        lu = np.array(M, order="F")
+        piv = np.empty(n, dtype=np.int64)
+        getrf(m, n, lu, m, piv)  # INFO > 0 flags an exactly zero pivot: the rank test's
+        piv -= 1
     perm = np.arange(m)
     for t, p in enumerate(piv):
         perm[t], perm[p] = perm[p], perm[t]
@@ -434,9 +510,41 @@ def cpqr(M):
     pivot is the column of maximal 2-norm (lowest index on ties).
     """
     M = as_matrix(M, "M")
-    q, r, p = sla.qr(M, mode="economic", pivoting=True, check_finite=False)
+    q, r, p = _qr(M, pivoting=True)
     rank = _detected_rank(np.diag(r), np.abs(M).max() if M.size else 0.0)
     return PivotedQR(perm=p, Q=q, R=r, rank_detected=rank)
+
+
+def solve_upper(R, B):
+    """``X = R^{-1} B`` for a square upper-triangular ``R`` (its strict lower
+    triangle is not read) and a 2-D ``B``, by LAPACK ``dtrtrs``; ``X`` is
+    Fortran-ordered. The result is ``scipy.linalg.solve_triangular(R, B)``,
+    bits included: a Fortran-ordered ``R`` is read in place, any other as the
+    lower triangle of ``R.T``. Raises :class:`RankDeficient` when a diagonal
+    entry of ``R`` is exactly zero.
+    """
+    R = np.asarray(R)
+    fortran = R.ndim == 2 and R.flags.f_contiguous
+    a = as_matrix(R.T if fortran else R, "R")  # its buffer, read by Fortran, is R or R.T
+    B = as_matrix(B, "B")
+    n, k = B.shape
+    if a.shape != (n, n):
+        raise ShapeMismatch(f"need a square R with {n} rows, got {R.shape}")
+    trtrs = _lapack("dtrtrs")
+    if trtrs is None:
+        import scipy.linalg as sla
+        try:
+            return sla.solve_triangular(a.T if fortran else a, B, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"R is singular: {exc}") from exc
+    x = np.array(B, order="F")
+    if x.size == 0:
+        return x
+    info = trtrs(b"U" if fortran else b"L", b"N" if fortran else b"T", b"N", n, k, a, n, x, n)
+    if info > 0:
+        raise RankDeficient(f"R is singular: diagonal entry {info - 1} is zero",
+                            rank_detected=info - 1)
+    return x
 
 
 def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):

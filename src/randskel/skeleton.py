@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked, spectral_norm
+from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked, solve_upper, spectral_norm
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -137,7 +136,7 @@ def posterior_eta(X, J_s):
     q1, r1 = qr_checked(X1, SingularPivotBlock, "pivot block")
     if X2.shape[1] == 0 or J_s.size == 0:
         return 1.0
-    Z = sla.solve_triangular(r1, q1.T @ X2)
+    Z = solve_upper(r1, q1.T @ X2)
     return float(np.sqrt(1.0 + spectral_norm(Z) ** 2))
 
 
@@ -357,8 +356,8 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
     S = as_matrix(S, "S")
     R = as_matrix(R, "R")
     try:
-        mid = sla.solve(S, R)
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
+        mid = np.linalg.solve(S, R)
+    except np.linalg.LinAlgError as exc:
         raise SingularSkeleton(str(exc)) from exc
     return C @ mid
 
@@ -366,7 +365,7 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
 def _interp_from_basis(M, target):
     """M^+ @ target through a QR of M (no explicit pseudoinverse)."""
     q, r = qr_checked(M, SingularSkeleton, "skeleton")
-    return sla.solve_triangular(r, q.T @ target)
+    return solve_upper(r, q.T @ target)
 
 
 def build_column_id(A, J_s):
@@ -402,8 +401,8 @@ def build_two_sided_id(A, I_s, J_s):
     S = C[I_s, :]
     right = _interp_from_basis(C, A)
     try:
-        left = sla.solve(S.T, C.T).T
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
+        left = np.linalg.solve(S.T, C.T).T
+    except np.linalg.LinAlgError as exc:
         raise SingularSkeleton(f"skeleton block singular: {exc}") from exc
     return TwoSidedID(I_s=I_s, J_s=J_s, left=left, S=S, right=right)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense import as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
@@ -145,7 +144,7 @@ class SparseSignSketch(SketchOperator):
     in_dim: int
     seed: object
     zeta: int
-    _csc: sp.csc_matrix = field(repr=False)
+    _csc: object = field(repr=False)  # scipy.sparse.csc_matrix, l x m
 
     kind = "sparse_sign"
 
@@ -191,6 +190,8 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
         zeta = min(l, 8)
     if zeta < 2 or zeta > l:
         raise BadShape(f"need 2 <= zeta <= l, got zeta={zeta}, l={l}")
+    import scipy.sparse as sp  # scipy is needed for this embedding only
+
     rng = np.random.default_rng(seed)
     base = np.broadcast_to(np.arange(l), (m, l)).copy()
     supports = rng.permuted(base, axis=1)[:, :zeta]

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense import as_matrix, qr_ortho
 from .errors import (
@@ -91,8 +90,8 @@ class ImplicitSnnOperator:
     """Matvec-only access to an SNN matrix; cost O((m+n) * r * density)."""
 
     params: SnnParams
-    x_factors: sp.csr_matrix = field(repr=False)  # m x r
-    y_factors: sp.csr_matrix = field(repr=False)  # n x r
+    x_factors: object = field(repr=False)  # scipy.sparse.csr_matrix, m x r
+    y_factors: object = field(repr=False)  # scipy.sparse.csr_matrix, n x r
 
     @property
     def shape(self):
@@ -146,6 +145,8 @@ def gen_snn(params):
 
 def gen_snn_operator(params):
     """SNN matrix exposed only through (ad)joint products."""
+    import scipy.sparse as sp  # scipy is needed for this operator only
+
     X, Y = _snn_factors(params)
     return ImplicitSnnOperator(
         params=params,

@@ -143,6 +143,26 @@ class TestCurAccuracy:
         assert len([r for r in rows if r["metric"] == "err_fro"
                     and r["method"] == "rand-lupp"]) == 5
 
+    def test_non_integer_thread_cap_exit_2_before_any_work(self, tmp_path, monkeypatch,
+                                                           capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setenv("RANDSKEL_THREADS", "abc")
+        monkeypatch.setattr(experiments, "run_cur_accuracy",
+                            lambda cfg: pytest.fail("the sweep started"))
+        code = run(["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4",
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "RANDSKEL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_thread_cap_not_read_by_poolless_commands(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RANDSKEL_THREADS", "abc")
+        code = run(["angles", "--matrix", "gauss:120x120,profile=slow,r=100",
+                    "--ranks", "20", "--q", "0", "--k", "10", "--trials", "1",
+                    "--estimate-trials", "2", "--out", str(tmp_path)])
+        assert code == 0
+
     def test_bad_rank_grid_exit_2(self, tmp_path):
         code = run(["cur-accuracy", "--matrix", TINY_SNN,
                     "--ranks", "8,4", "--out", str(tmp_path)])

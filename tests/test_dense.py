@@ -5,12 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
 from randskel import dense
 from randskel.dense import _blas_runtimes, as_operator, blas_threads, spectral_norm, svdvals
-from randskel.errors import BadShape, RankDeficient, ZeroDimension
+from randskel.errors import BadShape, RankDeficient, ShapeMismatch, ZeroDimension
 
 
 class TestQrOrtho:
@@ -142,10 +143,10 @@ class TestSvdvals:
 
     def test_runs_in_numpy_lapack(self):
         # found in numpy's wheels; where it is not, svdvals holds the GIL as numpy does
-        assert dense._numpy_dgesdd() is not None
+        assert dense._lapack("dgesdd") is not None
 
     def test_without_numpy_lapack_numpy_runs_it(self, monkeypatch):
-        monkeypatch.setattr(dense, "_numpy_dgesdd", lambda: None)
+        monkeypatch.setattr(dense, "_lapack", lambda name: None)
         for name, M in _svdvals_inputs().items():
             assert np.array_equal(svdvals(M), np.linalg.svd(M, compute_uv=False)), name
 
@@ -197,13 +198,8 @@ class TestBlasThreads:
                 f"openblas_get_num_threads{suffix}": lambda: counts.get(suffix, 4)})
 
         monkeypatch.setattr(dense, "_bundled_openblas", lambda: (runtime("64_"), runtime("")))
-        dense._blas_runtimes.cache_clear()
-        try:
-            with blas_threads(1):
-                assert counts == {"64_": 1, "": 1}
-        finally:
-            monkeypatch.undo()
-            dense._blas_runtimes.cache_clear()
+        with blas_threads(1):
+            assert counts == {"64_": 1, "": 1}
         assert counts == {"64_": 4, "": 4}
 
     def test_warns_when_no_runtime_found(self, monkeypatch):
@@ -279,6 +275,111 @@ class TestCpqr:
         assert np.abs(M[:, f.perm] - f.Q @ f.R).max() < 1e-12 * np.abs(M).max()
         d = np.abs(np.diag(f.R))
         assert (np.diff(d) <= 0).all()
+
+
+def _lapack_inputs():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((60, 12))
+    return {
+        "square": rng.standard_normal((120, 120)),
+        "tall": rng.standard_normal((301, 40)),
+        "wide": rng.standard_normal((40, 301)),
+        "1xn": rng.standard_normal((1, 57)),
+        "mx1": rng.standard_normal((57, 1)),
+        "n=0": np.zeros((9, 0)),
+        "fortran": np.asfortranarray(rng.standard_normal((90, 70))),
+        "rank-deficient": rng.standard_normal((80, 5)) @ rng.standard_normal((5, 60)),
+        "duplicate-column": np.hstack([X, X[:, 3:7]]),
+    }
+
+
+@pytest.fixture(params=["numpy-lapack", "fallback"])
+def lapack_path(request, monkeypatch):
+    """Each kernel runs in numpy's LAPACK, and again with that lookup stubbed
+    out, so the scipy fallback runs."""
+    if request.param == "fallback":
+        monkeypatch.setattr(dense, "_lapack", lambda name: None)
+    else:
+        assert all(dense._lapack(name) is not None for name in dense._LAPACK_ARGS)
+    return request.param
+
+
+def _bitwise(got, want):
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(_lapack_inputs()))
+class TestScipyParity:
+    """The kernels make scipy.linalg's LAPACK calls; with the same QR routines
+    in both OpenBLAS builds, the bits are scipy's."""
+
+    def test_qr(self, name, lapack_path):
+        M = _lapack_inputs()[name]
+        q, r = dense._qr(M)
+        want_q, want_r = sla.qr(M, mode="economic", check_finite=False)
+        assert _bitwise(q, want_q) and _bitwise(r, want_r)
+        if M.shape[0] >= M.shape[1] and name not in ("rank-deficient", "duplicate-column"):
+            q, r = dense.qr_checked(M)
+            assert q.flags.c_contiguous and r.flags.c_contiguous
+            assert _bitwise(q, want_q) and _bitwise(r, want_r)
+
+    def test_cpqr(self, name, lapack_path):
+        M = _lapack_inputs()[name]
+        f = cpqr(M)
+        want_q, want_r, want_perm = sla.qr(M, mode="economic", pivoting=True,
+                                           check_finite=False)
+        assert _bitwise(f.perm, want_perm)
+        assert _bitwise(f.R, want_r) and _bitwise(f.Q, want_q)
+
+    def test_lu_pivots_and_rank(self, name, lapack_path):
+        M = _lapack_inputs()[name]
+        T = M if M.shape[0] >= M.shape[1] else M.T
+        perm, rank, lu = dense._lu_pivots(T)
+        if T.shape[1] == 0:
+            assert rank == 0 and _bitwise(perm, np.arange(T.shape[0]))
+            return
+        want_lu, piv = sla.lu_factor(T, check_finite=False)
+        want_perm = np.arange(T.shape[0])
+        for t, p in enumerate(piv):
+            want_perm[t], want_perm[p] = want_perm[p], want_perm[t]
+        assert rank == dense._detected_rank(np.diag(want_lu), np.abs(T).max())
+        # scipy's OpenBLAS build may differ from numpy's, and dgetrf is
+        # OpenBLAS's own: its rounding moves the factor in the last bits and,
+        # past the detected rank, the order of noise-level pivots
+        assert _bitwise(perm[:rank], want_perm[:rank])
+        if rank == T.shape[1]:
+            assert _bitwise(perm, want_perm)
+            assert np.abs(lu - want_lu).max() <= 1e-13 * np.abs(T).max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_upper(self, name, order, lapack_path):
+        M = _lapack_inputs()[name]
+        k = min(M.shape)
+        R = np.array(np.triu(M[:k, :k]) + 4.0 * np.eye(k), order=order)
+        B = M[:k]
+        got = dense.solve_upper(R, B)
+        want = sla.solve_triangular(R, B, check_finite=False)
+        assert _bitwise(got, want) and got.flags.f_contiguous
+
+
+class TestSolveUpper:
+    def test_exactly_singular_raises_rank_deficient(self):
+        R = np.triu(np.ones((4, 4)))
+        R[2, 2] = 0.0
+        with pytest.raises(RankDeficient):
+            dense.solve_upper(R, np.ones((4, 2)))
+
+    def test_strict_lower_triangle_not_read(self):
+        R = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+        B = np.arange(6.0).reshape(3, 2)
+        noisy = R + np.tril(np.full((3, 3), 7.0), -1)
+        assert np.array_equal(dense.solve_upper(noisy, B), dense.solve_upper(R, B))
+
+    @pytest.mark.parametrize("R, B", [(np.ones((3, 2)), np.ones((3, 1))),
+                                      (np.eye(3), np.ones((2, 1)))])
+    def test_shape_mismatch(self, R, B):
+        with pytest.raises(ShapeMismatch):
+            dense.solve_upper(R, B)
 
 
 @settings(max_examples=30, deadline=None)

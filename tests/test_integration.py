@@ -150,16 +150,60 @@ def test_console_script_installed(tmp_path):
     assert (tmp_path / "cur_accuracy.csv").exists()
 
 
-def test_module_entry_point(tmp_path):
-    # the child imports the same randskel as this suite, however it was found
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports the same
+    randskel as this suite, however it was found."""
     src = str(Path(randskel.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "randskel.bench.cli", "balance", "--k", "3",
-         "--alpha", "6", "--beta", "6", "--gaps", "1.3", "--trials", "1",
-         "--seed", "0", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    proc = _fresh_python(
+        "-m", "randskel.bench.cli", "balance", "--k", "3",
+        "--alpha", "6", "--beta", "6", "--gaps", "1.3", "--trials", "1",
+        "--seed", "0", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "balance.csv").exists()
     assert (tmp_path / "balance.svg").exists()
+
+
+def test_no_scipy_linalg_or_sparse_on_import_or_in_angles(tmp_path):
+    # randskel's LAPACK is numpy's: importing scipy.linalg would load scipy's
+    # OpenBLAS, a second runtime with threads of its own; scipy.sparse is
+    # needed by sparse-sign embeddings and SNN operators only
+    proc = _fresh_python("-c", f"""
+import sys
+import randskel, randskel.bench.cli
+assert randskel.bench.cli.run([
+    "angles", "--matrix", "gauss:100x100,profile=fast,r=80", "--ranks", "16",
+    "--q", "0,1", "--k", "8", "--trials", "1", "--seed", "3",
+    "--estimate-trials", "2", "--out", {str(tmp_path)!r}]) == 0
+# the sparse fields' annotations resolve without scipy.sparse
+import typing
+from randskel.sketch import SparseSignSketch
+from randskel.testmat import ImplicitSnnOperator
+typing.get_type_hints(SparseSignSketch), typing.get_type_hints(ImplicitSnnOperator)
+print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_blas_threads_sets_scipy_runtime_loaded_after_first_use():
+    # scipy's OpenBLAS loads when a caller imports scipy.linalg, which may
+    # come after blas_threads has looked for runtimes once
+    proc = _fresh_python("-c", """
+from randskel.dense import _blas_runtimes, blas_threads
+with blas_threads(1):
+    print([get() for _, get in _blas_runtimes()])
+import scipy.linalg
+before = [get() for _, get in _blas_runtimes()]
+with blas_threads(1):
+    print([get() for _, get in _blas_runtimes()])
+print([get() for _, get in _blas_runtimes()] == before)
+""")
+    assert proc.returncode == 0, proc.stderr
+    numpy_only, both, restored = proc.stdout.splitlines()
+    assert numpy_only == "[1]" and both == "[1, 1]" and restored == "True"

@@ -436,3 +436,43 @@ def test_bad_skeleton_index_raises_bad_shape(call, bad):
 def test_integer_valued_float_indices_accepted():
     assert np.array_equal(build_column_id(_A6x5, [0.0, 3.0]).J_s, [0, 3])
     assert posterior_eta(_A6x5[:3], []) == 1.0
+
+
+class _CastOperator:
+    """Matvec-only access to a dense ``A`` whose products come back as
+    ``dtype``, as a user's operator in single precision returns them."""
+
+    def __init__(self, A, dtype, widen):
+        self.A, self.shape, self.dtype, self.widen = A, A.shape, dtype, widen
+
+    def _out(self, P):
+        P = P.astype(self.dtype)
+        return P.astype(np.float64) if self.widen else P
+
+    def matmat(self, M):
+        return self._out(self.A @ M)
+
+    def rmatmat(self, M):
+        return self._out(self.A.T @ M)
+
+    def columns(self, J):
+        return self.A[:, J]
+
+    def rows(self, I):
+        return self.A[I, :]
+
+    def to_dense(self):
+        return self.A
+
+
+@pytest.mark.parametrize("select", [select_columns_lupp, select_columns_cpqr, select_deim])
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_low_precision_operator_products_are_factored_in_float64(select, dtype):
+    # LAPACK reads the sketch as float64: a float32 or float16 product must be
+    # widened first, never handed over as a buffer of narrower entries
+    A = random_matrix(np.random.default_rng(14), 200, 120, rank=12)
+    got = select(_CastOperator(A, dtype, widen=False), 10, seed=15)
+    want = select(_CastOperator(A, dtype, widen=True), 10, seed=15)
+    np.testing.assert_array_equal(got.J_s, want.J_s)
+    np.testing.assert_array_equal(got.I_s, want.I_s)
+    assert got.eta_column == want.eta_column
