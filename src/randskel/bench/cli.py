@@ -121,7 +121,10 @@ def _coerce(key, raw):
 
 
 def build_config(experiment, args):
-    cfg = ExperimentConfig(experiment=experiment)
+    """The experiment's defaults, then the config file's values, then the flags."""
+    defaults = {key: list(val) if isinstance(val, list) else val
+                for key, val in _DEFAULTS.get(experiment, {}).items()}
+    cfg = ExperimentConfig(experiment, **defaults)
     if args.config:
         for key, raw in load_config_file(args.config).items():
             if not hasattr(cfg, key):
@@ -251,6 +254,12 @@ _DEFAULTS = {
     "balance": dict(k=10, trials=5),
 }
 
+#: Each experiment's driver in :mod:`.experiments`, looked up by name when it
+#: runs, so that a wrapper installed on the module is the one called.
+_DRIVERS = {"cur_accuracy": "run_cur_accuracy", "timing_pivot": "run_timing_pivot",
+            "timing_sketch": "run_timing_sketch", "angles": "run_angles",
+            "balance": "run_balance"}
+
 
 def run(argv=None):
     args = make_parser().parse_args(argv)
@@ -260,38 +269,15 @@ def run(argv=None):
         experiment = args.command.replace("-", "_")
     try:
         cfg = build_config(experiment, args)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    supplied = {k for k in vars(cfg) if getattr(args, k, None) is not None}
-    if args.config:
-        supplied |= {k.replace("-", "_") for k in load_config_file(args.config)}
-    for key, val in _DEFAULTS.get(experiment, {}).items():
-        if key not in supplied:
-            setattr(cfg, key, val)
-    try:
-        cfg.validate()
         if experiment == "cur_accuracy":
             experiments.worker_count()  # its pool's cap fails before any work
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     csv_path = os.path.join(cfg.out, f"{experiment}.csv")
     try:
-        if experiment == "cur_accuracy":
-            rows = experiments.run_cur_accuracy(cfg)
-        elif experiment == "timing_pivot":
-            rows = experiments.run_timing_pivot(cfg)
-        elif experiment == "timing_sketch":
-            rows = experiments.run_timing_sketch(cfg)
-        elif experiment == "angles":
-            rows = experiments.run_angles(cfg)
-        elif experiment == "balance":
-            rows = experiments.run_balance(cfg)
-        else:  # pragma: no cover
-            raise UnknownMethod(experiment)
+        rows = getattr(experiments, _DRIVERS[experiment])(cfg)
         os.makedirs(cfg.out, exist_ok=True)
         experiments.write_rows(csv_path, rows)
     except UnknownMethod as exc:

@@ -1,20 +1,20 @@
 """Dense factorization kernels and the operator adapter.
 
 Thin wrappers over LAPACK that add the rank checks, pivot bookkeeping, and
-error contracts the rest of the library relies on. All of their LAPACK runs
-in numpy's bundled OpenBLAS: the SVD through numpy, the rest (QR, LU, pivoted
-QR, triangular solves, values-only SVD) through ctypes, which releases the
-GIL, with the calls and bits of scipy's wrappers. scipy's own OpenBLAS, a
-second runtime with its own threads, is loaded only where numpy's LAPACK is
-not found.
+error contracts the rest of the library relies on. The SVD runs through
+numpy; the rest (QR, LU, pivoted QR, triangular solves, values-only SVD)
+makes the calls of scipy's wrappers, with their bits, through ctypes, which
+releases the GIL. One kernel has one body: :func:`_lapack` alone knows where
+LAPACK lives. It is numpy's bundled OpenBLAS, or, where numpy bundles none,
+scipy's, a second runtime with its own threads.
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
 * :func:`svd_thin` -- economy SVD with a numerical-rank report,
-* :func:`svdvals` -- singular values only, bitwise equal to numpy's
-  values-only SVD; it calls numpy's bundled LAPACK with the GIL released
-  (numpy holds it for the whole LAPACK call), so threads computing spectra
-  overlap; :func:`spectral_norm` reads ``||M||_2`` off it,
+* :func:`svdvals` -- singular values only, by the ``dgesdd`` call of numpy's
+  values-only SVD, with the GIL released (numpy holds it for the whole
+  LAPACK call), so threads computing spectra overlap; :func:`spectral_norm`
+  reads ``||M||_2`` off it,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`solve_upper` -- solve with an upper-triangular matrix,
@@ -275,8 +275,8 @@ def _bundled_openblas():
     """The bundled OpenBLAS runtimes this process loaded, numpy's first.
 
     scipy's runtime loads with ``scipy.linalg``, which a caller may import
-    at any time (randskel imports it only where numpy's LAPACK is not
-    found), so it is looked up on every call.
+    at any time (randskel imports it only where numpy bundles no OpenBLAS),
+    so it is looked up on every call.
     """
     scipy = sys.modules.get("scipy")
     return _numpy_openblas() + (_openblas_libs(scipy) if scipy is not None else ())
@@ -289,35 +289,53 @@ _LAPACK_ARGS = {"dgeqrf": (8, 0), "dorgqr": (9, 0), "dgeqp3": (9, 0), "dgetrf": 
                 "dtrtrs": (10, 3), "dgesdd": (14, 1)}
 
 
+class _Routine:
+    """A LAPACK routine called through ctypes, which releases the GIL. Its
+    integers are ``c_int`` wide: 64-bit in numpy's ILP64 OpenBLAS, 32-bit in
+    scipy's LP64 one; its ``jpvt``, ``ipiv`` and ``iwork`` arrays have dtype
+    ``int``, the same width."""
+
+    def __init__(self, name, function, c_int, lengths):
+        self.name, self.function, self.lengths = name, function, lengths
+        self.c_int, self.int = c_int, np.dtype(c_int)
+
+    def __call__(self, *args):
+        """Every argument but the final ``INFO``, which is returned: ints by
+        reference, arrays as their data pointers, characters as bytes."""
+        info = self.c_int(0)
+        self.function(*[ctypes.byref(self.c_int(a)) if isinstance(a, int)
+                        else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args],
+                      ctypes.byref(info), *self.lengths)
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} of {self.name}")
+        return info.value
+
+
 @functools.cache
 def _lapack(name):
-    """LAPACK's ``name`` in numpy's bundled ILP64 OpenBLAS, or ``None`` when
-    that library is not loaded.
-
-    The call takes every argument but the final ``INFO``, which it returns:
-    ints go by reference as 64-bit integers, arrays as their data pointers
-    and characters as bytes. ctypes releases the GIL for the call. numpy>=2
-    wheels name the routine ``scipy_<name>_64_``, older ones ``<name>_64_``.
-    """
+    """LAPACK's ``name`` as a :class:`_Routine`; the only code that knows where
+    LAPACK lives. It is numpy's bundled ILP64 OpenBLAS (``scipy_<name>_64_``
+    in numpy>=2 wheels, ``<name>_64_`` in older ones) or, where that runtime
+    is not loaded, scipy's LP64 one, through the pointer that
+    ``scipy.linalg.cython_lapack`` publishes (its C wrapper takes no
+    character lengths)."""
     count, chars = _LAPACK_ARGS[name]
     for lib in _numpy_openblas():
         for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
             if hasattr(lib, symbol):
-                fortran = getattr(lib, symbol)
-                fortran.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * chars
-                fortran.restype = None
-                return functools.partial(_call_fortran, name, fortran, chars)
-    return None
+                function = getattr(lib, symbol)
+                function.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * chars
+                function.restype = None
+                return _Routine(name, function, ctypes.c_int64, (1,) * chars)
+    from scipy.linalg.cython_lapack import __pyx_capi__
 
-
-def _call_fortran(name, fortran, chars, *args):
-    info = ctypes.c_int64(0)
-    fortran(*[ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
-              else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args],
-            ctypes.byref(info), *[1] * chars)
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of {name}")
-    return info.value
+    capsule, api, obj = __pyx_capi__[name], ctypes.pythonapi, ctypes.py_object
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(
+        get_pointer(capsule, get_name(capsule)))  # the capsule is named after its C signature
+    return _Routine(name, function, ctypes.c_int32, ())
 
 
 def _with_workspace(routine, *args, after=()):
@@ -330,57 +348,60 @@ def _with_workspace(routine, *args, after=()):
     return routine(*args, work, work.size, *after)
 
 
-def _qr(M, pivoting=False):
-    """Economic QR of a finite real ``M``, in float64, with greedy column
-    pivoting when ``pivoting``, as ``scipy.linalg.qr(M, mode="economic",
-    pivoting=pivoting)`` returns it: Fortran-ordered ``Q``, ``R`` and, when
-    pivoting, the 0-based column order. ``dgeqrf`` (or ``dgeqp3``) and ``dorgqr`` run in numpy's
-    LAPACK, or in scipy's where numpy's is not found."""
-    M = np.asarray(M, dtype=np.float64)  # dgeqrf and dgeqp3 read 8-byte entries
-    factor, form_q = _lapack("dgeqp3" if pivoting else "dgeqrf"), _lapack("dorgqr")
-    if factor is None or form_q is None:
-        import scipy.linalg as sla
-        return sla.qr(M, mode="economic", pivoting=pivoting, check_finite=False)
+def _qr(M):
+    """Economic QR of a finite real ``M``, factored in float64 by ``dgeqrf`` and
+    ``dorgqr``, as ``scipy.linalg.qr(M, mode="economic")`` returns it:
+    Fortran-ordered ``Q`` and ``R``."""
     m, n = M.shape
-    k = min(m, n)
-    if k == 0:
-        q, r = np.empty((m, 0)), np.empty((0, n))
-        return (q, r, np.arange(n)) if pivoting else (q, r)
-    a = np.array(M, order="F")
-    tau = np.empty(k)
-    if pivoting:
-        perm = np.zeros(n, dtype=np.int64)  # 0: every column is free to pivot
-        _with_workspace(factor, m, n, a, m, perm, tau)
-    else:
-        _with_workspace(factor, m, n, a, m, tau)
+    a, tau = np.array(M, dtype=np.float64, order="F"), np.empty(min(m, n))
+    if tau.size:
+        _with_workspace(_lapack("dgeqrf"), m, n, a, m, tau)
+    return _q_and_r(a, tau)
+
+
+def _q_and_r(a, tau):
+    """``Q`` and ``R`` of the economic QR that ``dgeqrf`` or ``dgeqp3`` packed into
+    the Fortran-ordered ``a``; ``dorgqr`` forms ``Q`` in ``a``'s leading columns."""
+    m, k = a.shape[0], tau.size
     r = np.triu(a[:k])
-    q = a[:, :k]  # dorgqr overwrites the reflectors with Q
-    _with_workspace(form_q, m, k, k, q, m, tau)
-    return (q, r, perm - 1) if pivoting else (q, r)
+    if k:
+        _with_workspace(_lapack("dorgqr"), m, k, k, a, m, tau)
+    return a[:, :k], r
+
+
+def _cpqr_pivots(M):
+    """Column order, detected rank (reference ``max|M|``), packed factor and
+    reflector scalars of ``dgeqp3``'s greedy column-pivoted QR of a finite real
+    ``M``, factored in float64; ``Q`` is not formed."""
+    M = np.asarray(M, dtype=np.float64)  # dgeqp3 reads 8-byte entries
+    m, n = M.shape
+    a, tau = np.array(M, order="F"), np.empty(min(m, n))
+    if tau.size == 0:
+        return np.arange(n), 0, a, tau
+    geqp3 = _lapack("dgeqp3")
+    perm = np.zeros(n, dtype=geqp3.int)  # 0: every column is free to pivot
+    _with_workspace(geqp3, m, n, a, m, perm, tau)
+    # max|M| without an m x n temporary of absolute values
+    return perm.astype(np.intp) - 1, _detected_rank(np.diag(a), max(M.max(), -M.min())), a, tau
 
 
 def svdvals(M):
     """Singular values of ``M``, nonincreasing; empty when ``M`` is.
 
     One LAPACK ``dgesdd`` with ``jobz='N'`` on a Fortran-ordered copy, with
-    the workspace it asks for, in numpy's bundled LAPACK: the call numpy's
-    values-only SVD (``compute_uv=False``) makes, with numpy's bits, but with
-    the GIL released, where numpy holds it for the whole call. Where numpy's
-    LAPACK is not found, numpy's own values-only SVD runs instead.
+    the workspace it asks for, through ctypes with the GIL released, where
+    numpy's values-only SVD (``compute_uv=False``) holds it for the whole
+    call. In numpy's bundled LAPACK this is numpy's call, with numpy's bits;
+    where numpy bundles none, it is scipy's ``dgesdd``, with scipy's bits.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
     if min(m, n) == 0:
         return np.zeros(0)
     gesdd = _lapack("dgesdd")
-    if gesdd is None:
-        try:
-            return np.linalg.svd(M, compute_uv=False)
-        except np.linalg.LinAlgError as exc:  # LAPACK iteration cap exceeded
-            raise ConvergenceFailure(str(exc)) from exc
     a = np.array(M, order="F")  # dgesdd overwrites it
     s = np.empty(min(m, n))
-    iwork = np.empty(8 * min(m, n), dtype=np.int64)
+    iwork = np.empty(8 * min(m, n), dtype=gesdd.int)
     unused = np.empty(1)  # U and VT, which jobz='N' does not reference
     info = _with_workspace(gesdd, b"N", m, n, a, m, s, unused, 1, unused, 1, after=(iwork,))
     if info != 0:
@@ -425,10 +446,11 @@ def blas_threads(n):
     """Run the block with every loaded OpenBLAS runtime at ``n`` threads, and
     restore each runtime's own count on exit, also when the block raises.
 
-    randskel's BLAS and LAPACK run in numpy's runtime. scipy's, which starts
-    threads of its own, loads when a caller imports ``scipy.linalg`` (or
-    where numpy's LAPACK is not found); it is set too when it is loaded on
-    entry to the block.
+    randskel's BLAS runs in numpy's runtime, and its LAPACK too where numpy
+    bundles one. scipy's, which starts threads of its own, loads when
+    ``scipy.linalg`` is imported: by a caller, or by randskel for its LAPACK
+    where numpy bundles none. It is set too when it is loaded on entry to
+    the block.
 
     The setting is process-wide: enter it around a thread pool that owns the
     cores, not from inside the pool's workers. Runtimes that are not
@@ -454,9 +476,9 @@ def blas_threads(n):
 
 def _lu_pivots(M):
     """Row order, detected rank and LAPACK's packed factor of the partial-pivoted
-    LU of a finite, tall real ``M`` in any memory order, factored in float64; a
-    Fortran-ordered float64 ``M`` reaches LAPACK without a copy. ``L`` and
-    ``U`` are not formed. Ties between equal pivot magnitudes break toward the
+    LU of a finite, tall real ``M`` in any memory order, factored in float64 in
+    the one Fortran-ordered copy that ``dgetrf`` overwrites. ``L`` and ``U``
+    are not formed. Ties between equal pivot magnitudes break toward the
     lowest row index; the rank reference is ``max|M|``."""
     M = np.asarray(M, dtype=np.float64)  # dgetrf reads 8-byte entries
     m, n = M.shape
@@ -465,18 +487,11 @@ def _lu_pivots(M):
     if n == 0:
         return np.arange(m), 0, np.zeros((m, 0))
     getrf = _lapack("dgetrf")
-    if getrf is None:
-        import scipy.linalg as sla
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # LinAlgWarning on exact singularity
-            lu, piv = sla.lu_factor(M, check_finite=False)
-    else:
-        lu = np.array(M, order="F")
-        piv = np.empty(n, dtype=np.int64)
-        getrf(m, n, lu, m, piv)  # INFO > 0 flags an exactly zero pivot: the rank test's
-        piv -= 1
+    lu = np.array(M, order="F")
+    piv = np.empty(n, dtype=getrf.int)
+    getrf(m, n, lu, m, piv)  # INFO > 0 flags an exactly zero pivot: the rank test's
     perm = np.arange(m)
-    for t, p in enumerate(piv):
+    for t, p in enumerate(piv - 1):
         perm[t], perm[p] = perm[p], perm[t]
     # max|M| without an m x n temporary of absolute values
     return perm, _detected_rank(np.diag(lu), max(M.max(), -M.min())), lu
@@ -509,10 +524,8 @@ def cpqr(M):
     of ``R`` against ``RANK_RTOL * max|M|``) rather than raised; the first
     pivot is the column of maximal 2-norm (lowest index on ties).
     """
-    M = as_matrix(M, "M")
-    q, r, p = _qr(M, pivoting=True)
-    rank = _detected_rank(np.diag(r), np.abs(M).max() if M.size else 0.0)
-    return PivotedQR(perm=p, Q=q, R=r, rank_detected=rank)
+    perm, rank, a, tau = _cpqr_pivots(as_matrix(M, "M"))
+    return PivotedQR(perm, *_q_and_r(a, tau), rank)
 
 
 def solve_upper(R, B):
@@ -530,17 +543,11 @@ def solve_upper(R, B):
     n, k = B.shape
     if a.shape != (n, n):
         raise ShapeMismatch(f"need a square R with {n} rows, got {R.shape}")
-    trtrs = _lapack("dtrtrs")
-    if trtrs is None:
-        import scipy.linalg as sla
-        try:
-            return sla.solve_triangular(a.T if fortran else a, B, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"R is singular: {exc}") from exc
     x = np.array(B, order="F")
     if x.size == 0:
         return x
-    info = trtrs(b"U" if fortran else b"L", b"N" if fortran else b"T", b"N", n, k, a, n, x, n)
+    info = _lapack("dtrtrs")(b"U" if fortran else b"L", b"N" if fortran else b"T", b"N",
+                             n, k, a, n, x, n)
     if info > 0:
         raise RankDeficient(f"R is singular: diagonal entry {info - 1} is zero",
                             rank_detected=info - 1)

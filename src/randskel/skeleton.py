@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _lu_pivots, as_matrix, as_operator, cpqr, qr_checked, solve_upper, spectral_norm
+from .dense import (_cpqr_pivots, _lu_pivots, as_matrix, as_operator, qr_checked, solve_upper,
+                    spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -142,12 +143,9 @@ def posterior_eta(X, J_s):
 
 def _column_pivots(pivot, M, count):
     """First ``count`` column pivots of M, truncated to the detected rank, by
-    partial-pivoted LU of M^T (``pivot="lupp"``) or column-pivoted QR."""
-    if pivot == "lupp":
-        perm, rank, _ = _lu_pivots(M.T)
-    else:
-        fac = cpqr(M)
-        perm, rank = fac.perm, fac.rank_detected
+    partial-pivoted LU of M^T (``pivot="lupp"``) or column-pivoted QR; neither
+    forms its factors."""
+    perm, rank, *_ = _lu_pivots(M.T) if pivot == "lupp" else _cpqr_pivots(M)
     return perm[:min(count, rank)], rank
 
 
@@ -161,19 +159,23 @@ def _plain_power_sketch(A, l, q, seed, embedding):
     return X
 
 
+def _skeleton(A, X, l, pivot, method, seed):
+    """Column pivots of the row approximator ``X``, then row pivots of the
+    chosen columns of ``A``, with ``eta`` of the column skeleton."""
+    J_s, rank = _column_pivots(pivot, X, l)
+    I_s, _ = _column_pivots(pivot, A.columns(J_s).T, J_s.size)
+    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=posterior_eta(X, J_s),
+                          eta_row=None, seed=seed, X=X, rank_detected=min(rank, l))
+
+
 def _select_on_sketch(A, l, q, seed, embedding, pivot):
-    """Column pivots of the row sketch, then row pivots of the chosen columns."""
+    """:func:`_skeleton` on the row sketch, sharpened by ``q`` power iterations."""
     if q not in (0, 1):
         raise BadShape(f"q must be 0 or 1, got {q}")
     A = as_operator(A)
     X = _plain_power_sketch(A, l, q, seed, embedding)
-    J_s, rank = _column_pivots(pivot, X, l)
-    I_s, _ = _column_pivots(pivot, A.columns(J_s).T, J_s.size)
-    eta = posterior_eta(X, J_s)
     method = f"rand-{pivot}-1piter" if q == 1 else f"rand-{pivot}"
-    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=eta,
-                          eta_row=None, seed=seed, X=X,
-                          rank_detected=min(rank, l))
+    return _skeleton(A, X, l, pivot, method, seed)
 
 
 def select_columns_lupp(A, l, q=0, seed=None, embedding="gaussian"):
@@ -194,13 +196,7 @@ def select_deim(A, l, q=0, seed=None, embedding="gaussian"):
     """Skeletons by partial-pivoted LU on approximated right singular vectors."""
     A = as_operator(A)
     lr = randomized_svd(A, l, q=q, seed=seed, embedding_kind=embedding)
-    X = np.ascontiguousarray(lr.V_hat.T)
-    J_s, rank = _column_pivots("lupp", X, l)
-    I_s, _ = _column_pivots("lupp", A.columns(J_s).T, J_s.size)
-    eta = posterior_eta(X, J_s)
-    return SkeletonResult(J_s=J_s, I_s=I_s, method="rsvd-deim", eta_column=eta,
-                          eta_row=None, seed=seed, X=X,
-                          rank_detected=min(rank, l))
+    return _skeleton(A, np.ascontiguousarray(lr.V_hat.T), l, "lupp", "rsvd-deim", seed)
 
 
 def _as_seed_sequence(seed):

@@ -318,6 +318,19 @@ class TestConfigFile:
         assert len(err_rows) == 2  # trials overridden to 1 by the flag
         assert all(r["matrix"] == TINY_SNN for r in err_rows)
 
+    def test_file_overrides_default_and_flag_overrides_file(self, tmp_path):
+        from randskel.bench.cli import _DEFAULTS, build_config, make_parser
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ranks=16,32\nk=8\n")
+        args = make_parser().parse_args(["angles", "--config", str(cfg), "--k", "4"])
+        merged = build_config("angles", args)
+        assert merged.ranks == [16, 32]  # the file over the angles default
+        assert merged.k == 4             # the flag over the file
+        assert (merged.matrix, merged.qs) == (_DEFAULTS["angles"]["matrix"], [0, 1])
+        merged.qs.append(2)              # the defaults are copied, not shared
+        assert _DEFAULTS["angles"]["qs"] == [0, 1]
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not key value\n")

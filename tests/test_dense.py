@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import pathlib
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -142,13 +143,14 @@ class TestSvdvals:
         assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
 
     def test_runs_in_numpy_lapack(self):
-        # found in numpy's wheels; where it is not, svdvals holds the GIL as numpy does
-        assert dense._lapack("dgesdd") is not None
+        # numpy's wheels bundle an ILP64 OpenBLAS; scipy's LP64 one is not loaded
+        assert dense._lapack("dgesdd").c_int is ctypes.c_int64
 
-    def test_without_numpy_lapack_numpy_runs_it(self, monkeypatch):
-        monkeypatch.setattr(dense, "_lapack", lambda name: None)
+    @pytest.mark.parametrize("lapack_path", ["fallback"], indirect=True)
+    def test_fallback_returns_scipy_bits(self, lapack_path):
         for name, M in _svdvals_inputs().items():
-            assert np.array_equal(svdvals(M), np.linalg.svd(M, compute_uv=False)), name
+            want = sla.svd(M, compute_uv=False, check_finite=False)
+            assert np.array_equal(svdvals(M), want), name
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, value):
@@ -157,7 +159,7 @@ class TestSvdvals:
         with pytest.raises(BadShape):
             svdvals(M)
 
-    def test_threads_give_serial_bits(self):
+    def test_threads_give_serial_bits(self, lapack_path):
         rng = np.random.default_rng(41)
         inputs = [rng.standard_normal((rng.integers(20, 90), rng.integers(20, 90)))
                   for _ in range(40)]
@@ -218,17 +220,12 @@ class TestBlasThreads:
 def test_library_has_no_gil_holding_values_only_svd():
     # numpy's values-only SVD (``compute_uv=False``, and ``norm(., 2)`` over
     # it) holds the GIL for the whole LAPACK call; the library goes through
-    # dense.svdvals / dense.spectral_norm instead, and only svdvals' fallback,
-    # for a numpy without its bundled LAPACK, calls numpy's
+    # dense.svdvals / dense.spectral_norm instead
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "randskel"
     found = []
     for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        fallback = {id(node) for fn in ast.walk(tree) if path.name == "dense.py"
-                    and isinstance(fn, ast.FunctionDef) and fn.name == "svdvals"
-                    for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in fallback:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
                 continue
             kwargs = {k.arg: k.value for k in node.keywords}
             values_only = isinstance(kwargs.get("compute_uv"), ast.Constant) \
@@ -295,13 +292,18 @@ def _lapack_inputs():
 
 @pytest.fixture(params=["numpy-lapack", "fallback"])
 def lapack_path(request, monkeypatch):
-    """Each kernel runs in numpy's LAPACK, and again with that lookup stubbed
-    out, so the scipy fallback runs."""
+    """Each kernel runs in numpy's bundled LAPACK, and again with numpy's
+    runtime hidden, so that dense._lapack binds scipy's instead."""
     if request.param == "fallback":
-        monkeypatch.setattr(dense, "_lapack", lambda name: None)
-    else:
-        assert all(dense._lapack(name) is not None for name in dense._LAPACK_ARGS)
-    return request.param
+        monkeypatch.setattr(dense, "_numpy_openblas", lambda: ())
+    dense._lapack.cache_clear()
+    yield request.param
+    dense._lapack.cache_clear()
+
+
+def test_every_routine_resolves_from_both_sources(lapack_path):
+    width = ctypes.c_int64 if lapack_path == "numpy-lapack" else ctypes.c_int32
+    assert all(dense._lapack(name).c_int is width for name in dense._LAPACK_ARGS)
 
 
 def _bitwise(got, want):

@@ -7,6 +7,7 @@ from randskel import (
     build_cur_stable,
     build_row_id,
     build_two_sided_id,
+    cpqr,
     estimate_cur_from_skeletons,
     gen_snn,
     lupp,
@@ -80,19 +81,32 @@ def lupp_pivots_of(X):
 
 
 class TestColumnPivots:
-    @pytest.mark.parametrize("case", ["full", "duplicate", "zero"])
-    def test_lupp_pivots_equal_lupp(self, case):
+    RANKS = {"full": 8, "duplicate": 3, "zero": 0}
+
+    @staticmethod
+    def sketch(case):
         X = np.random.default_rng(9).standard_normal((8, 30))
         if case == "duplicate":
-            X = X[:, np.arange(30) % 3]  # three distinct columns: rank 3
-        elif case == "zero":
-            X = np.zeros_like(X)
+            return X[:, np.arange(30) % 3]  # three distinct columns: rank 3
+        return np.zeros_like(X) if case == "zero" else X
+
+    @pytest.mark.parametrize("case", ["full", "duplicate", "zero"])
+    def test_lupp_pivots_equal_lupp(self, case):
+        X = self.sketch(case)
         try:
             fac = lupp(X.T)
         except RankDeficient as exc:
             fac = exc.partial
         J, rank = _column_pivots("lupp", X, 8)
-        assert rank == fac.rank_detected == {"full": 8, "duplicate": 3, "zero": 0}[case]
+        assert rank == fac.rank_detected == self.RANKS[case]
+        assert np.array_equal(J, fac.perm[:rank])
+
+    @pytest.mark.parametrize("case", ["full", "duplicate", "zero"])
+    def test_cpqr_pivots_equal_cpqr(self, case):
+        X = self.sketch(case)
+        fac = cpqr(X)
+        J, rank = _column_pivots("cpqr", X, 8)
+        assert rank == fac.rank_detected == self.RANKS[case]
         assert np.array_equal(J, fac.perm[:rank])
 
 
