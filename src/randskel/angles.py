@@ -494,14 +494,15 @@ def posterior_residuals(A, lr, k):
     A = as_matrix(A, "A")
     U, V = _low_rank_factors(A, lr, k)
     EV, E32 = _gap_blocks(A, lr, V, k)
+    norms = dict(norm_EV_fro=float(np.linalg.norm(EV)), norm_EV_spec=spectral_norm(EV),
+                 norm_E32_spec=spectral_norm(E32))
+    del EV, E32  # not alive under the two m x n residuals
     return PosteriorResiduals(
         k=k,
         left=_residual_values(A, U, "left"),
         right=_residual_values(A, V, "right"),
-        norm_EV_fro=float(np.linalg.norm(EV)),
-        norm_EV_spec=spectral_norm(EV),
-        norm_E32_spec=spectral_norm(E32),
         shat_k1=float(lr.sigma_hat[k]),
+        **norms,
     )
 
 

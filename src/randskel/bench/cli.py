@@ -7,9 +7,10 @@ convenience ``<experiment>.svg`` into the output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-precondition
 failure (the offending check is named on stderr). A ``--config FILE`` of
-``key=value`` lines mirrors the flags; explicit flags win. The worker pool
-for trial parallelism is capped by the ``RANDSKEL_THREADS`` environment
-variable.
+``key=value`` lines mirrors the flags; explicit flags win. ``cur-accuracy``,
+``angles`` and ``balance`` run their cells on workers, the calling thread among
+them, capped by ``RANDSKEL_THREADS`` (not an integer: exit 2), with BLAS at one
+thread for the whole run, realization included, so that neither moves a bit.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def run(argv=None):
         experiment = args.command.replace("-", "_")
     try:
         cfg = build_config(experiment, args)
-        if experiment == "cur_accuracy":
-            experiments.worker_count()  # its pool's cap fails before any work
+        if not experiment.startswith("timing"):
+            experiments.worker_count()  # the sweep's cap fails before any work
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

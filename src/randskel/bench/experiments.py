@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,7 @@ CSV_COLUMNS = ("experiment", "method", "matrix", "param_l", "param_q",
                "trial", "metric", "value", "nanos")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     experiment: str
     method: str
@@ -75,8 +75,8 @@ def write_rows(path, rows):
 
 
 def worker_count():
-    """Worker pool size; capped by the RANDSKEL_THREADS environment variable,
-    which must be an integer when set (``ValueError`` otherwise)."""
+    """Workers of a :func:`_sweep`, the calling thread among them; capped by
+    RANDSKEL_THREADS, which must be an integer when set (``ValueError`` otherwise)."""
     cap = os.environ.get("RANDSKEL_THREADS", "").strip()
     avail = os.cpu_count() or 1
     if not cap:
@@ -90,6 +90,37 @@ def worker_count():
 def _run_seed(base_seed, *indices):
     """Derived, collision-free substream for one (method, l, trial) cell."""
     return np.random.SeedSequence([int(base_seed)] + [int(i) for i in indices])
+
+
+def _sweep(cells, one):
+    """The rows of ``one(*cell)`` for every cell of the list ``cells``, in cell
+    order, from :func:`worker_count` workers: the calling thread and as many
+    helper threads as remain. Call it inside ``blas_threads(1)``. Once a cell
+    raises, no further cell is claimed, and the exception of the first failed
+    cell in cell order is raised: the one a serial loop would raise."""
+    results, errors = [None] * len(cells), {}
+    claim, lock = iter(range(len(cells))), threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(claim, None)
+            if i is None:
+                return
+            try:
+                results[i] = one(*cells[i])
+            except BaseException as exc:  # re-raised below, on the calling thread
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(worker_count() - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return [row for chunk in results for row in chunk]
 
 
 # --- skeletonization accuracy -------------------------------------------------
@@ -115,6 +146,7 @@ def _select(method, A, l, seed):
     raise UnknownMethod(f"unknown method {method!r}")
 
 
+@blas_threads(1)
 def run_cur_accuracy(cfg):
     """Relative CUR errors versus the truncated-SVD baseline, per (method, l, trial)."""
     for m in cfg.methods:
@@ -139,6 +171,7 @@ def run_cur_accuracy(cfg):
 
     def one(method, l, trial):
         seed = _run_seed(cfg.seed, METHODS.index(method), l, trial)
+        q = 1 if method.endswith("1piter") else 0
         t0 = time.perf_counter_ns()
         try:
             sel = _select(method, A, l, seed)
@@ -149,14 +182,12 @@ def run_cur_accuracy(cfg):
             # the failure instead of aborting the sweep
             print(f"cur_accuracy: {method} l={l} trial={trial} failed "
                   f"[{type(exc).__name__}]: {exc}", file=sys.stderr)
-            q = 1 if method.endswith("1piter") else 0
             return [Row("cur_accuracy", method, cfg.matrix, l, q, trial,
                         "failed", 1.0, time.perf_counter_ns() - t0)]
         nanos = time.perf_counter_ns() - t0
         E = A - cur.reconstruct()
         err_fro = float(np.linalg.norm(E) / fro_A)
         err_spec = float(spectral_norm(E) / sigma[0])
-        q = 1 if method.endswith("1piter") else 0
         out = [
             Row("cur_accuracy", method, cfg.matrix, l, q, trial, "err_fro",
                 err_fro, nanos),
@@ -168,15 +199,8 @@ def run_cur_accuracy(cfg):
                            "eta_col", float(sel.eta_column), nanos))
         return out
 
-    cells = [(m, l, t) for m in cfg.methods for l in cfg.ranks
-             for t in range(cfg.trials)]
-    # the pool owns the cores: BLAS runs at 1 thread per worker, and the
-    # metric columns do not depend on the pool size
-    with blas_threads(1), ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(lambda c: one(*c), cells))
-    for chunk in results:  # pool.map preserves submission order
-        rows.extend(chunk)
-    return rows
+    return rows + _sweep([(m, l, t) for m in cfg.methods for l in cfg.ranks
+                          for t in range(cfg.trials)], one)
 
 
 # --- timing -------------------------------------------------------------------
@@ -279,6 +303,7 @@ def _angle_rows(base, side, series, values, nanos=0):
             for i, v in enumerate(np.asarray(values))]
 
 
+@blas_threads(1)
 def run_angles(cfg):
     """True angles against every bound/estimate family, per (l, q, trial).
 
@@ -291,83 +316,87 @@ def run_angles(cfg):
     A = bundle.dense()
     r = sigma.size
     k = cfg.k
-    rows = []
-    for l in cfg.ranks:
-        for q in cfg.qs:
-            for trial in range(cfg.trials):
-                seed = _run_seed(cfg.seed, l, q, trial)
-                t0 = time.perf_counter_ns()
-                lr = randomized_svd(A, l, q=q, seed=seed)
-                nanos = time.perf_counter_ns() - t0
-                base = ("angles", cfg.matrix, l, q, trial)
-                sig_pad = pad_spectrum(lr.sigma_hat, r)
-                true_left = canonical_angles(lr.U_hat, U0[:, :k])
-                true_right = canonical_angles(lr.V_hat, V0[:, :k])
-                rows += _angle_rows(base, "left", "true", true_left, nanos)
-                rows += _angle_rows(base, "right", "true", true_right, nanos)
+    U0k = U0[:, :k].copy()  # the rest of the bundle is not kept alive by a view
+    del bundle, U0
 
-                # projected embedding for the reference bound: the same
-                # operator the decomposition itself used, by seed identity
-                G = make_embedding("gaussian", l, A.shape[1], seed=seed).to_dense()
-                om1 = V0[:, :k].T @ G.T
-                om2 = V0[:, k:r].T @ G.T
-                res = posterior_residuals(A, lr, k)
+    def one(l, q, trial):
+        seed = _run_seed(cfg.seed, l, q, trial)
+        t0 = time.perf_counter_ns()
+        lr = randomized_svd(A, l, q=q, seed=seed)
+        nanos = time.perf_counter_ns() - t0
+        base = ("angles", cfg.matrix, l, q, trial)
+        sig_pad = pad_spectrum(lr.sigma_hat, r)
+        rows = _angle_rows(base, "left", "true", canonical_angles(lr.U_hat, U0k), nanos)
+        rows += _angle_rows(base, "right", "true", canonical_angles(lr.V_hat, V0[:, :k]),
+                            nanos)
+        res = posterior_residuals(A, lr, k)
+        del lr  # its factors are not needed past the residuals
 
-                for tag, spec in (("sigma", sigma), ("padded", sig_pad)):
-                    for side in ("left", "right"):
-                        pb = prior_space_agnostic(PriorBoundInputs(
-                            sigma=spec, k=k, l=l, q=q, side=side))
-                        rows += _angle_rows(base, side, f"prior_upper_{tag}", pb.upper)
-                        if pb.lower is not None:
-                            rows += _angle_rows(base, side, f"prior_lower_{tag}", pb.lower)
-                        est = unbiased_estimates(spec, k, l, q, cfg.estimate_trials,
-                                                 seed=_run_seed(cfg.seed, l, q, trial, 1),
-                                                 side=side)
-                        rows += _angle_rows(base, side, f"estimate_mean_{tag}", est.mean)
-                        rows += _angle_rows(base, side, f"estimate_min_{tag}", est.min)
-                        rows += _angle_rows(base, side, f"estimate_max_{tag}", est.max)
-                        rows += _angle_rows(base, side, f"posterior_residual_{tag}",
-                                            res.simple(spec, side))
-                        ref = prior_reference_bound(spec, k, l, q, om1, om2, side=side)
-                        rows += _angle_rows(base, side, f"reference_{tag}", ref)
-                    gap = res.gap(spec)
-                    rows += _angle_rows(base, "left", f"posterior_gap_{tag}",
-                                        np.minimum(gap.anglewise["Uk_Ul"], 1.0))
-                    rows += _angle_rows(base, "right", f"posterior_gap_{tag}",
-                                        np.minimum(gap.anglewise["Vk_Vl"], 1.0))
-                    rows.append(Row("angles", f"posterior_gap_{tag}", cfg.matrix,
-                                    l, q, trial, "gap_valid", float(gap.valid), 0))
-    return rows
+        # projected embedding for the reference bound: the same
+        # operator the decomposition itself used, by seed identity
+        G = make_embedding("gaussian", l, A.shape[1], seed=seed).to_dense()
+        om1 = V0[:, :k].T @ G.T
+        om2 = V0[:, k:r].T @ G.T
+        del G
+
+        for tag, spec in (("sigma", sigma), ("padded", sig_pad)):
+            for side in ("left", "right"):
+                pb = prior_space_agnostic(PriorBoundInputs(
+                    sigma=spec, k=k, l=l, q=q, side=side))
+                rows += _angle_rows(base, side, f"prior_upper_{tag}", pb.upper)
+                if pb.lower is not None:
+                    rows += _angle_rows(base, side, f"prior_lower_{tag}", pb.lower)
+                est = unbiased_estimates(spec, k, l, q, cfg.estimate_trials,
+                                         seed=_run_seed(cfg.seed, l, q, trial, 1),
+                                         side=side)
+                rows += _angle_rows(base, side, f"estimate_mean_{tag}", est.mean)
+                rows += _angle_rows(base, side, f"estimate_min_{tag}", est.min)
+                rows += _angle_rows(base, side, f"estimate_max_{tag}", est.max)
+                rows += _angle_rows(base, side, f"posterior_residual_{tag}",
+                                    res.simple(spec, side))
+                ref = prior_reference_bound(spec, k, l, q, om1, om2, side=side)
+                rows += _angle_rows(base, side, f"reference_{tag}", ref)
+            gap = res.gap(spec)
+            rows += _angle_rows(base, "left", f"posterior_gap_{tag}",
+                                np.minimum(gap.anglewise["Uk_Ul"], 1.0))
+            rows += _angle_rows(base, "right", f"posterior_gap_{tag}",
+                                np.minimum(gap.anglewise["Vk_Vl"], 1.0))
+            rows.append(Row("angles", f"posterior_gap_{tag}", cfg.matrix,
+                            l, q, trial, "gap_valid", float(gap.valid), 0))
+        return rows
+
+    return _sweep([(l, q, t) for l in cfg.ranks for q in cfg.qs
+                   for t in range(cfg.trials)], one)
 
 
 # --- oversampling / iteration balance -----------------------------------------
 
+@blas_threads(1)
 def run_balance(cfg):
     """phi over admissible q, plus measured angles per (l(q), q) configuration."""
-    rows = []
-    for gap in cfg.gaps:
+
+    def one(gap, trial):
         bal = BalanceConfig(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta,
                             gamma=cfg.gamma, gap=gap)
         matrix_id = f"step:k={cfg.k},gap={gap},beta={cfg.beta:g}"
         qs = bal.admissible_q()
+        rows = [] if trial else [
+            Row("balance", "phi", matrix_id, bal.sample_size(q), q, 0, "phi",
+                balance_phi(bal, q), 0) for q in qs]
+        bundle = realize_matrix(matrix_id,
+                                seed=_run_seed(cfg.seed, int(gap * 1000), trial, 99))
         for q in qs:
-            rows.append(Row("balance", "phi", matrix_id, bal.sample_size(q), q,
-                            0, "phi", balance_phi(bal, q), 0))
-        for trial in range(cfg.trials):
-            bundle = realize_matrix(matrix_id,
-                                    seed=_run_seed(cfg.seed, int(gap * 1000), trial, 99))
-            U0 = bundle.U
-            A = bundle.A
-            for q in qs:
-                l = bal.sample_size(q)
-                t0 = time.perf_counter_ns()
-                lr = randomized_svd(A, l, q=q,
-                                    seed=_run_seed(cfg.seed, int(gap * 1000), trial, q))
-                nanos = time.perf_counter_ns() - t0
-                sines = canonical_angles(lr.U_hat, U0[:, :cfg.k])
-                for name, v in (("sin_mean", sines.mean()),
-                                ("sin_min", sines.min()),
-                                ("sin_max", sines.max())):
-                    rows.append(Row("balance", "measured", matrix_id, l, q,
-                                    trial, name, float(v), nanos))
-    return rows
+            l = bal.sample_size(q)
+            t0 = time.perf_counter_ns()
+            lr = randomized_svd(bundle.A, l, q=q,
+                                seed=_run_seed(cfg.seed, int(gap * 1000), trial, q))
+            nanos = time.perf_counter_ns() - t0
+            sines = canonical_angles(lr.U_hat, bundle.U[:, :cfg.k])
+            for name, v in (("sin_mean", sines.mean()),
+                            ("sin_min", sines.min()),
+                            ("sin_max", sines.max())):
+                rows.append(Row("balance", "measured", matrix_id, l, q,
+                                trial, name, float(v), nanos))
+        return rows
+
+    return _sweep([(gap, t) for gap in cfg.gaps for t in range(cfg.trials)], one)

@@ -93,10 +93,8 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
         l = min(target_rank + DEFAULT_OVERSAMPLING, min(m, n))
     if not 1 <= l <= min(m, n):
         raise BadShape(f"need 1 <= l <= min(m,n), got l={l} for {m}x{n}")
-    omega = make_embedding(embedding_kind, l, n, seed=seed)
-    Q = power_iter_stable(A, omega, q)
-    B = A.rmatmat(Q)    # n x rank
-    f = svd_thin(B)     # B = f.U diag(f.sigma) f.V^T
+    Q = power_iter_stable(A, make_embedding(embedding_kind, l, n, seed=seed), q)
+    f = svd_thin(A.rmatmat(Q))  # A^T Q = f.U diag(f.sigma) f.V^T, freed before U_hat
     U_hat = Q @ f.V
     return LowRankSVD(U_hat=U_hat, sigma_hat=f.sigma, V_hat=f.U,
                       l=U_hat.shape[1], q=q, seed=seed,

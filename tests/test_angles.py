@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,20 @@ class TestPosteriorResiduals:
             assert rep.bounds == direct.bounds
             for key, val in direct.anglewise.items():
                 assert np.array_equal(rep.anglewise[key], val)
+
+    def test_peak_memory_of_one_call(self):
+        # the gap blocks die before the two m x n residuals are formed: the
+        # traced peak is one residual, its Fortran copy and the SVD workspace
+        m, n = 300, 200
+        A = np.random.default_rng(21).standard_normal((m, n))
+        lr = randomized_svd(A, 60, q=0, seed=22)
+        tracemalloc.start()
+        try:
+            posterior_residuals(A, lr, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m * n
 
 
 class TestRightVersusLeft:

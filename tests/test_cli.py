@@ -1,11 +1,16 @@
 import csv
 import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from randskel.bench.cli import run, parse_grid, load_config_file
+from randskel.bench.experiments import _sweep
+from randskel.errors import BadShape, RankDeficient
 
 
 def read_rows(path):
@@ -77,20 +82,6 @@ class TestCurAccuracy:
                               for r in rows]
         assert strip(rows_a) == strip(rows_b)
 
-    def test_metric_columns_independent_of_worker_count(self, tmp_path, monkeypatch):
-        args = ["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4,8",
-                "--methods", "rand-lupp,rsvd-deim,rsvd-ls", "--trials", "3",
-                "--seed", "11"]
-        monkeypatch.setenv("RANDSKEL_THREADS", "1")
-        assert run(args + ["--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.delenv("RANDSKEL_THREADS")
-        assert run(args + ["--out", str(tmp_path / "pooled")]) == 0
-        _, serial = read_rows(tmp_path / "serial" / "cur_accuracy.csv")
-        _, pooled = read_rows(tmp_path / "pooled" / "cur_accuracy.csv")
-        strip = lambda rows: [{k: v for k, v in r.items() if k != "nanos"}
-                              for r in rows]
-        assert strip(serial) == strip(pooled)
-
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         code = run(["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4",
                     "--methods", "does-not-exist", "--out", str(tmp_path)])
@@ -156,17 +147,129 @@ class TestCurAccuracy:
         assert "RANDSKEL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_thread_cap_not_read_by_poolless_commands(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RANDSKEL_THREADS", "abc")
-        code = run(["angles", "--matrix", "gauss:120x120,profile=slow,r=100",
-                    "--ranks", "20", "--q", "0", "--k", "10", "--trials", "1",
-                    "--estimate-trials", "2", "--out", str(tmp_path)])
-        assert code == 0
-
     def test_bad_rank_grid_exit_2(self, tmp_path):
         code = run(["cur-accuracy", "--matrix", TINY_SNN,
                     "--ranks", "8,4", "--out", str(tmp_path)])
         assert code == 2
+
+
+#: A small run of each pooled subcommand with several cells; the `angles` and
+#: `balance` inputs are large enough that their bits depend on the BLAS
+#: thread count unless the driver pins it.
+POOLED = {
+    "cur-accuracy": ["cur-accuracy", "--matrix", TINY_SNN, "--ranks", "4,8",
+                     "--methods", "rand-lupp,rsvd-deim,rsvd-ls", "--trials", "3",
+                     "--seed", "11"],
+    "angles": ["angles", "--matrix", "gauss:300x200,profile=slow,r=180", "--ranks", "20,30",
+               "--q", "0,1", "--k", "4", "--trials", "1", "--estimate-trials", "2",
+               "--seed", "5"],
+    "balance": ["balance", "--k", "4", "--alpha", "8", "--beta", "20", "--gamma", "1.05",
+                "--gaps", "1.01,1.5", "--trials", "2", "--seed", "2"],
+}
+
+
+def metric_columns(out, command):
+    _, rows = read_rows(out / f"{command.replace('-', '_')}.csv")
+    return [{k: v for k, v in r.items() if k != "nanos"} for r in rows]
+
+
+class TestPooledCommands:
+    @pytest.mark.parametrize("command", sorted(POOLED))
+    def test_metric_columns_independent_of_worker_count(self, command, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("RANDSKEL_THREADS", "1")
+        assert run(POOLED[command] + ["--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.delenv("RANDSKEL_THREADS")
+        assert run(POOLED[command] + ["--out", str(tmp_path / "pooled")]) == 0
+        assert (metric_columns(tmp_path / "serial", command)
+                == metric_columns(tmp_path / "pooled", command))
+
+    @pytest.mark.parametrize("command", ["angles", "balance"])
+    def test_metric_columns_independent_of_blas_environment(self, command, tmp_path):
+        from randskel.dense import blas_threads
+
+        for n in (1, 2):
+            with blas_threads(n):
+                assert run(POOLED[command] + ["--out", str(tmp_path / str(n))]) == 0
+        assert metric_columns(tmp_path / "1", command) == metric_columns(tmp_path / "2", command)
+
+    @pytest.mark.parametrize("command", ["angles", "balance"])
+    def test_non_integer_thread_cap_exit_2_before_any_work(self, command, tmp_path,
+                                                           monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setenv("RANDSKEL_THREADS", "abc")
+        monkeypatch.setattr(experiments, f"run_{command}",
+                            lambda cfg: pytest.fail("the sweep started"))
+        assert run(POOLED[command] + ["--out", str(tmp_path / "o")]) == 2
+        assert "RANDSKEL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_thread_cap_not_read_by_timing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RANDSKEL_THREADS", "abc")
+        assert run(["timing", "sketch", "--sizes", "128", "--ranks", "16", "--repeats", "1",
+                    "--n-fixed", "32", "--out", str(tmp_path)]) == 0
+
+
+class TestSweep:
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        from randskel.bench import experiments
+
+        def set_count(n):
+            monkeypatch.setattr(experiments, "worker_count", lambda: n)
+        return set_count
+
+    def test_every_cell_once_in_cell_order(self, workers):
+        workers(8)  # more workers than cores, switching threads often
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = _sweep([(i,) for i in range(2000)], lambda i: ran.append(i) or [i, -i])
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == [v for i in range(2000) for v in (i, -i)]
+        assert sorted(ran) == list(range(2000))
+
+    def test_caller_is_a_worker_and_one_worker_starts_no_thread(self, workers):
+        def one(i):
+            time.sleep(0.02)
+            return [(threading.get_ident(), threading.active_count())]
+
+        workers(2)
+        assert threading.get_ident() in {t for t, _ in _sweep([(0,), (1,)], one)}
+        workers(1)
+        before = threading.active_count()
+        assert _sweep([(0,), (1,)], one) == [(threading.get_ident(), before)] * 2
+
+    def test_first_failed_cell_in_order_is_raised(self, workers):
+        def one(i):
+            if i == 3:
+                time.sleep(0.05)  # fails after cell 7 has
+                raise RankDeficient("cell 3")
+            if i == 7:
+                raise BadShape("cell 7")
+            return [i]
+
+        workers(8)
+        with pytest.raises(RankDeficient, match="cell 3"):
+            _sweep([(i,) for i in range(10)], one)
+
+    def test_no_cell_claimed_after_a_failure(self, workers):
+        ran = []
+
+        def one(i):
+            ran.append(i)
+            time.sleep(0.005)
+            if i == 0:
+                raise RankDeficient("cell 0")
+            return [i]
+
+        workers(2)
+        with pytest.raises(RankDeficient):
+            _sweep([(i,) for i in range(50)], one)
+        assert len(ran) < 10
 
 
 class TestSvg:
@@ -274,6 +377,7 @@ class TestAngles:
                     "--out", str(tmp_path)])
         assert code == 3
         assert "BadShape" in capsys.readouterr().err
+        assert not (tmp_path / "angles.csv").exists()
 
     def test_matrix_too_large_exit_3(self, tmp_path, capsys):
         code = run(["angles", "--matrix", TINY_SNN, "--ranks", "8", "--q", "0",
@@ -297,6 +401,14 @@ class TestBalance:
         qs = sorted({int(r["param_q"]) for r in rows if r["metric"] == "phi"})
         meas_qs = sorted({int(r["param_q"]) for r in rows if r["metric"] == "sin_mean"})
         assert qs == meas_qs
+
+    def test_cell_error_exit_3_without_csv(self, tmp_path, capsys):
+        # alpha / gamma^2 < 1 admits no q: every cell raises InadmissibleQ
+        code = run(["balance", "--k", "4", "--alpha", "1", "--gamma", "1.05",
+                    "--trials", "2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "InadmissibleQ" in capsys.readouterr().err
+        assert not (tmp_path / "balance.csv").exists()
 
 
 class TestConfigFile:
