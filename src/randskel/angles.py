@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (as_matrix, qr_ortho, spectral_norm, spectral_norm_estimate, svd_thin,
-                    svdvals)
+from .dense import (as_matrix, lstsq_full_rank, qr_ortho, spectral_norm, spectral_norm_estimate,
+                    svd_thin, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -194,21 +194,20 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     bound_i = (1 + s_i^p / (s_{k+1}^p ||Omega2 Omega1^+||_2^2))^(-1/2) with
     p = 4q+2 (left) or 4q+4 (right). ``omega1`` is k x l (the embedding
     projected onto the leading right subspace) and ``omega2`` the tail
-    projection; synthetic matrices with known factors can supply both.
+    projection, with ``l`` columns; synthetic matrices with known factors
+    can supply both. ``omega1`` must have numerically full row rank.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
     _check_side(side)
-    if omega1.shape != (k, l):
-        raise ShapeMismatch(f"omega1 must be {k}x{l}, got {omega1.shape}")
+    if omega1.shape != (k, l) or omega2.shape[1] != l:
+        raise ShapeMismatch(f"omega1 must be {k}x{l} and omega2 have {l} columns, "
+                            f"got {omega1.shape} and {omega2.shape}")
     if sigma.size <= k:
         raise EmptyTail(f"need a spectrum longer than k={k}")
     p = 4 * q + 2 if side == "left" else 4 * q + 4
-    W, *_ = np.linalg.lstsq(omega1.T, omega2.T, rcond=None)
-    if np.linalg.matrix_rank(omega1) < k:
-        raise SingularOmega1("projected embedding lost row rank")
-    cross = spectral_norm(W)
+    cross = spectral_norm(lstsq_full_rank(omega1.T, omega2.T, SingularOmega1, "omega1^T"))
     head = (sigma[:k] / sigma[k]) ** p
     if cross == 0.0:
         return np.zeros(k)

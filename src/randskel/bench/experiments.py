@@ -26,11 +26,12 @@ from ..angles import (
     BalanceConfig,
     balance_phi,
 )
-from ..dense import blas_threads, cpqr, lupp, qr_ortho, spectral_norm, svd_thin
+from ..dense import blas_threads, qr_ortho, spectral_norm, svd_thin
 from ..errors import RandskelError, RankDeficient, UnknownMethod
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
 from ..skeleton import (
+    _column_pivots,
     build_cur_stable,
     select_columns_cpqr,
     select_columns_lupp,
@@ -217,7 +218,8 @@ def _time_ns(fn, repeats):
 def run_timing_pivot(cfg):
     """Wall times of the pivoting schemes on a precomputed sketch.
 
-    The LU and QR schemes pivot the given l x n row sketch directly; the
+    Each scheme runs the kernels its selector runs. The LU and QR schemes
+    pivot the given l x n row sketch directly, forming no factors; the
     singular-vector scheme first orthonormalizes a column sketch, projects,
     and decomposes before pivoting, so it pays an extra m*n*l product.
     Repeats run sequentially in-process.
@@ -230,17 +232,16 @@ def run_timing_pivot(cfg):
             A = rng.standard_normal((n, n))
             X = make_embedding("gaussian", l, n, seed=_run_seed(cfg.seed, n, l, 1)).apply(A)
             Y = A @ make_embedding("gaussian", l, n, seed=_run_seed(cfg.seed, n, l, 2)).to_dense().T
-            Xt = np.ascontiguousarray(X.T)
 
             def deim_pipeline():
                 Q = qr_ortho(Y)
                 B = Q.T @ A
                 f = svd_thin(B)
-                lupp(f.V)
+                _column_pivots("lupp", f.V.T, l)
 
             timings = {
-                "lupp": _time_ns(lambda: lupp(Xt), cfg.repeats),
-                "cpqr": _time_ns(lambda: cpqr(X), cfg.repeats),
+                "lupp": _time_ns(lambda: _column_pivots("lupp", X, l), cfg.repeats),
+                "cpqr": _time_ns(lambda: _column_pivots("cpqr", X, l), cfg.repeats),
                 "deim": _time_ns(deim_pipeline, cfg.repeats),
             }
             matrix_id = f"dense:{n}x{n}"

@@ -13,7 +13,7 @@ that is a dense decomposition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class MatrixBundle:
     U: np.ndarray | None = None
     sigma: np.ndarray | None = None
     V: np.ndarray | None = None
-    _svd_cache: object = field(default=None, repr=False)
 
     @property
     def shape(self):
@@ -60,11 +59,9 @@ class MatrixBundle:
                 f"exact SVD of {m}x{n} exceeds the cap of {max_dim}; "
                 f"raise --max-exact-dim to allow it"
             )
-        if self._svd_cache is None:
-            f = svd_thin(self.dense())
-            rank = f.rank
-            self._svd_cache = (f.U[:, :rank], f.sigma[:rank], f.V[:, :rank])
-        return self._svd_cache
+        f = svd_thin(self.dense())
+        rank = f.rank
+        return f.U[:, :rank], f.sigma[:rank], f.V[:, :rank]
 
 
 def _parse_kv(parts, spec):

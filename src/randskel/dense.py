@@ -1,20 +1,22 @@
 """Dense factorization kernels and the operator adapter.
 
 Thin wrappers over LAPACK that add the rank checks, pivot bookkeeping, and
-error contracts the rest of the library relies on. The SVD runs through
-numpy; the rest (QR, LU, pivoted QR, triangular solves, values-only SVD)
-makes the calls of scipy's wrappers, with their bits, through ctypes, which
-releases the GIL. One kernel has one body: :func:`_lapack` alone knows where
-LAPACK lives. It is numpy's bundled OpenBLAS, or, where numpy bundles none,
+error contracts the rest of the library relies on. Every factorization and
+solve of the library runs here, none through ``np.linalg``: each makes the
+calls of scipy's wrappers, with their bits, through ctypes, which releases
+the GIL. One kernel has one body: :func:`_lapack` alone knows where LAPACK
+lives. It is numpy's bundled OpenBLAS, or, where numpy bundles none,
 scipy's, a second runtime with its own threads.
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
-* :func:`svd_thin` -- economy SVD with a numerical-rank report,
-* :func:`svdvals` -- singular values only, by the ``dgesdd`` call of numpy's
-  values-only SVD, with the GIL released (numpy holds it for the whole
-  LAPACK call), so threads computing spectra overlap; :func:`spectral_norm`
-  reads ``||M||_2`` off it,
+* :func:`lstsq_full_rank` -- ``M^+ B`` for a full-column-rank ``M``, by a
+  rank-checked QR and a triangular solve,
+* :func:`svd_thin` -- economy SVD with a numerical-rank report, and
+  :func:`svdvals` -- singular values only: both one ``dgesdd`` call
+  (:func:`_gesdd`), numpy's, with its bits and layout, but with the GIL
+  released (numpy holds it for the whole LAPACK call), so threads computing
+  spectra overlap; :func:`spectral_norm` reads ``||M||_2`` off ``svdvals``,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`solve_upper` -- solve with an upper-triangular matrix,
@@ -174,6 +176,14 @@ def qr_checked(M, error=RankDeficient, name="M"):
     return q, r
 
 
+def lstsq_full_rank(M, B, error=RankDeficient, name="M"):
+    """``M^+ B`` (Fortran-ordered) by :func:`qr_checked` and :func:`solve_upper`,
+    with no pseudoinverse formed; raises ``error`` unless ``M`` is numerically
+    full column rank."""
+    q, r = qr_checked(M, error, name)
+    return solve_upper(r, q.T @ B)
+
+
 @dataclass(frozen=True)
 class PivotedLU:
     """Row-pivoted LU of a tall matrix: ``M[perm] = L @ U``.
@@ -242,13 +252,10 @@ def orth(M):
 
 
 def svd_thin(M):
-    """Economy SVD of ``M`` as a :class:`ThinSVD`."""
-    M = as_matrix(M, "M")
-    try:
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # LAPACK iteration cap exceeded
-        raise ConvergenceFailure(str(exc)) from exc
-    return ThinSVD(U=u, sigma=s, V=vt.T)
+    """Economy SVD of ``M`` as a :class:`ThinSVD`, by :func:`_gesdd`, in numpy's
+    layout (C-ordered ``U`` and ``V^T``), which decides how later products round."""
+    u, sigma, vt = _gesdd(as_matrix(M, "M"), vectors=True)
+    return ThinSVD(U=np.ascontiguousarray(u), sigma=sigma, V=np.ascontiguousarray(vt).T)
 
 
 def _openblas_libs(pkg):
@@ -301,7 +308,8 @@ class _Routine:
 
     def __call__(self, *args):
         """Every argument but the final ``INFO``, which is returned: ints by
-        reference, arrays as their data pointers, characters as bytes."""
+        reference, arrays as their data pointers, characters as bytes, None
+        as a null pointer."""
         info = self.c_int(0)
         self.function(*[ctypes.byref(self.c_int(a)) if isinstance(a, int)
                         else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args],
@@ -385,28 +393,32 @@ def _cpqr_pivots(M):
     return perm.astype(np.intp) - 1, _detected_rank(np.diag(a), max(M.max(), -M.min())), a, tau
 
 
-def svdvals(M):
-    """Singular values of ``M``, nonincreasing; empty when ``M`` is.
-
-    One LAPACK ``dgesdd`` with ``jobz='N'`` on a Fortran-ordered copy, with
-    the workspace it asks for, through ctypes with the GIL released, where
-    numpy's values-only SVD (``compute_uv=False``) holds it for the whole
-    call. In numpy's bundled LAPACK this is numpy's call, with numpy's bits;
-    where numpy bundles none, it is scipy's ``dgesdd``, with scipy's bits.
+def _gesdd(M, vectors):
+    """``(U, sigma, V^T)`` of a finite real ``M`` by numpy's one ``dgesdd`` call
+    on a Fortran-ordered copy, with the workspace it asks for, through ctypes
+    with the GIL released, where numpy holds it for the whole call; the bits
+    are numpy's, or scipy's where numpy bundles no LAPACK. ``jobz='S'`` with
+    ``vectors`` (Fortran-ordered economy factors, of numpy's shapes when
+    ``M`` is empty), else ``jobz='N'``, and ``U`` and ``V^T`` are None.
     """
-    M = as_matrix(M, "M")
     m, n = M.shape
-    if min(m, n) == 0:
-        return np.zeros(0)
-    gesdd = _lapack("dgesdd")
-    a = np.array(M, order="F")  # dgesdd overwrites it
-    s = np.empty(min(m, n))
-    iwork = np.empty(8 * min(m, n), dtype=gesdd.int)
-    unused = np.empty(1)  # U and VT, which jobz='N' does not reference
-    info = _with_workspace(gesdd, b"N", m, n, a, m, s, unused, 1, unused, 1, after=(iwork,))
-    if info != 0:
-        raise ConvergenceFailure(f"dgesdd did not converge (info={info})")
-    return s
+    k = min(m, n)
+    s = np.empty(k)
+    # jobz='N' references neither factor, so they may be null
+    u, vt = (np.empty((m, k), order="F"), np.empty((k, n), order="F")) if vectors else (None,) * 2
+    if k:
+        gesdd = _lapack("dgesdd")
+        a = np.array(M, dtype=np.float64, order="F")  # dgesdd overwrites it
+        info = _with_workspace(gesdd, b"S" if vectors else b"N", m, n, a, m, s, u, m, vt, k,
+                               after=(np.empty(8 * k, dtype=gesdd.int),))
+        if info != 0:
+            raise ConvergenceFailure(f"dgesdd did not converge (info={info})")
+    return u, s, vt
+
+
+def svdvals(M):
+    """Singular values of ``M``, nonincreasing, by a values-only :func:`_gesdd`."""
+    return _gesdd(as_matrix(M, "M"), vectors=False)[1]
 
 
 def spectral_norm(M):

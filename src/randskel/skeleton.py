@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_cpqr_pivots, _lu_pivots, as_matrix, as_operator, qr_checked, solve_upper,
-                    spectral_norm)
+from .dense import (_cpqr_pivots, _lu_pivots, as_matrix, as_operator, lstsq_full_rank,
+                    qr_checked, spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -126,18 +126,13 @@ def posterior_eta(X, J_s):
 
     This is the computable multiplier relating the skeleton error to the
     range-approximation error of X; cost O(l^2 (n - l)) plus one small SVD.
-    An empty skeleton gives 1.0: ``X1^+ X2`` is then an empty matrix.
+    An empty ``X1`` or ``X2`` gives 1.0: ``X1^+ X2`` is then an empty matrix.
     """
     X = as_matrix(X, "X")
     J_s = _index_vector(J_s, X.shape[1], "J_s")
     mask = np.ones(X.shape[1], dtype=bool)
     mask[J_s] = False
-    X1 = X[:, J_s]
-    X2 = X[:, mask]
-    q1, r1 = qr_checked(X1, SingularPivotBlock, "pivot block")
-    if X2.shape[1] == 0 or J_s.size == 0:
-        return 1.0
-    Z = solve_upper(r1, q1.T @ X2)
+    Z = lstsq_full_rank(X[:, J_s], X[:, mask], SingularPivotBlock, "pivot block")
     return float(np.sqrt(1.0 + spectral_norm(Z) ** 2))
 
 
@@ -328,20 +323,20 @@ def streaming_interp_coeffs(result):
     """Estimate the column-ID coefficients from the row sketch alone.
 
     Returns ``X1^+ X`` where ``X1 = X[:, J_s]`` -- an approximation of the
-    exact coefficients that avoids a second pass over the input.
+    exact coefficients that avoids a second pass over the input. ``X1`` has
+    full column rank: the pivots are cut at the detected rank.
     """
     if result.X is None:
         raise BadShape("result carries no row sketch")
-    X1 = result.X[:, result.J_s]
-    coeffs, *_ = np.linalg.lstsq(X1, result.X, rcond=None)
-    return coeffs
+    return lstsq_full_rank(result.X[:, result.J_s], result.X, SingularPivotBlock, "pivot block")
 
 
 def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
     """One-pass middle-factor estimate ``C S^{-1} R``.
 
     Disabled by default: inverting the skeleton block trades away both
-    accuracy and stability, so callers must opt in explicitly.
+    accuracy and stability, so callers must opt in explicitly. ``S`` must be
+    square, fit ``C`` and ``R``, and be numerically nonsingular.
     """
     if not allow_unstable:
         raise BadShape(
@@ -351,17 +346,10 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
     C = as_matrix(C, "C")
     S = as_matrix(S, "S")
     R = as_matrix(R, "R")
-    try:
-        mid = np.linalg.solve(S, R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSkeleton(str(exc)) from exc
-    return C @ mid
-
-
-def _interp_from_basis(M, target):
-    """M^+ @ target through a QR of M (no explicit pseudoinverse)."""
-    q, r = qr_checked(M, SingularSkeleton, "skeleton")
-    return solve_upper(r, q.T @ target)
+    l = S.shape[0]
+    if S.shape != (l, l) or C.shape[1] != l or R.shape[0] != l:
+        raise ShapeMismatch(f"need C m x l, S l x l, R l x n; got {C.shape}, {S.shape}, {R.shape}")
+    return C @ lstsq_full_rank(S, R, SingularSkeleton, "skeleton block")
 
 
 def build_column_id(A, J_s):
@@ -369,7 +357,7 @@ def build_column_id(A, J_s):
     A = as_matrix(A, "A")
     J_s = _index_vector(J_s, A.shape[1], "J_s")
     C = A[:, J_s]
-    coeffs = _interp_from_basis(C, A)
+    coeffs = lstsq_full_rank(C, A, SingularSkeleton, "skeleton")
     return ColumnID(J_s=J_s, coeffs=coeffs)
 
 
@@ -378,7 +366,7 @@ def build_row_id(A, I_s):
     A = as_matrix(A, "A")
     I_s = _index_vector(I_s, A.shape[0], "I_s")
     R = A[I_s, :]
-    coeffs = _interp_from_basis(R.T, A.T).T
+    coeffs = lstsq_full_rank(R.T, A.T, SingularSkeleton, "skeleton").T
     return RowID(I_s=I_s, coeffs=coeffs)
 
 
@@ -395,11 +383,8 @@ def build_two_sided_id(A, I_s, J_s):
         raise ShapeMismatch("two-sided skeleton needs |I_s| = |J_s|")
     C = A[:, J_s]
     S = C[I_s, :]
-    right = _interp_from_basis(C, A)
-    try:
-        left = np.linalg.solve(S.T, C.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularSkeleton(f"skeleton block singular: {exc}") from exc
+    right = lstsq_full_rank(C, A, SingularSkeleton, "skeleton")
+    left = lstsq_full_rank(S.T, C.T, SingularSkeleton, "skeleton block").T
     return TwoSidedID(I_s=I_s, J_s=J_s, left=left, S=S, right=right)
 
 

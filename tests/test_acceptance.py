@@ -71,10 +71,11 @@ _matrix_cache = {}
 
 
 def cached_matrix(spec, seed):
+    """The realized bundle, its exact factors computed once and stored on it."""
     key = (spec, seed)
     if key not in _matrix_cache:
         bundle = realize_matrix(spec, seed=seed)
-        bundle.exact_factors()
+        bundle.U, bundle.sigma, bundle.V = bundle.exact_factors()
         _matrix_cache[key] = bundle
     return _matrix_cache[key]
 

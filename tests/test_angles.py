@@ -26,6 +26,8 @@ from randskel.errors import (
     BadShape,
     DistortionOutOfRange,
     InadmissibleQ,
+    ShapeMismatch,
+    SingularOmega1,
     TailRankDeficient,
 )
 from randskel.bench.cli import ExperimentConfig
@@ -144,6 +146,18 @@ class TestReferenceBound:
         got = prior_reference_bound(sigma, k, l, 0, om1, om2)
         assert np.allclose(got, 1 / np.sqrt(2))
 
+    def test_omega2_width_mismatch(self):
+        sigma = np.ones(10)
+        with pytest.raises(ShapeMismatch):
+            prior_reference_bound(sigma, 2, 4, 0, np.eye(2, 4), np.zeros((8, 5)))
+
+    def test_rank_deficient_omega1(self):
+        rng = np.random.default_rng(3)
+        om1 = rng.standard_normal((3, 6))
+        om1[2] = om1[0]  # duplicate rows: rank 2 of k = 3
+        with pytest.raises(SingularOmega1):
+            prior_reference_bound(np.ones(10), 3, 6, 0, om1, rng.standard_normal((7, 6)))
+
     def test_agnostic_tighter_on_synthetic(self):
         # the spectrum-sum denominator beats sigma_{k+1} ||.||^2 for >= 90%
         # of indices on a decaying synthetic spectrum
@@ -156,6 +170,10 @@ class TestReferenceBound:
             om1 = V0[:, :k].T @ G.T
             om2 = V0[:, k:].T @ G.T
             ref = prior_reference_bound(sigma, k, l, q, om1, om2)
+            # oracle: the formula with numpy's SVD-based least squares
+            cross = np.linalg.norm(np.linalg.lstsq(om1.T, om2.T, rcond=None)[0], 2)
+            want = 1.0 / np.sqrt(1.0 + (sigma[:k] / sigma[k]) ** (4 * q + 2) / cross ** 2)
+            assert np.allclose(ref, want, rtol=1e-13, atol=0)
             ag = prior_space_agnostic(
                 PriorBoundInputs(sigma=sigma, k=k, l=l, q=q)).upper
             wins += int((ref >= ag).sum())

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import ctypes
 import pathlib
 import types
@@ -131,7 +132,16 @@ def _svdvals_inputs():
         "rank-deficient": rng.standard_normal((80, 5)) @ rng.standard_normal((5, 60)),
         "zero": np.zeros((30, 20)),
         "empty": np.zeros((0, 4)),
+        "n=0": np.zeros((4, 0)),
+        "blocked": rng.standard_normal((500, 500)),  # past dgebrd's blocking crossover
     }
+
+
+def _same_array(got, want):
+    """Same bits, shape, dtype and memory order."""
+    return (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.flags.f_contiguous == want.flags.f_contiguous)
 
 
 class TestSvdvals:
@@ -141,6 +151,13 @@ class TestSvdvals:
         got, want = svdvals(M), np.linalg.svd(M, compute_uv=False)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
+        # svd_thin: numpy's bits and layout (C-ordered U and V^T), at the
+        # default BLAS thread count and at one thread
+        for threads in (contextlib.nullcontext(), blas_threads(1)):
+            with threads:
+                f = svd_thin(M)
+                u, s, vt = np.linalg.svd(M, full_matrices=False)
+            assert _same_array(f.U, u) and _same_array(f.sigma, s) and _same_array(f.V, vt.T)
 
     def test_runs_in_numpy_lapack(self):
         # numpy's wheels bundle an ILP64 OpenBLAS; scipy's LP64 one is not loaded
@@ -151,6 +168,9 @@ class TestSvdvals:
         for name, M in _svdvals_inputs().items():
             want = sla.svd(M, compute_uv=False, check_finite=False)
             assert np.array_equal(svdvals(M), want), name
+            f = svd_thin(M)
+            u, s, vt = sla.svd(M, full_matrices=False, check_finite=False)
+            assert _bitwise(f.U, u) and _bitwise(f.sigma, s) and _bitwise(f.V, vt.T), name
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, value):
@@ -163,11 +183,16 @@ class TestSvdvals:
         rng = np.random.default_rng(41)
         inputs = [rng.standard_normal((rng.integers(20, 90), rng.integers(20, 90)))
                   for _ in range(40)]
+
+        def factors(M):
+            f = svd_thin(M)
+            return svdvals(M), f.U, f.sigma, f.V
+
         with blas_threads(1):
-            serial = [svdvals(M) for M in inputs]
+            serial = [factors(M) for M in inputs]
             with ThreadPoolExecutor(max_workers=2) as pool:
-                pooled = list(pool.map(svdvals, inputs))
-        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+                pooled = list(pool.map(factors, inputs))
+        assert all(np.array_equal(a, b) for s, p in zip(serial, pooled) for a, b in zip(s, p))
 
 
 class TestBlasThreads:

@@ -12,7 +12,17 @@ import pytest
 
 import randskel
 from randskel import (
+    canonical_angles,
+    canonical_angles_cos,
+    estimate_cur_from_skeletons,
+    make_gaussian,
     make_srtt,
+    posterior_eta,
+    prior_reference_bound,
+    select_leverage,
+    select_streaming,
+    streaming_interp_coeffs,
+    unbiased_estimates,
     posterior_gap,
     posterior_residuals,
     posterior_simple,
@@ -32,6 +42,8 @@ from randskel import (
 )
 from randskel.errors import BadShape
 from randskel.bench.cli import run
+from randskel.bench.experiments import METHODS
+from randskel.dense import svdvals
 from oracles import dht_matrix, random_matrix
 
 
@@ -207,3 +219,43 @@ print([get() for _, get in _blas_runtimes()] == before)
     assert proc.returncode == 0, proc.stderr
     numpy_only, both, restored = proc.stdout.splitlines()
     assert numpy_only == "[1]" and both == "[1, 1]" and restored == "True"
+
+
+def test_no_numpy_linalg_solver_at_run_time(monkeypatch, tmp_path):
+    # every factorization and solve goes through randskel.dense; numpy's
+    # solvers, which hold the GIL and may run in another LAPACK runtime, raise
+    def forbid(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    A = random_matrix(np.random.default_rng(12), 40, 30, spectrum=np.logspace(0, -3, 20))
+    for name in ("svd", "solve", "lstsq", "matrix_rank", "pinv", "inv", "qr"):
+        monkeypatch.setattr(np.linalg, name, forbid(name))
+    for select in (select_columns_lupp, select_columns_cpqr, select_deim):
+        sel = select(A, 6, 1, seed=13)
+        build_column_id(A, sel.J_s), build_row_id(A, sel.I_s)
+        build_two_sided_id(A, sel.I_s, sel.J_s), build_cur_stable(A, sel.I_s, sel.J_s)
+        posterior_eta(sel.X, sel.J_s)
+        estimate_cur_from_skeletons(A[:, sel.J_s], A[np.ix_(sel.I_s, sel.J_s)], A[sel.I_s],
+                                    allow_unstable=True)
+    select_leverage(A, 4, 6, seed=14)
+    stream = select_streaming([A[:, :17], A[:, 17:]], 6, seed=15, m=40, n=30)
+    streaming_interp_coeffs(stream)
+    lr = randomized_svd(A, 8, q=1, seed=16)
+    sigma = svdvals(A)
+    posterior_simple(A, lr.U_hat, sigma, 4), posterior_gap(A, lr, sigma, 4)
+    posterior_residuals(A, lr, 4), rangefinder_error(A, stream.X)
+    canonical_angles(lr.U_hat, A[:, :4]), canonical_angles_cos(lr.U_hat, A[:, :4])
+    unbiased_estimates(sigma, 4, 8, 1, 2, seed=17)
+    G = make_gaussian(8, 30, seed=18).to_dense()
+    V = randomized_svd(A, 20, seed=19).V_hat
+    prior_reference_bound(sigma, 4, 8, 0, V[:, :4].T @ G.T, V[:, 4:].T @ G.T)
+    for args in (["cur-accuracy", "--matrix", "snn:40x40,r=40,a=2,r1=10,density=0.3",
+                  "--ranks", "4", "--methods", ",".join(METHODS), "--trials", "1"],
+                 ["angles", "--matrix", "gauss:60x50,profile=slow,r=40", "--ranks", "12",
+                  "--q", "0,1", "--k", "4", "--trials", "1", "--estimate-trials", "2"],
+                 ["balance", "--k", "3", "--alpha", "6", "--beta", "6", "--gaps", "1.3",
+                  "--trials", "1"],
+                 ["timing", "pivot", "--sizes", "64", "--ranks", "16", "--repeats", "1"]):
+        assert run(args + ["--seed", "0", "--out", str(tmp_path / args[0])]) == 0, args

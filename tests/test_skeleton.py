@@ -25,6 +25,7 @@ from randskel.errors import (
     BadShape,
     DegenerateDistribution,
     RankDeficient,
+    ShapeMismatch,
     SingularSkeleton,
     StreamExhausted,
 )
@@ -424,6 +425,21 @@ class TestBuilders:
         R = A[:3, :]
         out = estimate_cur_from_skeletons(C, S, R, allow_unstable=True)
         assert out.shape == (10, 10)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (4, 3)], ids=["wide", "tall"])
+    def test_unstable_estimate_needs_square_block(self, rows, cols):
+        A = np.random.default_rng(36).standard_normal((10, 10))
+        with pytest.raises(ShapeMismatch):
+            estimate_cur_from_skeletons(A[:, :cols], A[:rows, :cols], A[:rows, :],
+                                        allow_unstable=True)
+
+    def test_two_sided_near_singular_block_raises(self):
+        # S = A[I_s, J_s] is singular to 1e-14 relative while C has full rank
+        rng = np.random.default_rng(38)
+        A = rng.standard_normal((8, 6))
+        A[1, :] = A[0, :] + 1e-14 * rng.standard_normal(6)
+        with pytest.raises(SingularSkeleton):
+            build_two_sided_id(A, [0, 1], [2, 3])
 
 
 _A6x5 = np.random.default_rng(37).standard_normal((6, 5))
