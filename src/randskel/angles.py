@@ -12,7 +12,10 @@ m x n residuals ``(I - U_hat U_hat^T) A`` and ``A (I - V_hat V_hat^T)``, so a
 spectrum and both families when measured once by :func:`posterior_residuals`.
 The rest is O(mnl) products, norms of m x l blocks and arithmetic on the
 spectrum. :func:`posterior_simple` and :func:`posterior_gap` each measure
-afresh, at one such SVD per call.
+afresh, at one such SVD per call. A trial of :func:`unbiased_estimates` costs
+one QR of an (r-k) x l weighted tail block, a triangular solve and a
+values-only k x l SVD; its rank test is the library's one rule, each |R_ii|
+against ``RANK_RTOL * ||w2||_F`` (:func:`randskel.dense.qr_checked`).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (as_matrix, lstsq_full_rank, qr_ortho, spectral_norm, spectral_norm_estimate,
-                    svd_thin, svdvals)
+from .dense import (as_matrix, lstsq_full_rank, qr_checked, qr_ortho, solve_upper, spectral_norm,
+                    spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -33,11 +36,30 @@ from .errors import (
     TailRankDeficient,
 )
 from .rangefinder import LowRankSVD
+from .sketch import _as_seed_sequence
 
 
 def _check_side(side):
     if side not in ("left", "right"):
         raise BadShape(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _exponent(q, side):
+    """Spectrum power behind the angles after ``q`` power iterations: 4q+2 (left)
+    or 4q+4 (right, whose factor absorbs an extra half iteration)."""
+    _check_side(side)
+    return 4 * q + 2 if side == "left" else 4 * q + 4
+
+
+def _orthonormal_bases(U, V):
+    """``(Q_U, Q_V)`` for bases ``U`` (d x a) and ``V`` (d x b) with a >= b."""
+    U = as_matrix(U, "U")
+    V = as_matrix(V, "V")
+    if U.shape[0] != V.shape[0]:
+        raise ShapeMismatch("subspace bases live in different dimensions")
+    if U.shape[1] < V.shape[1]:
+        raise BadShape("first basis must span the larger subspace (a >= b)")
+    return qr_ortho(U), qr_ortho(V)
 
 
 def canonical_angles(U, V):
@@ -48,25 +70,13 @@ def canonical_angles(U, V):
     ``(I - Q_U Q_U^T) Q_V`` (accurate near zero angles); see
     :func:`canonical_angles_cos` for the cosine-route cross-check.
     """
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    if U.shape[0] != V.shape[0]:
-        raise ShapeMismatch("subspace bases live in different dimensions")
-    if U.shape[1] < V.shape[1]:
-        raise BadShape("first basis must span the larger subspace (a >= b)")
-    Qu = qr_ortho(U)
-    Qv = qr_ortho(V)
-    W = Qv - Qu @ (Qu.T @ Qv)
-    s = svdvals(W)
-    return np.clip(s[::-1], 0.0, 1.0)
+    Qu, Qv = _orthonormal_bases(U, V)
+    return np.clip(svdvals(Qv - Qu @ (Qu.T @ Qv))[::-1], 0.0, 1.0)
 
 
 def canonical_angles_cos(U, V):
     """Same angles via cosines sigma_i(Q_U^T Q_V); loses accuracy near zero."""
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    Qu = qr_ortho(U)
-    Qv = qr_ortho(V)
+    Qu, Qv = _orthonormal_bases(U, V)
     c = np.clip(svdvals(Qu.T @ Qv), 0.0, 1.0)
     return np.sqrt(np.clip(1.0 - c ** 2, 0.0, 1.0))
 
@@ -104,7 +114,7 @@ class PriorBoundInputs:
     """Spectrum-only inputs for the prior probabilistic angle bounds.
 
     ``side`` selects the exponent: "left" uses 4q+2, "right" uses 4q+4
-    (the right factor absorbs an extra half power iteration).
+    (:func:`_exponent`).
     Upper-bound distortions ``eps1``/``eps2`` default to sqrt(k/l) and
     sqrt(l/(r-k)); lower-bound ones default to twice that.
     """
@@ -131,14 +141,10 @@ class PriorBoundInputs:
         if self.q < 0:
             raise BadShape(f"q must be >= 0, got {self.q}")
         e1, e2 = default_distortions(self.k, self.l, r)
-        if self.eps1 is None:
-            object.__setattr__(self, "eps1", e1)
-        if self.eps2 is None:
-            object.__setattr__(self, "eps2", e2)
-        if self.eps1_lower is None:
-            object.__setattr__(self, "eps1_lower", 2 * e1)
-        if self.eps2_lower is None:
-            object.__setattr__(self, "eps2_lower", 2 * e2)
+        for name, default in (("eps1", e1), ("eps2", e2),
+                              ("eps1_lower", 2 * e1), ("eps2_lower", 2 * e2)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("eps1", "eps2"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -153,7 +159,7 @@ class PriorBoundInputs:
 
     @property
     def exponent(self):
-        return 4 * self.q + 2 if self.side == "left" else 4 * self.q + 4
+        return _exponent(self.q, self.side)
 
 
 @dataclass(frozen=True)
@@ -200,13 +206,12 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     sigma = np.asarray(sigma, dtype=np.float64)
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
-    _check_side(side)
+    p = _exponent(q, side)
     if omega1.shape != (k, l) or omega2.shape[1] != l:
         raise ShapeMismatch(f"omega1 must be {k}x{l} and omega2 have {l} columns, "
                             f"got {omega1.shape} and {omega2.shape}")
     if sigma.size <= k:
         raise EmptyTail(f"need a spectrum longer than k={k}")
-    p = 4 * q + 2 if side == "left" else 4 * q + 4
     cross = spectral_norm(lstsq_full_rank(omega1.T, omega2.T, SingularOmega1, "omega1^T"))
     head = (sigma[:k] / sigma[k]) ** p
     if cross == 0.0:
@@ -227,14 +232,21 @@ class EstimateReport:
 def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     """Unbiased Monte-Carlo estimates of E[sin angle_i] from the spectrum.
 
-    Per trial: draw a Gaussian test matrix, weight its leading/trailing row
-    blocks by the spectrum to powers 2q+1 (left) or 2q+2 (right), and read
-    the angles off the singular values of the weighted quotient. Requires
-    r - k >= l so the tail block keeps full rank.
+    Per trial: draw a Gaussian test matrix, weight its leading k x l and
+    trailing (r-k) x l row blocks ``w1``, ``w2`` by the spectrum to the power
+    2q+1 (left) or 2q+2 (right), and read the sines ``(1 + nu^2)^(-1/2)`` off
+    the singular values ``nu`` of ``w1 w2^+``, those of ``w1 R^{-1}`` for
+    ``w2 = Q R``. A trial costs one QR of the tail block, a triangular solve
+    and a values-only k x l SVD. The tail block must have full column rank
+    (every |R_ii| >= ``RANK_RTOL * ||w2||_F``, :func:`~randskel.dense.qr_checked`),
+    so r - k >= l; else :class:`TailRankDeficient`. ``sigma`` must be a finite
+    vector with ``sigma[0] > 0``.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
+    half_p = _exponent(q, side) // 2
+    if sigma.ndim != 1 or not (np.isfinite(sigma).all() and (sigma[:1] > 0).all()):
+        raise BadShape("sigma must be a finite vector with sigma[0] > 0")
     r = sigma.size
-    _check_side(side)
     if not k < l:
         raise BadShape(f"need k < l, got k={k}, l={l}")
     if r <= k:
@@ -242,28 +254,16 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     if n_trials < 1:
         raise BadShape(f"n_trials must be >= 1, got {n_trials}")
     if r - k < l:
-        raise TailRankDeficient(
-            f"estimator needs r - k >= l, got r={r}, k={k}, l={l}"
-        )
-    half_p = 2 * q + 1 if side == "left" else 2 * q + 2
+        raise TailRankDeficient(f"estimator needs r - k >= l, got r={r}, k={k}, l={l}")
     w_head = (sigma[:k] / sigma[0]) ** half_p
     w_tail = (sigma[k:] / sigma[0]) ** half_p
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed if seed is not None else 0)
-    streams = root.spawn(n_trials)
     thetas = np.empty((n_trials, k))
-    for j, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        omega = rng.standard_normal((r, l)) / np.sqrt(l)
+    for j, stream in enumerate(_as_seed_sequence(seed).spawn(n_trials)):
+        omega = np.random.default_rng(stream).standard_normal((r, l)) / np.sqrt(l)
         w1 = w_head[:, None] * omega[:k]       # k x l
         w2 = w_tail[:, None] * omega[k:]       # (r-k) x l
-        f = svd_thin(w2)
-        smin = f.sigma.min() if f.sigma.size else 0.0
-        if f.sigma.size < l or smin < 1e-13 * f.sigma.max():
-            raise TailRankDeficient("weighted tail block lost rank")
-        nu = svdvals((w1 @ f.V) / f.sigma)
+        R = qr_checked(w2, TailRankDeficient, "weighted tail block")[1]
+        nu = svdvals(w1 @ solve_upper(R, np.eye(l)))
         thetas[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
     return EstimateReport(mean=thetas.mean(axis=0), min=thetas.min(axis=0),
                           max=thetas.max(axis=0), n_trials=n_trials)
@@ -536,12 +536,8 @@ class BalanceConfig:
 
     def max_q(self):
         """Largest q with 2q+1 <= alpha/gamma^2."""
-        top = self.alpha / self.gamma ** 2
-        if top < 1:
-            raise InadmissibleQ(
-                f"no admissible q: alpha/gamma^2 = {top:.3f} < 1"
-            )
-        return int((top - 1) // 2)
+        _check_admissible(self, 0)
+        return int((self.alpha / self.gamma ** 2 - 1) // 2)
 
     def admissible_q(self):
         return list(range(self.max_q() + 1))
@@ -549,6 +545,12 @@ class BalanceConfig:
     def sample_size(self, q):
         """Integer l = floor(N / (2q+1)) actually usable at iteration count q."""
         return int(self.budget // (2 * q + 1))
+
+
+def _check_admissible(config, q):
+    top = config.alpha / config.gamma ** 2
+    if q < 0 or 2 * q + 1 > top:
+        raise InadmissibleQ(f"q={q} outside admissible range (2q+1 <= alpha/gamma^2 = {top:.3f})")
 
 
 def balance_phi(config, q):
@@ -559,11 +561,7 @@ def balance_phi(config, q):
          (beta(2q+1) + gamma sqrt(alpha beta (2q+1))) * gap^(4q+2))^(-1/2);
     q is admissible when 2q+1 <= alpha/gamma^2.
     """
-    if q < 0 or 2 * q + 1 > config.alpha / config.gamma ** 2:
-        raise InadmissibleQ(
-            f"q={q} outside admissible range (2q+1 <= alpha/gamma^2 "
-            f"= {config.alpha / config.gamma ** 2:.3f})"
-        )
+    _check_admissible(config, q)
     a, b, g = config.alpha, config.beta, config.gamma
     t = 2 * q + 1
     num = a - g * np.sqrt(a * t)
@@ -573,8 +571,7 @@ def balance_phi(config, q):
 
 def balance_phi_from_l(config, q):
     """phi_gamma(q) in the sample-size form (cross-check of the identity)."""
-    if q < 0 or 2 * q + 1 > config.alpha / config.gamma ** 2:
-        raise InadmissibleQ(f"q={q} outside admissible range")
+    _check_admissible(config, q)
     l = config.budget / (2 * q + 1)
     k, g = config.k, config.gamma
     r_minus_k = config.beta * k

@@ -66,7 +66,8 @@ class EmptyTail(RandskelError, ValueError):
 
 
 class TailRankDeficient(RandskelError):
-    """The weighted tail block lost rank; the estimator needs r - k >= l."""
+    """The estimator's weighted tail block ``w2`` lost rank: an |R_ii| of its
+    QR fell below ``RANK_RTOL * ||w2||_F``. It needs r - k >= l."""
 
 
 class InadmissibleQ(RandskelError, ValueError):

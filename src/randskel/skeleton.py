@@ -30,7 +30,7 @@ from .errors import (
     StreamExhausted,
 )
 from .rangefinder import randomized_svd
-from .sketch import make_embedding, sketch_rows
+from .sketch import _as_seed_sequence, make_embedding, sketch_rows
 
 #: Column width of the internal panels used by the streaming accumulator.
 #: Re-chunking to fixed panels makes results bitwise independent of how the
@@ -192,12 +192,6 @@ def select_deim(A, l, q=0, seed=None, embedding="gaussian"):
     A = as_operator(A)
     lr = randomized_svd(A, l, q=q, seed=seed, embedding_kind=embedding)
     return _skeleton(A, np.ascontiguousarray(lr.V_hat.T), l, "lupp", "rsvd-deim", seed)
-
-
-def _as_seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed if seed is not None else 0)
 
 
 def _sample_without_replacement(rng, scores, count):

@@ -155,6 +155,12 @@ class SparseSignSketch(SketchOperator):
         return self._csc.toarray()
 
 
+def _as_seed_sequence(seed):
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed if seed is not None else 0)
+
+
 def _check_dims(l, m):
     if l < 1 or l > m:
         raise BadShape(f"need 1 <= l <= m, got l={l}, m={m}")

@@ -74,3 +74,19 @@ def srtt_apply_one_shot(op, A):
     fk = f[np.where(folded, m - op.rows, op.rows)]
     H = fk.real + np.where(folded, 1.0, -1.0)[:, None] * fk.imag
     return H / np.sqrt(op.out_dim)
+
+
+def unbiased_sines_svd(sigma, k, l, q, n_trials, seed, side="left"):
+    """Per-trial sines (n_trials x k) of the Monte-Carlo angle estimator with
+    its own draws, one child ``SeedSequence`` per trial, read off the
+    singular values of ``w1 V S^{-1}`` for a full numpy SVD ``w2 = U S V^T``
+    of the weighted tail block."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    w = (sigma / sigma[0]) ** (2 * q + 1 if side == "left" else 2 * q + 2)
+    sines = np.empty((n_trials, k))
+    for j, stream in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        omega = np.random.default_rng(stream).standard_normal((sigma.size, l)) / np.sqrt(l)
+        _, s, vt = np.linalg.svd(w[k:, None] * omega[k:], full_matrices=False)
+        nu = np.linalg.svd((w[:k, None] * omega[:k]) @ vt.T / s, compute_uv=False)
+        sines[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
+    return sines

@@ -33,7 +33,8 @@ from randskel.errors import (
 from randskel.bench.cli import ExperimentConfig
 from randskel.bench.experiments import _run_seed, run_angles
 from randskel.bench.matrices import realize_matrix
-from oracles import random_matrix
+from randskel.testmat import FastDecay, SlowDecay, StepSpectrum, spectrum_values
+from oracles import random_matrix, unbiased_sines_svd
 
 
 class TestCanonicalAngles:
@@ -75,9 +76,13 @@ class TestCanonicalAngles:
         mask = a > 1e-4
         assert np.abs(a[mask] - b[mask]).max() < 1e-8
 
-    def test_dimension_order_enforced(self):
+    @pytest.mark.parametrize("angles", [canonical_angles, canonical_angles_cos],
+                             ids=["canonical_angles", "canonical_angles_cos"])
+    def test_dimension_order_enforced(self, angles):
         with pytest.raises(BadShape):
-            canonical_angles(np.eye(5)[:, :2], np.eye(5)[:, :3])
+            angles(np.eye(5)[:, :2], np.eye(5)[:, :3])
+        with pytest.raises(ShapeMismatch):
+            angles(np.eye(5)[:, :3], np.eye(4)[:, :2])
 
 
 class TestPriorSpaceAgnostic:
@@ -204,9 +209,42 @@ class TestUnbiasedEstimates:
         assert (est.min <= est.mean).all() and (est.mean <= est.max).all()
         assert (est.max <= 1.0).all() and (est.min > 0).all()
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_vanishing_tail_at_higher_q(self, q, side):
+        # tail weights near 1e-27..1e-54 keep full rank relative to their own norm
+        sigma = np.r_[np.ones(4), np.full(40, 1e-9)]
+        est = unbiased_estimates(sigma, 4, 8, q, 3, seed=2, side=side)
+        assert est.max.max() < 1e-20
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("profile", [SlowDecay(r1=20), FastDecay(r1=20),
+                                         StepSpectrum(k=10, sigma1=1.5)])
+    def test_matches_svd_oracle(self, profile, q, side):
+        sigma = spectrum_values(profile, 120)
+        est = unbiased_estimates(sigma, 10, 30, q, 4, seed=5, side=side)
+        sines = unbiased_sines_svd(sigma, 10, 30, q, 4, seed=5, side=side)
+        for got, want in ((est.mean, sines.mean(axis=0)), (est.min, sines.min(axis=0)),
+                          (est.max, sines.max(axis=0))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_tail_rank_requirement(self):
         with pytest.raises(TailRankDeficient):
             unbiased_estimates(np.ones(20), 10, 15, 0, 2, seed=0)
+
+    def test_rank_losing_tail(self):
+        # seven tail values at 0.5 and the rest at 1e-9: an 8-column tail of rank 7
+        sigma = np.r_[np.ones(4), np.full(7, 0.5), np.full(40, 1e-9)]
+        with pytest.raises(TailRankDeficient):
+            unbiased_estimates(sigma, 4, 8, 1, 2, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.ones((3, 20)), np.r_[0.0, np.ones(19)],
+                                       np.r_[np.ones(19), np.nan], np.r_[np.inf, np.ones(19)],
+                                       np.r_[-1.0, np.ones(19)]])
+    def test_rejects_bad_spectrum(self, sigma):
+        with pytest.raises(BadShape, match="sigma"):
+            unbiased_estimates(sigma, 2, 4, 0, 2, seed=0)
 
     def test_trial_count_reported(self):
         est = unbiased_estimates(np.ones(50), 5, 10, 0, 6, seed=1)
