@@ -13,9 +13,10 @@ spectrum and both families when measured once by :func:`posterior_residuals`.
 The rest is O(mnl) products, norms of m x l blocks and arithmetic on the
 spectrum. :func:`posterior_simple` and :func:`posterior_gap` each measure
 afresh, at one such SVD per call. A trial of :func:`unbiased_estimates` costs
-one QR of an (r-k) x l weighted tail block, a triangular solve and a
-values-only k x l SVD; its rank test is the library's one rule, each |R_ii|
-against ``RANK_RTOL * ||w2||_F`` (:func:`randskel.dense.qr_checked`).
+the ``R`` factor of an (r-k) x l weighted tail block's QR (its ``Q`` is not
+formed), a triangular solve and a values-only k x l SVD; its rank test is the
+library's one rule, each |R_ii| against ``RANK_RTOL * ||w2||_F``, that of
+:func:`randskel.dense.qr_checked`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (as_matrix, lstsq_full_rank, qr_checked, qr_ortho, solve_upper, spectral_norm,
+from .dense import (_r_checked, as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
                     spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
@@ -236,19 +237,20 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     trailing (r-k) x l row blocks ``w1``, ``w2`` by the spectrum to the power
     2q+1 (left) or 2q+2 (right), and read the sines ``(1 + nu^2)^(-1/2)`` off
     the singular values ``nu`` of ``w1 w2^+``, those of ``w1 R^{-1}`` for
-    ``w2 = Q R``. A trial costs one QR of the tail block, a triangular solve
-    and a values-only k x l SVD. The tail block must have full column rank
-    (every |R_ii| >= ``RANK_RTOL * ||w2||_F``, :func:`~randskel.dense.qr_checked`),
-    so r - k >= l; else :class:`TailRankDeficient`. ``sigma`` must be a finite
-    vector with ``sigma[0] > 0``.
+    ``w2 = Q R``. A trial costs the ``R`` of the tail block's QR (``Q`` is not
+    formed), a triangular solve and a values-only k x l SVD. The tail block
+    must have full column rank (every |R_ii| >= ``RANK_RTOL * ||w2||_F``, the
+    test of :func:`~randskel.dense.qr_checked`), so r - k >= l; else
+    :class:`TailRankDeficient`. ``sigma`` must be a finite vector with
+    ``sigma[0] > 0``, and 1 <= k < l; else :class:`BadShape`.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     half_p = _exponent(q, side) // 2
     if sigma.ndim != 1 or not (np.isfinite(sigma).all() and (sigma[:1] > 0).all()):
         raise BadShape("sigma must be a finite vector with sigma[0] > 0")
     r = sigma.size
-    if not k < l:
-        raise BadShape(f"need k < l, got k={k}, l={l}")
+    if not 1 <= k < l:
+        raise BadShape(f"need 1 <= k < l, got k={k}, l={l}")
     if r <= k:
         raise EmptyTail(f"need a spectrum longer than k={k}")
     if n_trials < 1:
@@ -262,7 +264,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
         omega = np.random.default_rng(stream).standard_normal((r, l)) / np.sqrt(l)
         w1 = w_head[:, None] * omega[:k]       # k x l
         w2 = w_tail[:, None] * omega[k:]       # (r-k) x l
-        R = qr_checked(w2, TailRankDeficient, "weighted tail block")[1]
+        R = _r_checked(w2, TailRankDeficient, "weighted tail block")[0]
         nu = svdvals(w1 @ solve_upper(R, np.eye(l)))
         thetas[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
     return EstimateReport(mean=thetas.mean(axis=0), min=thetas.min(axis=0),

@@ -246,6 +246,11 @@ class TestUnbiasedEstimates:
         with pytest.raises(BadShape, match="sigma"):
             unbiased_estimates(sigma, 2, 4, 0, 2, seed=0)
 
+    @pytest.mark.parametrize("k", [-2, -1, 0])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(BadShape, match=f"k={k}"):
+            unbiased_estimates(np.ones(20), k, 4, 0, 2, seed=0)
+
     def test_trial_count_reported(self):
         est = unbiased_estimates(np.ones(50), 5, 10, 0, 6, seed=1)
         assert est.n_trials == 6

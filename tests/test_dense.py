@@ -342,13 +342,15 @@ class TestScipyParity:
 
     def test_qr(self, name, lapack_path):
         M = _lapack_inputs()[name]
-        q, r = dense._qr(M)
+        r, form_q = dense._qr(M)
+        q = form_q()
         want_q, want_r = sla.qr(M, mode="economic", check_finite=False)
         assert _bitwise(q, want_q) and _bitwise(r, want_r)
         if M.shape[0] >= M.shape[1] and name not in ("rank-deficient", "duplicate-column"):
             q, r = dense.qr_checked(M)
             assert q.flags.c_contiguous and r.flags.c_contiguous
             assert _bitwise(q, want_q) and _bitwise(r, want_r)
+            assert _bitwise(dense._r_checked(M)[0], want_r)
 
     def test_cpqr(self, name, lapack_path):
         M = _lapack_inputs()[name]
@@ -387,6 +389,97 @@ class TestScipyParity:
         got = dense.solve_upper(R, B)
         want = sla.solve_triangular(R, B, check_finite=False)
         assert _bitwise(got, want) and got.flags.f_contiguous
+
+
+def _tall_crossover(n):
+    """Fewest rows with which an n-column input takes the tall QR route."""
+    return 2 * max(dense._TSQR_ROWS, 4 * n)
+
+
+def _tall_inputs():
+    rng = np.random.default_rng(23)
+    rows, wide = dense._TSQR_ROWS, dense._TSQR_ROWS // 4 + 8
+    X = rng.standard_normal((_tall_crossover(40) + 517, 40))
+    return {
+        "crossover": rng.standard_normal((_tall_crossover(40), 40)),
+        "not-a-block-multiple": X,
+        "one-row-past-the-blocks": rng.standard_normal((3 * rows + 1, 40)),
+        "n=1": rng.standard_normal((_tall_crossover(1), 1)),
+        "partial-reflector-block": rng.standard_normal((_tall_crossover(40) + 3,
+                                                        dense._TSQR_NB + 1)),
+        "blocks-of-4n-rows": rng.standard_normal((_tall_crossover(wide), wide)),
+        "fortran": np.asfortranarray(X),
+        "float32": X.astype(np.float32),
+    }
+
+
+def _tall_rank_deficient():
+    rng = np.random.default_rng(29)
+    m = _tall_crossover(30) + 5
+    X = rng.standard_normal((m, 30))
+    zero = X.copy()
+    zero[:, 5] = 0.0
+    # (input, leading |R_ii| above the tolerance, numerical rank)
+    return {
+        "duplicate-column": (np.hstack([X, X[:, 3:7]]), 30, 30),
+        "zero-column": (zero, 5, 29),
+        "rank-deficient": (rng.standard_normal((m, 5)) @ rng.standard_normal((5, 30)), 5, 5),
+    }
+
+
+@pytest.fixture
+def tall_calls(monkeypatch):
+    """Shapes of the inputs that took the tall QR route."""
+    calls, tsqr = [], dense._tsqr
+    monkeypatch.setattr(dense, "_tsqr", lambda a, rows: calls.append(a.shape) or tsqr(a, rows))
+    return calls
+
+
+class TestTallQr:
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_below_crossover_keeps_scipy_bits(self, n, lapack_path, tall_calls):
+        M = np.random.default_rng(n).standard_normal((_tall_crossover(n) - 1, n))
+        want_q, want_r = sla.qr(M, mode="economic", check_finite=False)
+        r, form_q = dense._qr(M)
+        assert _bitwise(r, want_r) and _bitwise(form_q(), want_q)
+        q, r = dense.qr_checked(M)
+        assert _bitwise(q, want_q) and _bitwise(r, want_r) and not tall_calls
+
+    @pytest.mark.parametrize("name", list(_tall_inputs()))
+    def test_factors(self, name, lapack_path, tall_calls):
+        M = _tall_inputs()[name]
+        m, n = M.shape
+        q, r = dense.qr_checked(M)
+        assert tall_calls == [(m, n)]
+        assert q.shape == (m, n) and r.shape == (n, n) and q.dtype == r.dtype == np.float64
+        assert q.flags.c_contiguous and r.flags.c_contiguous and np.array_equal(r, np.triu(r))
+        eps = np.finfo(np.float64).eps
+        M64 = M.astype(np.float64)
+        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 10 * n * eps
+        assert np.linalg.norm(q @ r - M64) <= 10 * n * eps * np.linalg.norm(M64)
+        want_r = sla.qr(M64, mode="r", check_finite=False)[0]
+        np.testing.assert_allclose(np.abs(np.diag(r)), np.abs(np.diag(want_r)), rtol=1e-12)
+        assert _bitwise(dense._r_checked(M)[0], r)
+
+    @pytest.mark.parametrize("name", list(_tall_rank_deficient()))
+    def test_rank_deficient(self, name, lapack_path, tall_calls):
+        M, leading, rank = _tall_rank_deficient()[name]
+        for checked in (dense.qr_checked, dense._r_checked):
+            with pytest.raises(RankDeficient, match=f"rank {leading} of {M.shape[1]}"):
+                checked(M)
+        assert tall_calls
+        f = svd_thin(M)
+        assert f.rank == rank and _bitwise(dense.orth(M), f.U[:, :rank])
+
+    def test_same_bits_on_rerun_and_across_threads(self, lapack_path):
+        inputs = list(_tall_inputs().values())[:4]
+        with blas_threads(1):
+            serial = [dense.qr_checked(M) for M in inputs]
+            again = [dense.qr_checked(M) for M in inputs]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                pooled = list(pool.map(dense.qr_checked, inputs))
+        for s, a, p in zip(serial, again, pooled):
+            assert all(np.array_equal(x, y) and np.array_equal(x, z) for x, y, z in zip(s, a, p))
 
 
 class TestSolveUpper:
