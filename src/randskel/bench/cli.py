@@ -5,71 +5,37 @@ Subcommands: ``cur-accuracy``, ``timing {sketch,pivot}``, ``angles``,
 ``experiment,method,matrix,param_l,param_q,trial,metric,value,nanos``) and a
 convenience ``<experiment>.svg`` into the output directory.
 
+Each subcommand takes exactly the parameters its driver reads, which
+``_DEFAULTS`` lists with their defaults, plus ``--out`` and ``--config``.
+``_PARAMS`` gives each parameter its flag and the one parser that reads its
+value, from a flag or from a ``--config FILE`` of ``key=value`` lines
+(explicit flags win).
+
 Exit codes: 0 success, 2 configuration error, 3 numerical-precondition
-failure (the offending check is named on stderr). A ``--config FILE`` of
-``key=value`` lines mirrors the flags; explicit flags win. ``cur-accuracy``,
-``angles`` and ``balance`` run their cells on workers, the calling thread among
-them, capped by ``RANDSKEL_THREADS`` (not an integer: exit 2), with BLAS at one
-thread for the whole run, realization included, so that neither moves a bit.
+failure (the offending check is named on stderr). Every configuration error
+comes before any work and leaves no output directory: a value its parser
+rejects, an unknown flag or key, a bad ``RANDSKEL_THREADS``, an ``--out`` that
+cannot be made. ``cur-accuracy``, ``angles`` and ``balance`` run their cells
+on workers, the calling thread among them, capped by ``RANDSKEL_THREADS`` (not
+an integer: exit 2), with BLAS at one thread for the whole run, realization
+included, so that neither moves a bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import math
 import os
 import sys
+import types
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import RandskelError, UnknownMethod
 from . import experiments, svg
 from .experiments import METHODS
-
-
-@dataclass
-class ExperimentConfig:
-    """Merged, validated experiment parameters."""
-
-    experiment: str
-    matrix: str = ""
-    ranks: list = field(default_factory=list)
-    methods: list = field(default_factory=lambda: list(METHODS))
-    trials: int = 1
-    seed: int = 0
-    qs: list = field(default_factory=lambda: [0])
-    out: str = "."
-    sizes: list = field(default_factory=list)
-    repeats: int = 5
-    k: int = 50
-    estimate_trials: int = 3
-    max_exact_dim: int = 1500
-    n_fixed: int = 256
-    alpha: float = 16.0
-    beta: float = 32.0
-    gamma: float = 1.05
-    gaps: list = field(default_factory=lambda: [1.01, 1.5])
-
-    def validate(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.ranks and any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError(f"rank grid must be strictly increasing, got {self.ranks}")
-        if self.sizes and any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"size grid must be strictly increasing, got {self.sizes}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
-    def to_file(self, path):
-        """Write the flat key=value mirror of this configuration."""
-        with open(path, "w") as fh:
-            for key, val in vars(self).items():
-                if key == "experiment":
-                    continue
-                if isinstance(val, (list, tuple)):
-                    val = ",".join(str(v) for v in val)
-                fh.write(f"{key}={val}\n")
 
 
 def parse_grid(text):
@@ -83,7 +49,7 @@ def parse_grid(text):
         if step <= 0 or b < a:
             raise ValueError(f"bad grid {text!r}")
         return list(range(a, b + 1, step))
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _items(text, int)
 
 
 def load_config_file(path):
@@ -101,85 +67,134 @@ def load_config_file(path):
     return values
 
 
-_LIST_FLOAT = ("gaps",)
-_LIST_GRID = ("ranks", "sizes", "qs")
-_INT = ("trials", "seed", "repeats", "k", "estimate_trials", "max_exact_dim", "n_fixed")
-_FLOAT = ("alpha", "beta", "gamma")
+def _items(text, parse):
+    """Each entry of the comma list ``text`` read by ``parse``; there is at
+    least one entry, and none is empty."""
+    items = [x.strip() for x in text.split(",")]
+    if not all(items):
+        raise ValueError(f"expected a comma list without empty entries, got {text!r}")
+    return [parse(x) for x in items]
 
 
-def _coerce(key, raw):
-    if key in _LIST_GRID:
-        return parse_grid(raw)
-    if key in _LIST_FLOAT:
-        return [float(x) for x in raw.split(",") if x.strip()]
-    if key in _INT:
-        return int(raw)
-    if key in _FLOAT:
-        return float(raw)
-    if key == "methods":
-        return [m.strip() for m in raw.split(",") if m.strip()]
-    return raw
+def _int(low):
+    """The parser of an integer of at least ``low``."""
+    def parse(text):
+        val = int(text)
+        if val < low:
+            raise ValueError(f"must be >= {low}, got {val}")
+        return val
+    return parse
+
+
+def _grid(low, increasing=True):
+    """The parser of a :func:`parse_grid` grid whose entries are at least ``low``."""
+    def parse(text):
+        grid = parse_grid(text)
+        if min(grid) < low:
+            raise ValueError(f"entries must be >= {low}, got {grid}")
+        if increasing and any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"grid must be strictly increasing, got {grid}")
+        return grid
+    return parse
+
+
+def _finite(text):
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"must be finite, got {text!r}")
+    return val
+
+
+def _method(name):
+    if name not in METHODS:
+        raise UnknownMethod(f"unknown method {name!r} (choose from {', '.join(METHODS)})")
+    return name
+
+
+#: Each parameter's flag, the parser of its text from a flag or a config file
+#: (a ``ValueError`` is a configuration error), and its help.
+_PARAMS = {
+    "matrix": ("--matrix", str, "matrix spec (snn:..., gauss:..., step:..., csv:PATH)"),
+    "ranks": ("--ranks", _grid(1), "l grid, a:b:step or comma list, increasing"),
+    "methods": ("--methods", lambda s: _items(s, _method), "comma-separated method names"),
+    "trials": ("--trials", _int(1), "trials per cell"),
+    "seed": ("--seed", _int(0), "base seed"),
+    "qs": ("--q", _grid(0, increasing=False), "power-iteration counts, a:b:step or comma list"),
+    "sizes": ("--sizes", _grid(1), "problem-size grid, a:b:step or comma list, increasing"),
+    "repeats": ("--repeats", _int(1), "timed calls per scheme"),
+    "n_fixed": ("--n-fixed", _int(1), "column count of the sketched matrices"),
+    "k": ("--k", _int(1), "target rank"),
+    "estimate_trials": ("--estimate-trials", _int(1), "Monte-Carlo trials per estimate"),
+    "max_exact_dim": ("--max-exact-dim", _int(1),
+                      "largest dimension given a dense SVD for its exact factors"),
+    "alpha": ("--alpha", _finite, "budget of alpha*k products with the matrix"),
+    "beta": ("--beta", _finite, "step spectrum of rank (1+beta)*k"),
+    "gamma": ("--gamma", _finite, "admits q with 2q+1 <= alpha/gamma^2"),
+    "gaps": ("--gaps", lambda s: _items(s, _finite), "spectral steps, comma list"),
+    "out": ("--out", str, "output directory"),
+}
+
+#: Each experiment's parameters, which are exactly those its driver reads,
+#: with their defaults; every experiment also takes ``out``.
+_DEFAULTS = {
+    "cur_accuracy": dict(matrix="snn:300x300,r=300,a=2,r1=100", ranks=[20, 40, 60, 80, 100],
+                         methods=list(METHODS), trials=5, seed=0),
+    "timing_pivot": dict(sizes=[500, 1000, 2000], ranks=[100, 400], repeats=5, seed=0),
+    "timing_sketch": dict(sizes=[512, 1024, 2048], ranks=[50, 200], repeats=5, n_fixed=256,
+                          seed=0),
+    "angles": dict(matrix="gauss:500x500,profile=slow,r=450", ranks=[80, 200], qs=[0, 1],
+                   trials=1, k=50, estimate_trials=3, max_exact_dim=1500, seed=0),
+    "balance": dict(k=10, alpha=16.0, beta=32.0, gamma=1.05, gaps=[1.01, 1.5], trials=5,
+                    seed=0),
+}
+
+#: Each experiment's subcommand help.
+_HELP = {"cur_accuracy": "CUR error versus truncated-SVD baseline",
+         "timing_pivot": "pivoting schemes", "timing_sketch": "embeddings",
+         "angles": "canonical-angle bounds and estimates",
+         "balance": "oversampling versus iteration balance study"}
+
+
+def _defaults(experiment):
+    """A fresh copy of ``experiment``'s defaults, ``out`` among them."""
+    return copy.deepcopy(_DEFAULTS[experiment]) | {"out": "."}
 
 
 def build_config(experiment, args):
-    """The experiment's defaults, then the config file's values, then the flags."""
-    defaults = {key: list(val) if isinstance(val, list) else val
-                for key, val in _DEFAULTS.get(experiment, {}).items()}
-    cfg = ExperimentConfig(experiment, **defaults)
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, raw))
-    for key in vars(cfg):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
-
-
-def _add_common(p):
-    p.add_argument("--matrix", help="matrix spec (snn:..., gauss:..., step:..., csv:PATH)")
-    p.add_argument("--ranks", type=parse_grid, help="l grid, a:b:step or comma list")
-    p.add_argument("--methods", type=lambda s: [m.strip() for m in s.split(",")],
-                   help="comma-separated method names")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--q", dest="qs", type=parse_grid, help="iteration counts, comma list")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--config", help="key=value config file mirroring the flags")
+    """The namespace of ``experiment``'s parameters and ``out``: the defaults,
+    then the config file's values, then the flags, each value of a file or a
+    flag read by its parameter's parser."""
+    cfg = _defaults(experiment)
+    texts = load_config_file(args.config) if args.config else {}
+    for key in texts:
+        if key not in cfg:
+            raise ValueError(f"unknown config key {key!r} for {experiment}")
+    texts.update((key, val) for key, val in vars(args).items()
+                 if key in cfg and val is not None)
+    for key, text in texts.items():
+        try:
+            cfg[key] = _PARAMS[key][1](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return types.SimpleNamespace(**cfg)
 
 
 def make_parser():
     ap = argparse.ArgumentParser(prog="randskel-bench",
                                  description="desk-scale randomized skeletonization benchmarks")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cur-accuracy", help="CUR error versus truncated-SVD baseline")
-    _add_common(p)
-
-    p = sub.add_parser("timing", help="wall-time measurements")
-    p.add_argument("what", choices=["sketch", "pivot"])
-    _add_common(p)
-    p.add_argument("--sizes", type=parse_grid, help="problem-size grid")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--n-fixed", dest="n_fixed", type=int,
-                   help="fixed trailing dimension for sketch timing")
-
-    p = sub.add_parser("angles", help="canonical-angle bounds and estimates")
-    _add_common(p)
-    p.add_argument("--k", type=int, help="target rank (default 50)")
-    p.add_argument("--estimate-trials", dest="estimate_trials", type=int)
-    p.add_argument("--max-exact-dim", dest="max_exact_dim", type=int)
-
-    p = sub.add_parser("balance", help="oversampling versus iteration balance study")
-    _add_common(p)
-    p.add_argument("--k", type=int, help="target rank (default 10)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gaps", type=lambda s: [float(x) for x in s.split(",")])
+    timing = sub.add_parser("timing", help="wall-time measurements").add_subparsers(
+        dest="what", required=True)
+    for experiment in _DEFAULTS:
+        group = timing if experiment.startswith("timing_") else sub
+        p = group.add_parser(experiment.removeprefix("timing_").replace("_", "-"),
+                             help=_HELP[experiment])
+        p.set_defaults(experiment=experiment)
+        for key, default in _defaults(experiment).items():
+            flag, _, text = _PARAMS[key]
+            shown = ",".join(map(str, default)) if isinstance(default, list) else default
+            p.add_argument(flag, dest=key, help=f"{text} (default {shown})")
+        p.add_argument("--config", help="key=value file of these parameters; flags win")
     return ap
 
 
@@ -245,45 +260,22 @@ def _render_svg(experiment, rows, path):
                               "phi / mean sin", series, logy=False)
 
 
-_DEFAULTS = {
-    "cur_accuracy": dict(matrix="snn:300x300,r=300,a=2,r1=100",
-                         ranks=[20, 40, 60, 80, 100], trials=5),
-    "timing_pivot": dict(sizes=[500, 1000, 2000], ranks=[100, 400]),
-    "timing_sketch": dict(sizes=[512, 1024, 2048], ranks=[50, 200]),
-    "angles": dict(matrix="gauss:500x500,profile=slow,r=450", ranks=[80, 200],
-                   qs=[0, 1], trials=1),
-    "balance": dict(k=10, trials=5),
-}
-
-#: Each experiment's driver in :mod:`.experiments`, looked up by name when it
-#: runs, so that a wrapper installed on the module is the one called.
-_DRIVERS = {"cur_accuracy": "run_cur_accuracy", "timing_pivot": "run_timing_pivot",
-            "timing_sketch": "run_timing_sketch", "angles": "run_angles",
-            "balance": "run_balance"}
-
-
 def run(argv=None):
     args = make_parser().parse_args(argv)
-    if args.command == "timing":
-        experiment = f"timing_{args.what}"
-    else:
-        experiment = args.command.replace("-", "_")
+    experiment = args.experiment
     try:
         cfg = build_config(experiment, args)
         if not experiment.startswith("timing"):
             experiments.worker_count()  # the sweep's cap fails before any work
+        os.makedirs(cfg.out, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     csv_path = os.path.join(cfg.out, f"{experiment}.csv")
     try:
-        rows = getattr(experiments, _DRIVERS[experiment])(cfg)
-        os.makedirs(cfg.out, exist_ok=True)
+        rows = getattr(experiments, f"run_{experiment}")(cfg)
         experiments.write_rows(csv_path, rows)
-    except UnknownMethod as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except RandskelError as exc:
         print(f"numerical precondition failed [{type(exc).__name__}]: {exc}",
               file=sys.stderr)

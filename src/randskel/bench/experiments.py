@@ -27,7 +27,7 @@ from ..angles import (
     balance_phi,
 )
 from ..dense import blas_threads, qr_ortho, spectral_norm, svd_thin
-from ..errors import RandskelError, RankDeficient, UnknownMethod
+from ..errors import BadShape, RandskelError, RankDeficient
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
 from ..skeleton import (
@@ -126,35 +126,29 @@ def _sweep(cells, one):
 
 # --- skeletonization accuracy -------------------------------------------------
 
-METHODS = ("rand-lupp", "rand-lupp-1piter", "rand-cpqr", "rand-cpqr-1piter",
-           "rsvd-deim", "rsvd-ls")
-
-
-def _select(method, A, l, seed):
-    if method == "rand-lupp":
-        return select_columns_lupp(A, l, 0, seed)
-    if method == "rand-lupp-1piter":
-        return select_columns_lupp(A, l, 1, seed)
-    if method == "rand-cpqr":
-        return select_columns_cpqr(A, l, 0, seed)
-    if method == "rand-cpqr-1piter":
-        return select_columns_cpqr(A, l, 1, seed)
-    if method == "rsvd-deim":
-        return select_deim(A, l, 0, seed)
-    if method == "rsvd-ls":
-        # the accuracy protocol treats the target rank and sample size as equal
-        return select_leverage(A, l, l, seed)
-    raise UnknownMethod(f"unknown method {method!r}")
+#: Each method's selector call, in the order whose index seeds its cells. The
+#: selectors are looked up by name at call time, so a wrapper installed on this
+#: module is the one called; the accuracy protocol treats the target rank and
+#: the sample size of leverage sampling as equal.
+_SELECTORS = {
+    "rand-lupp": lambda A, l, seed: select_columns_lupp(A, l, 0, seed),
+    "rand-lupp-1piter": lambda A, l, seed: select_columns_lupp(A, l, 1, seed),
+    "rand-cpqr": lambda A, l, seed: select_columns_cpqr(A, l, 0, seed),
+    "rand-cpqr-1piter": lambda A, l, seed: select_columns_cpqr(A, l, 1, seed),
+    "rsvd-deim": lambda A, l, seed: select_deim(A, l, 0, seed),
+    "rsvd-ls": lambda A, l, seed: select_leverage(A, l, l, seed),
+}
+METHODS = tuple(_SELECTORS)
 
 
 @blas_threads(1)
 def run_cur_accuracy(cfg):
     """Relative CUR errors versus the truncated-SVD baseline, per (method, l, trial)."""
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise UnknownMethod(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
     bundle = realize_matrix(cfg.matrix, seed=cfg.seed)
     A = bundle.dense()
+    if max(cfg.ranks) > min(A.shape):
+        raise BadShape(f"need l <= min(m, n), got l={max(cfg.ranks)} "
+                       f"for {A.shape[0]}x{A.shape[1]}")
     fro_A = np.linalg.norm(A)
     if fro_A == 0.0:
         raise RankDeficient("all-zero matrix: relative errors undefined")
@@ -175,7 +169,7 @@ def run_cur_accuracy(cfg):
         q = 1 if method.endswith("1piter") else 0
         t0 = time.perf_counter_ns()
         try:
-            sel = _select(method, A, l, seed)
+            sel = _SELECTORS[method](A, l, seed)
             cur = build_cur_stable(A, sel.I_s, sel.J_s)
         except RandskelError as exc:
             # data-dependent: sampled skeletons can be linearly dependent, and
@@ -206,13 +200,18 @@ def run_cur_accuracy(cfg):
 
 # --- timing -------------------------------------------------------------------
 
-def _time_ns(fn, repeats):
-    out = []
-    for _ in range(repeats):
+def _timing_rows(experiment, scheme, matrix_id, l, fn, repeats):
+    """The ``time_ns`` row of each of ``repeats`` calls of ``fn``, then their
+    ``median_time_ns`` row."""
+    rows = []
+    for rep in range(repeats):
         t0 = time.perf_counter_ns()
         fn()
-        out.append(time.perf_counter_ns() - t0)
-    return out
+        t = time.perf_counter_ns() - t0
+        rows.append(Row(experiment, scheme, matrix_id, l, 0, rep, "time_ns", float(t), t))
+    med = int(np.median([r.nanos for r in rows]))
+    return rows + [Row(experiment, scheme, matrix_id, l, 0, 0, "median_time_ns",
+                       float(med), med)]
 
 
 def run_timing_pivot(cfg):
@@ -239,22 +238,13 @@ def run_timing_pivot(cfg):
                 f = svd_thin(B)
                 _column_pivots("lupp", f.V.T, l)
 
-            timings = {
-                "lupp": _time_ns(lambda: _column_pivots("lupp", X, l), cfg.repeats),
-                "cpqr": _time_ns(lambda: _column_pivots("cpqr", X, l), cfg.repeats),
-                "deim": _time_ns(deim_pipeline, cfg.repeats),
-            }
             matrix_id = f"dense:{n}x{n}"
             medians = {}
-            for scheme in sorted(timings):
-                ts = timings[scheme]
-                for rep, t in enumerate(ts):
-                    rows.append(Row("timing_pivot", scheme, matrix_id, l, 0,
-                                    rep, "time_ns", float(t), t))
-                med = int(np.median(ts))
-                medians[scheme] = med
-                rows.append(Row("timing_pivot", scheme, matrix_id, l, 0, 0,
-                                "median_time_ns", float(med), med))
+            for scheme, fn in (("lupp", lambda: _column_pivots("lupp", X, l)),
+                               ("cpqr", lambda: _column_pivots("cpqr", X, l)),
+                               ("deim", deim_pipeline)):
+                rows += _timing_rows("timing_pivot", scheme, matrix_id, l, fn, cfg.repeats)
+                medians[scheme] = rows[-1].nanos
             ok = medians["lupp"] < medians["cpqr"] < medians["deim"]
             orderings.append((n, l, ok))
             rows.append(Row("timing_pivot", "ordering", matrix_id, l, 0, 0,
@@ -281,16 +271,9 @@ def run_timing_sketch(cfg):
                 "sparse-sign": make_embedding("sparse_sign", l, m,
                                               seed=_run_seed(cfg.seed, m, l, 3)),
             }
-            matrix_id = f"dense:{m}x{n}"
             for name in sorted(ops):
-                op = ops[name]
-                ts = _time_ns(lambda: op.apply(A), cfg.repeats)
-                for rep, t in enumerate(ts):
-                    rows.append(Row("timing_sketch", name, matrix_id, l, 0,
-                                    rep, "time_ns", float(t), t))
-                med = int(np.median(ts))
-                rows.append(Row("timing_sketch", name, matrix_id, l, 0, 0,
-                                "median_time_ns", float(med), med))
+                rows += _timing_rows("timing_sketch", name, f"dense:{m}x{n}", l,
+                                     lambda: ops[name].apply(A), cfg.repeats)
     rows.sort(key=lambda r: (r.method, r.matrix, r.param_l, r.metric, r.trial))
     return rows
 

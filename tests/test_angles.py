@@ -30,7 +30,7 @@ from randskel.errors import (
     SingularOmega1,
     TailRankDeficient,
 )
-from randskel.bench.cli import ExperimentConfig
+from randskel.bench.cli import build_config, make_parser
 from randskel.bench.experiments import _run_seed, run_angles
 from randskel.bench.matrices import realize_matrix
 from randskel.testmat import FastDecay, SlowDecay, StepSpectrum, spectrum_values
@@ -373,8 +373,9 @@ class TestPosteriorResiduals:
         # so the rows carry the residual norms instead of the clip value
         matrix, seed = "gauss:60x50,profile=slow,r=45", 7
         k, l, q = 5, 20, 2
-        cfg = ExperimentConfig(experiment="angles", matrix=matrix, ranks=[l],
-                               qs=[q], trials=1, seed=seed, k=k, estimate_trials=2)
+        cfg = build_config("angles", make_parser().parse_args(
+            ["angles", "--matrix", matrix, "--ranks", str(l), "--q", str(q), "--trials", "1",
+             "--seed", str(seed), "--k", str(k), "--estimate-trials", "2"]))
         rows = run_angles(cfg)
         got = {(r.method, r.metric): r.value for r in rows}
 

@@ -455,18 +455,157 @@ class TestConfigFile:
         code = run(["cur-accuracy", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
-    def test_write_then_load_round_trip(self, tmp_path):
-        from randskel.bench.cli import ExperimentConfig, build_config
 
-        cfg = ExperimentConfig(experiment="cur_accuracy", matrix=TINY_SNN,
-                               ranks=[4, 8], methods=["rand-lupp"], trials=3,
-                               seed=5)
-        path = tmp_path / "saved.cfg"
-        cfg.to_file(path)
-        loaded = load_config_file(path)
-        assert loaded["matrix"] == TINY_SNN
-        assert loaded["ranks"] == "4,8"
-        assert loaded["trials"] == "3"
+#: Each experiment's subcommand.
+COMMANDS = {"cur_accuracy": ["cur-accuracy"], "timing_pivot": ["timing", "pivot"],
+            "timing_sketch": ["timing", "sketch"], "angles": ["angles"], "balance": ["balance"]}
+
+#: A tiny run of each experiment, as the argv of its subcommand.
+TINY = {experiment: COMMANDS[experiment] + flags for experiment, flags in {
+    "cur_accuracy": ["--matrix", TINY_SNN, "--ranks", "4", "--trials", "1"],
+    "timing_pivot": ["--sizes", "64", "--ranks", "16", "--repeats", "1"],
+    "timing_sketch": ["--sizes", "128", "--ranks", "16", "--repeats", "1", "--n-fixed", "32"],
+    "angles": ["--matrix", "gauss:60x50,profile=slow,r=40", "--ranks", "12", "--q", "0,1",
+               "--k", "4", "--estimate-trials", "2"],
+    "balance": ["--k", "3", "--alpha", "6", "--beta", "6", "--gaps", "1.3", "--trials", "1"],
+}.items()}
+
+#: A value of each parameter, as text, that differs from every default.
+TEXTS = {"matrix": "gauss:60x50,profile=fast", "ranks": "4:12:4", "methods": "rsvd-ls,rand-cpqr",
+         "trials": "2", "seed": "9", "qs": "0,2", "sizes": "64,128", "repeats": "3",
+         "n_fixed": "16", "k": "6", "estimate_trials": "4", "max_exact_dim": "99",
+         "alpha": "8", "beta": "12.5", "gamma": "1.1", "gaps": "1.2,2", "out": "elsewhere"}
+
+#: Values that a parameter's parser rejects, as a flag and in a config file.
+BAD = [(experiment, "seed", "-1") for experiment in TINY] + [
+    ("cur_accuracy", "ranks", "-5"), ("cur_accuracy", "ranks", "0,4"),
+    ("cur_accuracy", "ranks", ","), ("cur_accuracy", "ranks", "4,"),
+    ("cur_accuracy", "ranks", "8,4"), ("cur_accuracy", "ranks", "4,4"),
+    ("cur_accuracy", "methods", ","), ("cur_accuracy", "methods", "rand-lupp,"),
+    ("cur_accuracy", "methods", "does-not-exist"), ("cur_accuracy", "trials", "0"),
+    ("timing_pivot", "sizes", ","), ("timing_pivot", "sizes", "0,64"),
+    ("timing_pivot", "sizes", "128,64"), ("timing_pivot", "repeats", "0"),
+    ("timing_sketch", "n_fixed", "-3"), ("timing_sketch", "ranks", ""),
+    ("angles", "qs", ","), ("angles", "qs", "-1"), ("angles", "k", "0"),
+    ("angles", "estimate_trials", "0"), ("angles", "max_exact_dim", "0"),
+    ("balance", "gaps", ","), ("balance", "gaps", "nan"), ("balance", "alpha", "inf"),
+    ("balance", "trials", "x"),
+]
+
+#: Flags that a subcommand rejects because its driver reads no such parameter.
+REMOVED = [["cur-accuracy", "--q", "0"]] + [
+    ["timing", what, flag, value] for what in ("sketch", "pivot")
+    for flag, value in (("--matrix", TINY_SNN), ("--methods", "rand-lupp"), ("--trials", "2"),
+                        ("--q", "0"))] + [
+    ["timing", "pivot", "--n-fixed", "32"], ["angles", "--methods", "rand-lupp"]] + [
+    ["balance", flag, value] for flag, value in (("--matrix", TINY_SNN), ("--ranks", "4"),
+                                                 ("--methods", "rand-lupp"), ("--q", "0"))]
+
+
+def config(argv):
+    from randskel.bench.cli import build_config, make_parser
+
+    args = make_parser().parse_args(argv)
+    return build_config(args.experiment, args)
+
+
+class TestParameters:
+    @pytest.mark.parametrize("experiment", sorted(TINY))
+    def test_driver_reads_exactly_its_parameters(self, experiment):
+        from randskel.bench import experiments
+        from randskel.bench.cli import _DEFAULTS
+
+        cfg = config(TINY[experiment])
+        assert set(vars(cfg)) == set(_DEFAULTS[experiment]) | {"out"}
+        reads = set()
+
+        class Recording(type(cfg)):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        getattr(experiments, f"run_{experiment}")(Recording(**vars(cfg)))
+        assert reads == set(_DEFAULTS[experiment])
+
+    @pytest.mark.parametrize("experiment", sorted(TINY))
+    def test_flag_and_file_forms_give_equal_configs(self, experiment, tmp_path):
+        from randskel.bench.cli import _DEFAULTS, _PARAMS
+
+        command = COMMANDS[experiment]
+        default = vars(config(command))
+        for key in [*_DEFAULTS[experiment], "out"]:
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key}={TEXTS[key]}\n")
+            by_flag = vars(config(command + [_PARAMS[key][0], TEXTS[key]]))
+            by_file = vars(config(command + ["--config", str(path)]))
+            assert by_flag == by_file != default, key
+
+    @pytest.mark.parametrize("experiment", sorted(TINY))
+    def test_other_experiments_keys_exit_2(self, experiment, tmp_path):
+        from randskel.bench.cli import _DEFAULTS, _PARAMS
+
+        for key in set(_PARAMS) - set(_DEFAULTS[experiment]) - {"out"}:
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key}={TEXTS[key]}\n")
+            out = tmp_path / "o"
+            assert run(TINY[experiment] + ["--config", str(path), "--out", str(out)]) == 2, key
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", REMOVED, ids=" ".join)
+    def test_removed_flag_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("experiment,key,text", BAD)
+    def test_bad_value_exit_2_before_any_work(self, experiment, key, text, form, tmp_path,
+                                              monkeypatch, capsys):
+        from randskel.bench import experiments
+        from randskel.bench.cli import _PARAMS
+
+        monkeypatch.setattr(experiments, f"run_{experiment}",
+                            lambda cfg: pytest.fail("the driver ran"))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={text}\n")
+        out = tmp_path / "o"
+        given = [_PARAMS[key][0], text] if form == "flag" else ["--config", str(path)]
+        assert run(COMMANDS[experiment] + given + ["--out", str(out)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_a_file_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setattr(experiments, "run_cur_accuracy",
+                            lambda cfg: pytest.fail("the driver ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(TINY["cur_accuracy"] + ["--out", str(taken)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
+    def test_rank_above_min_dimension_exit_3_before_any_cell(self, tmp_path, monkeypatch,
+                                                             capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a cell ran"))
+        out = tmp_path / "o"
+        code = run(["cur-accuracy", "--matrix", "gauss:40x30,profile=slow", "--ranks", "10,40",
+                    "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "BadShape" in err and "l=40 for 40x30" in err
+        assert not (out / "cur_accuracy.csv").exists()
+
+    def test_rank_equal_to_min_dimension_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["cur-accuracy", "--matrix", "gauss:40x30,profile=slow", "--ranks", "30",
+                    "--methods", "rand-lupp", "--trials", "1", "--out", str(out)]) == 0
+        _, rows = read_rows(out / "cur_accuracy.csv")
+        assert {(r["metric"], float(r["value"])) for r in rows if r["method"] == "baseline"} \
+            == {("opt_fro", 0.0), ("opt_spec", 0.0)}
 
 
 def test_angles_reproducible(tmp_path):
