@@ -21,6 +21,7 @@ library's one rule, each |R_ii| against ``RANK_RTOL * ||w2||_F``, that of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,7 +376,7 @@ def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     def _safe(num, den):
         return float(num / den) if den > 0 else float("inf")
 
-    uk_uk_extra = np.sqrt(1.0 + (n_e32 / gamma2) ** 2) if np.isfinite(gamma2) else 1.0
+    uk_uk_extra = np.sqrt(1.0 + _safe(n_e32, gamma2) ** 2)
     vk_vk_extra = np.sqrt((n_e32 / gamma1) ** 2 + (n_e33 / s_k) ** 2) if gamma1 != 0 else np.inf
     bounds = {
         "Uk_Ul_fro": _safe(n_fro, bg1),
@@ -555,6 +556,20 @@ def _check_admissible(config, q):
         raise InadmissibleQ(f"q={q} outside admissible range (2q+1 <= alpha/gamma^2 = {top:.3f})")
 
 
+def _phi(coeff, gap, q):
+    """``(1 + coeff * gap^(4q+2))^(-1/2)``; where the product leaves float
+    range, from logarithms, in which the 1 is lost to rounding. ``coeff`` is
+    0 at the edge of the admissible range, below it only by rounding."""
+    coeff, gap, power = max(float(coeff), 0.0), float(gap), 4 * q + 2
+    try:
+        term = coeff * gap ** power
+    except OverflowError:
+        term = math.inf if coeff else 0.0
+    if math.isfinite(term):
+        return float(1.0 / np.sqrt(1.0 + term))
+    return math.exp(-0.5 * (math.log(coeff) + power * math.log(gap)))
+
+
 def balance_phi(config, q):
     """The budget-balance value phi_gamma(q) in (0, 1).
 
@@ -568,7 +583,7 @@ def balance_phi(config, q):
     t = 2 * q + 1
     num = a - g * np.sqrt(a * t)
     den = b * t + g * np.sqrt(a * b * t)
-    return float(1.0 / np.sqrt(1.0 + (num / den) * config.gap ** (4 * q + 2)))
+    return _phi(num / den, config.gap, q)
 
 
 def balance_phi_from_l(config, q):
@@ -580,4 +595,4 @@ def balance_phi_from_l(config, q):
     eps1 = g * np.sqrt(k / l)
     eps2 = g * np.sqrt(l / r_minus_k)
     coeff = (1 - eps1) / (1 + eps2) * (l / r_minus_k)
-    return float(1.0 / np.sqrt(1.0 + coeff * config.gap ** (4 * q + 2)))
+    return _phi(coeff, config.gap, q)

@@ -14,7 +14,8 @@ value, from a flag or from a ``--config FILE`` of ``key=value`` lines
 Exit codes: 0 success, 2 configuration error, 3 numerical-precondition
 failure (the offending check is named on stderr). Every configuration error
 comes before any work and leaves no output directory: a value its parser
-rejects, an unknown flag or key, a bad ``RANDSKEL_THREADS``, an ``--out`` that
+rejects (a ``--matrix`` spec that ``matrices.parse_spec`` cannot read among
+them), an unknown flag or key, a bad ``RANDSKEL_THREADS``, an ``--out`` that
 cannot be made. ``cur-accuracy``, ``angles`` and ``balance`` run their cells
 on workers, the calling thread among them, capped by ``RANDSKEL_THREADS`` (not
 an integer: exit 2), with BLAS at one thread for the whole run, realization
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import math
 import os
 import sys
 import types
@@ -36,6 +36,7 @@ import numpy as np
 from ..errors import RandskelError, UnknownMethod
 from . import experiments, svg
 from .experiments import METHODS
+from .matrices import finite_float, int_at_least, parse_spec
 
 
 def parse_grid(text):
@@ -76,16 +77,6 @@ def _items(text, parse):
     return [parse(x) for x in items]
 
 
-def _int(low):
-    """The parser of an integer of at least ``low``."""
-    def parse(text):
-        val = int(text)
-        if val < low:
-            raise ValueError(f"must be >= {low}, got {val}")
-        return val
-    return parse
-
-
 def _grid(low, increasing=True):
     """The parser of a :func:`parse_grid` grid whose entries are at least ``low``."""
     def parse(text):
@@ -98,11 +89,10 @@ def _grid(low, increasing=True):
     return parse
 
 
-def _finite(text):
-    val = float(text)
-    if not math.isfinite(val):
-        raise ValueError(f"must be finite, got {text!r}")
-    return val
+def _matrix(text):
+    """The spec ``text`` unchanged, once :func:`parse_spec` has read it."""
+    parse_spec(text)
+    return text
 
 
 def _method(name):
@@ -114,23 +104,25 @@ def _method(name):
 #: Each parameter's flag, the parser of its text from a flag or a config file
 #: (a ``ValueError`` is a configuration error), and its help.
 _PARAMS = {
-    "matrix": ("--matrix", str, "matrix spec (snn:..., gauss:..., step:..., csv:PATH)"),
+    "matrix": ("--matrix", _matrix,
+               "matrix spec: snn:MxN[,key=value...], gauss:MxN[,key=value...], "
+               "step:k=K,gap=G,beta=B or csv:PATH (keys and defaults: README, Matrix specs)"),
     "ranks": ("--ranks", _grid(1), "l grid, a:b:step or comma list, increasing"),
     "methods": ("--methods", lambda s: _items(s, _method), "comma-separated method names"),
-    "trials": ("--trials", _int(1), "trials per cell"),
-    "seed": ("--seed", _int(0), "base seed"),
+    "trials": ("--trials", int_at_least(1), "trials per cell"),
+    "seed": ("--seed", int_at_least(0), "base seed"),
     "qs": ("--q", _grid(0, increasing=False), "power-iteration counts, a:b:step or comma list"),
     "sizes": ("--sizes", _grid(1), "problem-size grid, a:b:step or comma list, increasing"),
-    "repeats": ("--repeats", _int(1), "timed calls per scheme"),
-    "n_fixed": ("--n-fixed", _int(1), "column count of the sketched matrices"),
-    "k": ("--k", _int(1), "target rank"),
-    "estimate_trials": ("--estimate-trials", _int(1), "Monte-Carlo trials per estimate"),
-    "max_exact_dim": ("--max-exact-dim", _int(1),
+    "repeats": ("--repeats", int_at_least(1), "timed calls per scheme"),
+    "n_fixed": ("--n-fixed", int_at_least(1), "column count of the sketched matrices"),
+    "k": ("--k", int_at_least(1), "target rank"),
+    "estimate_trials": ("--estimate-trials", int_at_least(1), "Monte-Carlo trials per estimate"),
+    "max_exact_dim": ("--max-exact-dim", int_at_least(1),
                       "largest dimension given a dense SVD for its exact factors"),
-    "alpha": ("--alpha", _finite, "budget of alpha*k products with the matrix"),
-    "beta": ("--beta", _finite, "step spectrum of rank (1+beta)*k"),
-    "gamma": ("--gamma", _finite, "admits q with 2q+1 <= alpha/gamma^2"),
-    "gaps": ("--gaps", lambda s: _items(s, _finite), "spectral steps, comma list"),
+    "alpha": ("--alpha", finite_float, "budget of alpha*k products with the matrix"),
+    "beta": ("--beta", finite_float, "step spectrum of rank (1+beta)*k"),
+    "gamma": ("--gamma", finite_float, "admits q with 2q+1 <= alpha/gamma^2"),
+    "gaps": ("--gaps", lambda s: _items(s, finite_float), "spectral steps, comma list"),
     "out": ("--out", str, "output directory"),
 }
 

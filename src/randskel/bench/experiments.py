@@ -38,6 +38,7 @@ from ..skeleton import (
     select_deim,
     select_leverage,
 )
+from ..testmat import StepSpectrum, gen_gaussian_spectrum
 from . import open_replacing
 from .matrices import realize_matrix
 
@@ -367,15 +368,16 @@ def run_balance(cfg):
         rows = [] if trial else [
             Row("balance", "phi", matrix_id, bal.sample_size(q), q, 0, "phi",
                 balance_phi(bal, q), 0) for q in qs]
-        bundle = realize_matrix(matrix_id,
-                                seed=_run_seed(cfg.seed, int(gap * 1000), trial, 99))
+        A, U, _, _ = gen_gaussian_spectrum(bal.r, bal.r, StepSpectrum(cfg.k, sigma1=gap),
+                                           seed=_run_seed(cfg.seed, int(gap * 1000), trial, 99),
+                                           r=bal.r)
         for q in qs:
             l = bal.sample_size(q)
             t0 = time.perf_counter_ns()
-            lr = randomized_svd(bundle.A, l, q=q,
+            lr = randomized_svd(A, l, q=q,
                                 seed=_run_seed(cfg.seed, int(gap * 1000), trial, q))
             nanos = time.perf_counter_ns() - t0
-            sines = canonical_angles(lr.U_hat, bundle.U[:, :cfg.k])
+            sines = canonical_angles(lr.U_hat, U[:, :cfg.k])
             for name, v in (("sin_mean", sines.mean()),
                             ("sin_min", sines.min()),
                             ("sin_max", sines.max())):

@@ -247,24 +247,28 @@ def load_csv(path):
     cells fails to parse as a number. The body is parsed by one
     ``np.loadtxt``; only when that fails are the cells parsed one by one
     with ``float``, which also accepts digit separators and quoted cells,
-    and otherwise names the offending row or cell.
+    and otherwise names the offending row or cell. Bytes that do not decode
+    raise :class:`NonNumericCell` naming the file.
     """
-    with open(path, newline="") as fh:
-        first = next((row for row in csv.reader(fh) if row), None)
-        if first is None:
-            raise RaggedRows("empty CSV")
-        if _numeric_row(first):
+    try:
+        with open(path, newline="") as fh:
+            first = next((row for row in csv.reader(fh) if row), None)
+            if first is None:
+                raise RaggedRows("empty CSV")
+            if _numeric_row(first):
+                fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a header-only file warns of no data
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if data.size:
+                    return data
+            except ValueError:
+                pass
             fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a header-only file warns of no data
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if data.size:
-                return data
-        except ValueError:
-            pass
-        fh.seek(0)
-        raw = [row for row in csv.reader(fh) if row]
+            raw = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise NonNumericCell(f"{path} is not text: {exc}") from None
     start = 0 if _numeric_row(raw[0]) else 1
     body = raw[start:]
     if not body:

@@ -413,6 +413,18 @@ class TestPosteriorResiduals:
             for key, val in direct.anglewise.items():
                 assert np.array_equal(rep.anglewise[key], val)
 
+    def test_zero_gamma2_is_invalid_not_an_error(self):
+        # sigma_k equal to the approximated sigma_{k+1}: gamma2 is 0
+        rng = np.random.default_rng(18)
+        A = random_matrix(rng, 40, 30, spectrum=np.logspace(0, -3, 30))
+        k = 4
+        lr = randomized_svd(A, 10, q=0, seed=19)
+        sigma = np.linalg.svd(A, compute_uv=False)
+        sigma[:k] = lr.sigma_hat[k]
+        rep = posterior_residuals(A, lr, k).gap(sigma)
+        assert rep.gamma2 == 0.0 and not rep.valid
+        assert rep.bounds["Uk_Uk_fro"] == rep.bounds["Uk_Uk_spec"] == np.inf
+
     def test_peak_memory_of_one_call(self):
         # the gap blocks die before the two m x n residuals are formed: the
         # traced peak is one residual, its Fortran copy and the SVD workspace
@@ -484,3 +496,20 @@ class TestBalancePhi:
         bal = BalanceConfig(k=10, alpha=16, beta=32, gamma=1.05, gap=1.5)
         with pytest.raises(InadmissibleQ):
             balance_phi(bal, bal.max_q() + 1)
+
+    def test_power_past_float_range_gives_limit(self):
+        # gap^(4q+2) leaves float range from q = 676 on
+        bal = BalanceConfig(k=3, alpha=6e6, beta=6, gamma=1.05, gap=1.3)
+        for phi in (balance_phi, balance_phi_from_l):
+            phis = [phi(bal, q) for q in (0, 600, 675, 676, 677, 5000, bal.max_q())]
+            assert all(b <= a for a, b in zip(phis, phis[1:]))
+            assert phis[-1] == 0.0 and 0 < phis[3] < 1e-150
+            assert phis[3] == pytest.approx(phis[2] / 1.3 ** 2, rel=1e-9)
+        assert balance_phi(bal, 676) == pytest.approx(balance_phi_from_l(bal, 676), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1.5, 1e6])
+    def test_edge_of_admissible_range_gives_one(self, gap):
+        # 2q+1 = alpha/gamma^2 at q=9: the coefficient is 0 but rounds below it
+        bal = BalanceConfig(k=3, alpha=19 * 1.05 ** 2, beta=6, gamma=1.05, gap=gap)
+        assert bal.max_q() == 9
+        assert balance_phi(bal, 9) == balance_phi_from_l(bal, 9) == 1.0

@@ -1,5 +1,6 @@
 import csv
 import os
+import pathlib
 import sys
 import threading
 import time
@@ -492,6 +493,16 @@ BAD = [(experiment, "seed", "-1") for experiment in TINY] + [
     ("balance", "trials", "x"),
 ]
 
+#: Matrix specs that ``matrices.parse_spec`` rejects: a value its parser
+#: rejects, a missing, misspelt or repeated key, a bad size, an unknown kind,
+#: a file that cannot be opened.
+BAD_SPECS = ["gauss:60x50,profile=slow,r=abc", "step:k=5,gap=2", "snn:", "csv:/nonexistent.csv",
+             "gauss:60x50,profile=medium", "gauss:60x50,profil=fast",
+             "snn:40x40,r=40,implicit=2", "gauss:60x50,r=40,r=30", "gauss:60x50x2",
+             "snn:40x0", "snn:40x40,", "step:k=5,gap=nan,beta=2", "wishart:40x40", "40x40"]
+BAD += [(experiment, "matrix", spec) for experiment in ("cur_accuracy", "angles")
+        for spec in BAD_SPECS]
+
 #: Flags that a subcommand rejects because its driver reads no such parameter.
 REMOVED = [["cur-accuracy", "--q", "0"]] + [
     ["timing", what, flag, value] for what in ("sketch", "pivot")
@@ -574,6 +585,31 @@ class TestParameters:
         assert run(COMMANDS[experiment] + given + ["--out", str(out)]) == 2
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_and_default_specs_parse(self, tmp_path, monkeypatch):
+        from randskel.bench.cli import _DEFAULTS
+        from randskel.bench.matrices import parse_spec
+
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Matrix specs", 1)[1].split("```")[1]
+        specs = [line.split()[0] for line in block.splitlines() if line.strip()]
+        assert {spec.split(":")[0] for spec in specs} == {"snn", "gauss", "step", "csv"}
+        monkeypatch.chdir(tmp_path)
+        for spec in specs:
+            if spec.startswith("csv:"):
+                pathlib.Path(spec[4:]).write_text("1,2\n3,4\n")
+        for spec in specs + [d["matrix"] for d in _DEFAULTS.values() if "matrix" in d]:
+            parse_spec(spec)
+
+    def test_spec_defaults(self):
+        from randskel.bench.matrices import parse_spec
+        from randskel.testmat import SlowDecay
+
+        assert parse_spec("snn:40X30") == ("snn", dict(size=(40, 30), r=30, a=2.0, r1=30,
+                                                      density=0.025, implicit=False))
+        assert parse_spec("snn:300x200,implicit=yes")[1]["r1"] == 100
+        assert parse_spec("gauss:40x30") == ("gauss", dict(size=(40, 30), r=30, r1=20,
+                                                          profile=SlowDecay))
 
     def test_out_is_a_file_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
         from randskel.bench import experiments

@@ -1,6 +1,8 @@
 import ast
 import contextlib
 import ctypes
+import functools
+import os
 import pathlib
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +17,8 @@ from randskel import dense
 from randskel.dense import _blas_runtimes, as_operator, blas_threads, spectral_norm, svdvals
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch, ZeroDimension
 
+#: The suite runs on scipy's LAPACK under this switch (tests/conftest.py).
+SCIPY_LAPACK = os.environ.get("RANDSKEL_TEST_LAPACK") == "scipy"
 
 class TestQrOrtho:
     def test_already_orthonormal(self):
@@ -148,7 +152,11 @@ class TestSvdvals:
     @pytest.mark.parametrize("name", list(_svdvals_inputs()))
     def test_bitwise_equal_to_numpy(self, name):
         M = _svdvals_inputs()[name]
-        got, want = svdvals(M), np.linalg.svd(M, compute_uv=False)
+        # where dense._lapack binds scipy's LAPACK (tests/conftest.py), the
+        # bits are scipy's, as in test_fallback_returns_scipy_bits
+        svd, same = ((functools.partial(sla.svd, check_finite=False), _bitwise)
+                     if SCIPY_LAPACK else (np.linalg.svd, _same_array))
+        got, want = svdvals(M), svd(M, compute_uv=False)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
         # svd_thin: numpy's bits and layout (C-ordered U and V^T), at the
@@ -156,10 +164,11 @@ class TestSvdvals:
         for threads in (contextlib.nullcontext(), blas_threads(1)):
             with threads:
                 f = svd_thin(M)
-                u, s, vt = np.linalg.svd(M, full_matrices=False)
-            assert _same_array(f.U, u) and _same_array(f.sigma, s) and _same_array(f.V, vt.T)
+                u, s, vt = svd(M, full_matrices=False)
+            assert same(f.U, u) and same(f.sigma, s) and same(f.V, vt.T)
 
     def test_runs_in_numpy_lapack(self):
+        _skip_without_numpy_lapack()
         # numpy's wheels bundle an ILP64 OpenBLAS; scipy's LP64 one is not loaded
         assert dense._lapack("dgesdd").c_int is ctypes.c_int64
 
@@ -315,6 +324,12 @@ def _lapack_inputs():
     }
 
 
+def _skip_without_numpy_lapack():
+    """Skip a test of numpy's own LAPACK where the suite runs on scipy's."""
+    if SCIPY_LAPACK:
+        pytest.skip("asserts numpy's LAPACK; RANDSKEL_TEST_LAPACK=scipy hides it")
+
+
 @pytest.fixture(params=["numpy-lapack", "fallback"])
 def lapack_path(request, monkeypatch):
     """Each kernel runs in numpy's bundled LAPACK, and again with numpy's
@@ -327,6 +342,8 @@ def lapack_path(request, monkeypatch):
 
 
 def test_every_routine_resolves_from_both_sources(lapack_path):
+    if lapack_path == "numpy-lapack":
+        _skip_without_numpy_lapack()
     width = ctypes.c_int64 if lapack_path == "numpy-lapack" else ctypes.c_int32
     assert all(dense._lapack(name).c_int is width for name in dense._LAPACK_ARGS)
 

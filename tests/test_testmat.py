@@ -190,3 +190,9 @@ class TestCsv:
         with pytest.raises(NonNumericCell) as exc:
             load_csv(p)
         assert "(1, 1)" in str(exc.value)
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"\xff\xfe\x00\x01,2\n")
+        with pytest.raises(NonNumericCell, match="binary.csv is not text"):
+            load_csv(p)
