@@ -3,7 +3,8 @@
 Subcommands: ``cur-accuracy``, ``timing {sketch,pivot}``, ``angles``,
 ``balance``. Each writes ``<experiment>.csv`` (schema
 ``experiment,method,matrix,param_l,param_q,trial,metric,value,nanos``) and a
-convenience ``<experiment>.svg`` into the output directory.
+convenience ``<experiment>.svg``, drawn as ``_CHARTS`` says, into the output
+directory.
 
 Each subcommand takes exactly the parameters its driver reads, which
 ``_DEFAULTS`` lists with their defaults, plus ``--out`` and ``--config``.
@@ -27,11 +28,10 @@ from __future__ import annotations
 import argparse
 import copy
 import os
+import statistics
 import sys
 import types
 from collections import defaultdict
-
-import numpy as np
 
 from ..errors import RandskelError, UnknownMethod
 from . import experiments, svg
@@ -190,66 +190,58 @@ def make_parser():
     return ap
 
 
-def _median_by(rows, metric, key_field, series_field):
-    grouped = defaultdict(lambda: defaultdict(list))
-    for r in rows:
-        if r.metric == metric:
-            grouped[getattr(r, series_field)][getattr(r, key_field)].append(r.value)
-    out = {}
-    for series, pts in grouped.items():
-        xs = sorted(pts)
-        out[series] = (xs, [float(np.median(pts[x])) for x in xs])
-    return out
+def _cur_point(row, first):
+    if row.metric in ("err_fro", "opt_fro"):
+        return (row.method if row.metric == "err_fro" else "optimal"), row.param_l
+
+
+def _timing_point(row, first):
+    if row.metric == "median_time_ns":
+        size = int(row.matrix.partition(":")[2].split("x")[0])  # M of dense:MxN
+        return f"{row.method} l={row.param_l}", size
+
+
+def _angles_point(row, first):
+    if (row.metric.startswith("left_sin_") and row.trial == 0
+            and (row.param_l, row.param_q) == (first.param_l, first.param_q)):
+        return row.method, int(row.metric.rsplit("_", 1)[1])
+
+
+def _balance_point(row, first):
+    if row.metric in ("phi", "sin_mean"):
+        return f"{'phi' if row.metric == 'phi' else 'measured'} {row.matrix}", row.param_q
+
+
+#: Each experiment's chart: its title, x and y labels, whether y is
+#: logarithmic, and the ``(series, x)`` point of a row given the CSV's first
+#: row, or None for a row the chart leaves out.
+_CHARTS = {
+    "cur_accuracy": ("CUR accuracy vs rank", "rank l", "relative Frobenius error", True,
+                     _cur_point),
+    "timing_pivot": ("timing pivot", "problem size", "median time (ns)", True, _timing_point),
+    "timing_sketch": ("timing sketch", "problem size", "median time (ns)", True,
+                      _timing_point),
+    "angles": ("left-side angle sines and bounds", "index i", "sin", True, _angles_point),
+    "balance": ("budget balance", "power iterations q", "phi / median sin", False,
+                _balance_point),
+}
 
 
 def _render_svg(experiment, rows, path):
-    if experiment == "cur_accuracy":
-        data = _median_by(rows, "err_fro", "param_l", "method")
-        base = _median_by(rows, "opt_fro", "param_l", "method")
-        series = [(m, xs, ys) for m, (xs, ys) in sorted(data.items())]
-        series += [("optimal", xs, ys) for _, (xs, ys) in sorted(base.items())]
-        svg.render_line_chart(path, "CUR accuracy vs rank", "rank l",
-                              "relative Frobenius error", series, logy=True)
-    elif experiment in ("timing_pivot", "timing_sketch"):
-        data = defaultdict(lambda: ([], []))
-        for r in rows:
-            if r.metric == "median_time_ns":
-                size = int(r.matrix.split(":")[1].split("x")[0])
-                data[r.method][0].append(size)
-                data[r.method][1].append(r.value)
-        series = [(m, xs, ys) for m, (xs, ys) in sorted(data.items())]
-        svg.render_line_chart(path, experiment.replace("_", " "), "problem size",
-                              "median time (ns)", series, logy=True)
-    elif experiment == "angles":
-        qmin = min(r.param_q for r in rows)
-        lmin = min(r.param_l for r in rows)
-        series_names = sorted({r.method for r in rows if r.metric.startswith("left_sin")})
-        series = []
-        for name in series_names:
-            pts = sorted((int(r.metric.rsplit("_", 1)[1]), r.value)
-                         for r in rows
-                         if r.method == name and r.metric.startswith("left_sin")
-                         and r.trial == 0 and r.param_q == qmin and r.param_l == lmin)
-            if pts:
-                series.append((name, [p[0] for p in pts], [p[1] for p in pts]))
-        svg.render_line_chart(path, "left-side angle sines and bounds", "index i",
-                              "sin", series, logy=True)
-    elif experiment == "balance":
-        data = defaultdict(lambda: ([], []))
-        for r in rows:
-            if r.metric == "phi":
-                data[f"phi {r.matrix}"][0].append(r.param_q)
-                data[f"phi {r.matrix}"][1].append(r.value)
-        meas = defaultdict(lambda: defaultdict(list))
-        for r in rows:
-            if r.metric == "sin_mean":
-                meas[f"measured {r.matrix}"][r.param_q].append(r.value)
-        for name, pts in meas.items():
-            xs = sorted(pts)
-            data[name] = (xs, [float(np.mean(pts[x])) for x in xs])
-        series = [(m, xs, ys) for m, (xs, ys) in sorted(data.items())]
-        svg.render_line_chart(path, "budget balance", "power iterations q",
-                              "phi / mean sin", series, logy=False)
+    """Chart ``rows`` as ``experiment``'s ``_CHARTS`` entry says: each point
+    is the median of its rows' values, each series runs in ascending x, and
+    the series come in the order of their first rows."""
+    title, xlabel, ylabel, logy, point = _CHARTS[experiment]
+    values = defaultdict(lambda: defaultdict(list))
+    for row in rows:
+        at = point(row, rows[0])
+        if at is not None:
+            values[at[0]][at[1]].append(row.value)
+    series = []
+    for name, by_x in values.items():
+        xs = sorted(by_x)
+        series.append((name, xs, [statistics.median(by_x[x]) for x in xs]))
+    svg.render_line_chart(path, title, xlabel, ylabel, series, logy=logy)
 
 
 def run(argv=None):

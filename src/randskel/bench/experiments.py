@@ -11,7 +11,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -358,11 +358,19 @@ def run_angles(cfg):
 
 @blas_threads(1)
 def run_balance(cfg):
-    """phi over admissible q, plus measured angles per (l(q), q) configuration."""
+    """phi over admissible q, plus measured angles per (l(q), q) configuration.
+
+    The largest sample, l at q = 0, must fit the r x r step matrix; that is
+    checked before any phi is computed, as the number of admissible q grows
+    with the budget."""
+    first = BalanceConfig(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
+                          gap=cfg.gaps[0])
+    if first.sample_size(0) > first.r:
+        raise BadShape(f"need l <= r, got l={first.sample_size(0)} at q=0 "
+                       f"for the {first.r}x{first.r} step matrix")
 
     def one(gap, trial):
-        bal = BalanceConfig(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta,
-                            gamma=cfg.gamma, gap=gap)
+        bal = replace(first, gap=gap)
         matrix_id = f"step:k={cfg.k},gap={gap},beta={cfg.beta:g}"
         qs = bal.admissible_q()
         rows = [] if trial else [

@@ -3,8 +3,8 @@
 Specs (brackets mark keys with a default; keys may come in any order after
 the ``MxN`` size):
 
-    snn:MxN[,r=R][,a=A][,r1=R1][,density=D][,implicit=0|1]
-        defaults r=min(m,n), a=2, r1=min(100,r), density=0.025, implicit=0
+    snn:MxN[,r=R][,a=A][,r1=R1][,density=D]
+        defaults r=min(m,n), a=2, r1=min(100,r), density=0.025
     gauss:MxN[,profile=slow|fast][,r=R][,r1=R1]
         defaults r=min(m,n), r1=20, profile=slow
     step:k=K,gap=G,beta=B
@@ -16,9 +16,9 @@ that cannot be read raises :class:`BadShape` before any matrix is built.
 Range checks of the generators (``r <= min(m, n)``, the snn weights and
 density, the CSV contents) stay with the generators.
 
-``gauss`` and ``step`` matrices carry their exact SVD factors; ``snn`` and
-``csv`` matrices get one computed on demand (bounded by a size cap, since
-that is a dense decomposition).
+Every kind is realized as a dense array. ``gauss`` and ``step`` matrices
+carry their exact SVD factors; ``snn`` and ``csv`` matrices get one computed
+on demand (bounded by a size cap, since that is a dense decomposition).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dense import as_operator, svd_thin
+from ..dense import svd_thin
 from ..errors import BadShape, MatrixTooLarge
 from ..testmat import (
     SNN_DEFAULT_DENSITY,
@@ -38,7 +38,6 @@ from ..testmat import (
     StepSpectrum,
     gen_gaussian_spectrum,
     gen_snn,
-    gen_snn_operator,
     load_csv,
     snn_weights,
 )
@@ -49,7 +48,7 @@ class MatrixBundle:
     """A realized test matrix plus whatever ground truth it comes with."""
 
     spec: str
-    A: object                      # ndarray or ImplicitSnnOperator
+    A: np.ndarray
     U: np.ndarray | None = None
     sigma: np.ndarray | None = None
     V: np.ndarray | None = None
@@ -59,7 +58,7 @@ class MatrixBundle:
         return self.A.shape
 
     def dense(self):
-        return as_operator(self.A).dense()
+        return self.A
 
     def exact_factors(self, max_dim=1500):
         """(U, sigma, V) of the matrix, computing a dense SVD if needed."""
@@ -116,9 +115,7 @@ def _size(text):
 _KINDS = {
     "snn": {"size": (_size, None), "r": (int_at_least(1), lambda v: min(v["size"])),
             "a": (finite_float, "2"), "r1": (int_at_least(0), lambda v: min(100, v["r"])),
-            "density": (finite_float, repr(SNN_DEFAULT_DENSITY)),
-            "implicit": (_one_of({"0": False, "false": False, "no": False,
-                                  "1": True, "true": True, "yes": True}), "0")},
+            "density": (finite_float, repr(SNN_DEFAULT_DENSITY))},
     "gauss": {"size": (_size, None), "r": (int_at_least(1), lambda v: min(v["size"])),
               "r1": (int_at_least(0), "20"),
               "profile": (_one_of({"slow": SlowDecay, "fast": FastDecay}), "slow")},
@@ -179,7 +176,7 @@ def realize_matrix(spec, seed=0):
     if kind == "snn":
         params = SnnParams(*v["size"], r=v["r"], s=snn_weights(v["a"], v["r1"], v["r"]),
                            density=v["density"], seed=seed)
-        return MatrixBundle(spec=spec, A=(gen_snn_operator if v["implicit"] else gen_snn)(params))
+        return MatrixBundle(spec=spec, A=gen_snn(params))
     if kind == "gauss":
         A, U, sigma, V = gen_gaussian_spectrum(*v["size"], v["profile"](r1=v["r1"]),
                                                seed=seed, r=v["r"])

@@ -43,15 +43,13 @@ def _fmt(v):
 
 
 def render_line_chart(path, title, xlabel, ylabel, series, logy=False):
-    """Write a line chart with one polyline per (label, xs, ys) series; the
-    file appears all or nothing, as the CSV does."""
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0):
-                pts.append((x, y))
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+    """Write a line chart with one polyline per (label, xs, ys) series, each
+    without its non-finite points and, on a log axis, its non-positive ones;
+    the file appears all or nothing, as the CSV does."""
+    series = [(label, [(x, y) for x, y in zip(xs, ys)
+                       if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)])
+              for label, xs, ys in series]
+    pts = [p for _, kept in series for p in kept] or [(0.0, 0.0), (1.0, 1.0)]
     xs_all = [p[0] for p in pts]
     ys_all = [math.log10(p[1]) if logy else p[1] for p in pts]
     x0, x1 = min(xs_all), max(xs_all)
@@ -95,12 +93,11 @@ def render_line_chart(path, title, xlabel, ylabel, series, logy=False):
     else:
         yticks = _nice_ticks(y0, y1)
     for t in yticks:
-        tv = t if not logy else t
-        yy = py(tv)
+        yy = py(t)
         if yy < _MT - 1 or yy > _H - _MB + 1:
             continue
         out.append(f'<line x1="{_ML - 5}" y1="{yy:.1f}" x2="{_ML}" y2="{yy:.1f}" stroke="black"/>')
-        out.append(f'<text x="{_ML - 8}" y="{yy + 4:.1f}" text-anchor="end">{_fmt(tv)}</text>')
+        out.append(f'<text x="{_ML - 8}" y="{yy + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
     out.append(
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>'
     )
@@ -109,13 +106,9 @@ def render_line_chart(path, title, xlabel, ylabel, series, logy=False):
         f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>'
     )
     # series
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, kept) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = [
-            (px(x), py(y))
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
-        ]
+        coords = [(px(x), py(y)) for x, y in kept]
         if coords:
             path_d = " ".join(f"{cx:.1f},{cy:.1f}" for cx, cy in coords)
             out.append(

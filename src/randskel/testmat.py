@@ -129,7 +129,7 @@ class ImplicitSnnOperator:
     def rows(self, I):
         I = np.asarray(I, dtype=np.intp)
         Xi = self.x_factors[I].toarray()  # |I| x r
-        return (Xi * self.params.s) @ self.y_factors.toarray().T
+        return np.ascontiguousarray((self.y_factors @ (Xi * self.params.s).T).T)
 
     def to_dense(self):
         X = self.x_factors.toarray()

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -403,6 +404,19 @@ class TestBalance:
         meas_qs = sorted({int(r["param_q"]) for r in rows if r["metric"] == "sin_mean"})
         assert qs == meas_qs
 
+    def test_oversized_sample_exit_3_before_any_phi(self, tmp_path, monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        # about 2.7 million admissible q, and l = 18,000,000 at q = 0
+        monkeypatch.setattr(experiments, "balance_phi",
+                            lambda *a: pytest.fail("a phi was computed"))
+        out = tmp_path / "o"
+        assert run(["balance", "--k", "3", "--alpha", "6e6", "--beta", "6", "--gaps", "1.3",
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "BadShape" in err and "l=18000000" in err and "21x21" in err
+        assert not (out / "balance.csv").exists()
+
     def test_cell_error_exit_3_without_csv(self, tmp_path, capsys):
         # alpha / gamma^2 < 1 admits no q: every cell raises InadmissibleQ
         code = run(["balance", "--k", "4", "--alpha", "1", "--gamma", "1.05",
@@ -464,8 +478,9 @@ COMMANDS = {"cur_accuracy": ["cur-accuracy"], "timing_pivot": ["timing", "pivot"
 #: A tiny run of each experiment, as the argv of its subcommand.
 TINY = {experiment: COMMANDS[experiment] + flags for experiment, flags in {
     "cur_accuracy": ["--matrix", TINY_SNN, "--ranks", "4", "--trials", "1"],
-    "timing_pivot": ["--sizes", "64", "--ranks", "16", "--repeats", "1"],
-    "timing_sketch": ["--sizes", "128", "--ranks", "16", "--repeats", "1", "--n-fixed", "32"],
+    "timing_pivot": ["--sizes", "64,96", "--ranks", "8,16", "--repeats", "1"],
+    "timing_sketch": ["--sizes", "128,256", "--ranks", "8,16", "--repeats", "1",
+                      "--n-fixed", "32"],
     "angles": ["--matrix", "gauss:60x50,profile=slow,r=40", "--ranks", "12", "--q", "0,1",
                "--k", "4", "--estimate-trials", "2"],
     "balance": ["--k", "3", "--alpha", "6", "--beta", "6", "--gaps", "1.3", "--trials", "1"],
@@ -494,12 +509,13 @@ BAD = [(experiment, "seed", "-1") for experiment in TINY] + [
 ]
 
 #: Matrix specs that ``matrices.parse_spec`` rejects: a value its parser
-#: rejects, a missing, misspelt or repeated key, a bad size, an unknown kind,
-#: a file that cannot be opened.
+#: rejects, a missing, misspelt, unknown or repeated key, a bad size, an
+#: unknown kind, a file that cannot be opened.
 BAD_SPECS = ["gauss:60x50,profile=slow,r=abc", "step:k=5,gap=2", "snn:", "csv:/nonexistent.csv",
              "gauss:60x50,profile=medium", "gauss:60x50,profil=fast",
-             "snn:40x40,r=40,implicit=2", "gauss:60x50,r=40,r=30", "gauss:60x50x2",
-             "snn:40x0", "snn:40x40,", "step:k=5,gap=nan,beta=2", "wishart:40x40", "40x40"]
+             "snn:40x40,r=40,implicit=2", "snn:40x40,implicit=1", "gauss:60x50,r=40,r=30",
+             "gauss:60x50x2", "snn:40x0", "snn:40x40,", "step:k=5,gap=nan,beta=2",
+             "wishart:40x40", "40x40"]
 BAD += [(experiment, "matrix", spec) for experiment in ("cur_accuracy", "angles")
         for spec in BAD_SPECS]
 
@@ -606,8 +622,8 @@ class TestParameters:
         from randskel.testmat import SlowDecay
 
         assert parse_spec("snn:40X30") == ("snn", dict(size=(40, 30), r=30, a=2.0, r1=30,
-                                                      density=0.025, implicit=False))
-        assert parse_spec("snn:300x200,implicit=yes")[1]["r1"] == 100
+                                                      density=0.025))
+        assert parse_spec("snn:300x200")[1]["r1"] == 100
         assert parse_spec("gauss:40x30") == ("gauss", dict(size=(40, 30), r=30, r1=20,
                                                           profile=SlowDecay))
 
@@ -642,6 +658,27 @@ class TestParameters:
         _, rows = read_rows(out / "cur_accuracy.csv")
         assert {(r["metric"], float(r["value"])) for r in rows if r["method"] == "baseline"} \
             == {("opt_fro", 0.0), ("opt_spec", 0.0)}
+
+
+class TestCharts:
+    @pytest.mark.parametrize("experiment", sorted(TINY))
+    def test_each_series_runs_in_ascending_x(self, experiment, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(TINY[experiment] + ["--out", str(out)]) == 0
+        assert "svg rendering skipped" not in capsys.readouterr().err
+        chart = ElementTree.parse(out / f"{experiment}.svg").getroot()
+        lines = chart.findall("{http://www.w3.org/2000/svg}polyline")
+        assert lines
+        for line in lines:
+            xs = [float(point.split(",")[0]) for point in line.get("points").split()]
+            assert all(a < b for a, b in zip(xs, xs[1:])), xs
+        if experiment.startswith("timing_"):
+            # one series per (scheme, l), named in the legend
+            _, rows = read_rows(out / f"{experiment}.csv")
+            want = {f"{r['method']} l={r['param_l']}" for r in rows
+                    if r["metric"] == "median_time_ns"}
+            labels = [t.text for t in chart.findall("{http://www.w3.org/2000/svg}text")]
+            assert len(want) == 6 and len(lines) == len(want) and want <= set(labels)
 
 
 def test_angles_reproducible(tmp_path):

@@ -90,6 +90,7 @@ class TestImplicitOperator:
         I = np.array([0, 200, 11, 45])
         assert np.allclose(op.columns(J), A[:, J])
         assert np.allclose(op.rows(I), A[I, :])
+        assert op.rows(I).flags.c_contiguous
 
     def test_shape_mismatch(self):
         op = gen_snn_operator(self.params)
