@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_r_checked, as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
-                    spectral_norm_estimate, svdvals)
+from .dense import (_project_out, _r_checked, as_matrix, lstsq_full_rank, qr_ortho, solve_upper,
+                    spectral_norm, spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -73,7 +73,7 @@ def canonical_angles(U, V):
     :func:`canonical_angles_cos` for the cosine-route cross-check.
     """
     Qu, Qv = _orthonormal_bases(U, V)
-    return np.clip(svdvals(Qv - Qu @ (Qu.T @ Qv))[::-1], 0.0, 1.0)
+    return np.clip(svdvals(_project_out(Qv, Qu, "left"))[::-1], 0.0, 1.0)
 
 
 def canonical_angles_cos(U, V):
@@ -284,21 +284,6 @@ def _spectrum(sigma, k):
     return sigma
 
 
-def _residual(A, basis, side):
-    """``(I - B B^T) A`` (left) or ``A (I - B B^T)`` (right) for a basis ``B``."""
-    if side == "left":
-        if basis.shape[0] != A.shape[0]:
-            raise ShapeMismatch("left basis rows must match A rows")
-        return A - basis @ (basis.T @ A)
-    if basis.shape[0] != A.shape[1]:
-        raise ShapeMismatch("right basis rows must match A columns")
-    return A - (A @ basis) @ basis.T
-
-
-def _residual_values(A, basis, side):
-    return svdvals(_residual(A, basis, side))
-
-
 def _simple_bound(s_res, sigma, k):
     i = np.arange(1, k + 1)
     first = s_res[k - i] / sigma[k - 1]
@@ -319,7 +304,7 @@ def posterior_simple(A, basis, sigma, k, side="left"):
     _check_side(side)
     _check_k(k, A.shape)
     sigma = _spectrum(sigma, k)
-    return _simple_bound(_residual_values(A, basis, side), sigma, k)
+    return _simple_bound(svdvals(_project_out(A, basis, side)), sigma, k)
 
 
 @dataclass(frozen=True)
@@ -358,10 +343,12 @@ def _low_rank_factors(A, lr, k):
     return U, V
 
 
-def _gap_blocks(A, lr, V, k):
-    """``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation) and ``E32``."""
-    resid = A - lr.approx()
-    return resid @ V, resid @ V[:, k:]
+def _gap_norms(A, lr, V, k, spectral=spectral_norm):
+    """``||EV||_F``, ``||EV||_2`` and ``||E32||_2`` by ``spectral``, from one
+    product ``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation), whose
+    trailing ``l - k`` columns are ``E32``."""
+    EV = (A - lr.approx()) @ V
+    return float(np.linalg.norm(EV)), spectral(EV), spectral(EV[:, k:])
 
 
 def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
@@ -434,22 +421,17 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
     A = as_matrix(A, "A")
     _, V = _low_rank_factors(A, lr, k)
     sigma = _spectrum(sigma, k)
-    EV, E32 = _gap_blocks(A, lr, V, k)
     if estimate_spectral:
-        def _est(M, salt):
-            return spectral_norm_estimate(
-                lambda v: M @ v, lambda w: M.T @ w, M.shape[1],
-                estimate_iters,
-                seed=np.random.SeedSequence([0 if estimate_seed is None
-                                             else estimate_seed, salt]))
-        n_spec = _est(EV, 0)
-        n_e32 = _est(E32, 1)
-        n_e33 = _est(_residual(A, V, "right"), 2)
+        # salts 0, 1, 2 for EV, E32 and E33, in the order they are estimated
+        seeds = iter([np.random.SeedSequence([estimate_seed or 0, salt]) for salt in range(3)])
+
+        def spectral(M):
+            return spectral_norm_estimate(lambda v: M @ v, lambda w: M.T @ w, M.shape[1],
+                                          estimate_iters, seed=next(seeds))
     else:
-        n_spec = spectral_norm(EV)
-        n_e32 = spectral_norm(E32)
-        n_e33 = float(_residual_values(A, V, "right")[0])
-    return _gap_report(float(np.linalg.norm(EV)), n_spec, n_e32, n_e33, sigma, k,
+        spectral = spectral_norm
+    norms = _gap_norms(A, lr, V, k, spectral)
+    return _gap_report(*norms, spectral(_project_out(A, V, "right")), sigma, k,
                        float(lr.sigma_hat[k]))
 
 
@@ -495,17 +477,11 @@ def posterior_residuals(A, lr, k):
     """
     A = as_matrix(A, "A")
     U, V = _low_rank_factors(A, lr, k)
-    EV, E32 = _gap_blocks(A, lr, V, k)
-    norms = dict(norm_EV_fro=float(np.linalg.norm(EV)), norm_EV_spec=spectral_norm(EV),
-                 norm_E32_spec=spectral_norm(E32))
-    del EV, E32  # not alive under the two m x n residuals
-    return PosteriorResiduals(
-        k=k,
-        left=_residual_values(A, U, "left"),
-        right=_residual_values(A, V, "right"),
-        shat_k1=float(lr.sigma_hat[k]),
-        **norms,
-    )
+    n_fro, n_spec, n_e32 = _gap_norms(A, lr, V, k)  # EV is freed before the residuals
+    return PosteriorResiduals(k=k, left=svdvals(_project_out(A, U, "left")),
+                              right=svdvals(_project_out(A, V, "right")), norm_EV_fro=n_fro,
+                              norm_EV_spec=n_spec, norm_E32_spec=n_e32,
+                              shat_k1=float(lr.sigma_hat[k]))
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,7 @@ def _cur_point(row, first):
 
 def _timing_point(row, first):
     if row.metric == "median_time_ns":
-        size = int(row.matrix.partition(":")[2].split("x")[0])  # M of dense:MxN
-        return f"{row.method} l={row.param_l}", size
+        return f"{row.method} l={row.param_l}", experiments.dense_size(row.matrix)
 
 
 def _angles_point(row, first):

@@ -201,6 +201,11 @@ def run_cur_accuracy(cfg):
 
 # --- timing -------------------------------------------------------------------
 
+def dense_size(matrix_id):
+    """The row count M of a timing run's matrix id ``dense:MxN``."""
+    return int(matrix_id.partition(":")[2].split("x")[0])
+
+
 def _timing_rows(experiment, scheme, matrix_id, l, fn, repeats):
     """The ``time_ns`` row of each of ``repeats`` calls of ``fn``, then their
     ``median_time_ns`` row."""
@@ -225,7 +230,6 @@ def run_timing_pivot(cfg):
     Repeats run sequentially in-process.
     """
     rows = []
-    orderings = []
     for n in cfg.sizes:
         for l in cfg.ranks:
             rng = np.random.default_rng(_run_seed(cfg.seed, n, l))
@@ -247,14 +251,12 @@ def run_timing_pivot(cfg):
                 rows += _timing_rows("timing_pivot", scheme, matrix_id, l, fn, cfg.repeats)
                 medians[scheme] = rows[-1].nanos
             ok = medians["lupp"] < medians["cpqr"] < medians["deim"]
-            orderings.append((n, l, ok))
             rows.append(Row("timing_pivot", "ordering", matrix_id, l, 0, 0,
                             "lupp_lt_cpqr_lt_deim", float(ok), 0))
-    for n, l, ok in orderings:
-        if not ok:
-            print(f"timing_pivot: expected lupp < cpqr < deim ordering did not "
-                  f"hold at n={n}, l={l}", file=sys.stderr)
-    rows.sort(key=lambda r: (r.method, r.matrix, r.param_l, r.metric, r.trial))
+            if not ok:
+                print(f"timing_pivot: expected lupp < cpqr < deim ordering did not "
+                      f"hold at n={n}, l={l}", file=sys.stderr)
+    rows.sort(key=lambda r: (r.method, dense_size(r.matrix), r.param_l, r.metric, r.trial))
     return rows
 
 
@@ -275,7 +277,7 @@ def run_timing_sketch(cfg):
             for name in sorted(ops):
                 rows += _timing_rows("timing_sketch", name, f"dense:{m}x{n}", l,
                                      lambda: ops[name].apply(A), cfg.repeats)
-    rows.sort(key=lambda r: (r.method, r.matrix, r.param_l, r.metric, r.trial))
+    rows.sort(key=lambda r: (r.method, dense_size(r.matrix), r.param_l, r.metric, r.trial))
     return rows
 
 
@@ -295,12 +297,17 @@ def run_angles(cfg):
     Every family is evaluated twice: from the true spectrum and from the
     run's approximated spectrum padded out to full length. The posterior
     residuals are measured once per cell and shared by both spectra and sides.
+    Every family needs k < l < r - k for the matrix's exact rank r; each l is
+    checked before any cell.
     """
     bundle = realize_matrix(cfg.matrix, seed=cfg.seed)
     U0, sigma, V0 = bundle.exact_factors(cfg.max_exact_dim)
     A = bundle.dense()
     r = sigma.size
     k = cfg.k
+    for l in cfg.ranks:
+        if not k < l < r - k:
+            raise BadShape(f"need k < l < r - k, got k={k}, l={l}, r={r}")
     U0k = U0[:, :k].copy()  # the rest of the bundle is not kept alive by a view
     del bundle, U0
 

@@ -21,6 +21,8 @@ scipy's, a second runtime with its own threads.
   (:func:`_gesdd`), numpy's, with its bits and layout, but with the GIL
   released (numpy holds it for the whole LAPACK call), so threads computing
   spectra overlap; :func:`spectral_norm` reads ``||M||_2`` off ``svdvals``,
+* :func:`_project_out` -- an orthonormal basis projected out of ``M``: the
+  residual behind every range error, angle sine and posterior bound,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`solve_upper` -- solve with an upper-triangular matrix,
@@ -35,12 +37,11 @@ singular values) at or above ``RANK_RTOL`` times a per-routine reference.
 
 The randomized routines also accept a matvec-only operator: an object with
 ``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
-``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``), plus
-``to_dense()`` where a dense form is needed. :func:`as_operator` wraps either
-kind once, at each public entry; it is the only code that tells them apart.
-A wrapped dense matrix returns ``columns(J)`` as a Fortran-ordered block,
-gathered in row tiles, so the QR and LU that consume it reach LAPACK without
-a transposing copy.
+``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``).
+:func:`as_operator` wraps either kind once, at each public entry; it is the
+only code that tells them apart. A wrapped dense matrix returns
+``columns(J)`` as a Fortran-ordered block, gathered in row tiles, so the QR
+and LU that consume it reach LAPACK without a transposing copy.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def as_matrix(a, name="matrix"):
 
 class Operator:
     """A dense matrix under the operator protocol, plus its sketches by an
-    embedding and a dense form. Build it with :func:`as_operator`."""
+    embedding. Build it with :func:`as_operator`."""
 
     def __init__(self, A):
         self.A, self.shape = A, tuple(A.shape)
@@ -115,9 +116,6 @@ class Operator:
 
     def rows(self, I):
         return np.ascontiguousarray(self.A[I, :])
-
-    def dense(self):
-        return self.A
 
     def left_sketch(self, emb):
         """``G @ A`` for an embedding ``G`` of the rows."""
@@ -143,9 +141,6 @@ class _MatvecOperator(Operator):
 
     def rows(self, I):
         return as_matrix(self.A.rows(I), "operator rows")
-
-    def dense(self):
-        return self.A.to_dense()
 
     def left_sketch(self, emb):
         return np.ascontiguousarray(self.A.rmatmat(_embedding_matrix(emb, self.shape[0]).T).T)
@@ -488,6 +483,21 @@ def _gesdd(M, vectors):
 def svdvals(M):
     """Singular values of ``M``, nonincreasing, by a values-only :func:`_gesdd`."""
     return _gesdd(as_matrix(M, "M"), vectors=False)[1]
+
+
+def _project_out(M, Q, side):
+    """``M - Q (Q^T M)`` (``side="left"``) or ``M - (M Q) Q^T`` (right): the one
+    order of products, which decides the bits of every such residual. ``Q``
+    must have as many rows as ``M`` has rows (left) or columns (right). The
+    residual overflows where ``M`` nears the float range: :func:`svdvals`
+    of it scans it and raises :class:`BadShape`, where LAPACK would not."""
+    if side == "left":
+        if Q.shape[0] != M.shape[0]:
+            raise ShapeMismatch("left basis rows must match A rows")
+        return M - Q @ (Q.T @ M)
+    if Q.shape[0] != M.shape[1]:
+        raise ShapeMismatch("right basis rows must match A columns")
+    return M - (M @ Q) @ Q.T
 
 
 def spectral_norm(M):

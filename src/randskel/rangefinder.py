@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, as_operator, orth, qr_checked, spectral_norm, svd_thin
+from .dense import _project_out, as_matrix, as_operator, orth, qr_checked, spectral_norm, svd_thin
 from .errors import BadShape, ShapeMismatch
 from .sketch import make_embedding
 
@@ -114,6 +114,5 @@ def rangefinder_error(A, X):
         raise ShapeMismatch(
             f"X has {X.shape[1]} columns, A has {A.shape[1]}"
         )
-    Qr = qr_checked(X.T, name="row approximator")[0]
-    E = A - (A @ Qr) @ Qr.T
+    E = _project_out(A, qr_checked(X.T, name="row approximator")[0], "right")
     return float(np.linalg.norm(E)), spectral_norm(E)

@@ -63,26 +63,29 @@ def snn_weights(a, r1, r):
     return s
 
 
-def _sparse_nonneg_vector(rng, dim, density, retries=100):
-    for _ in range(retries):
-        mask = rng.random(dim) < density
-        vals = rng.random(dim)
-        v = np.where(mask, vals, 0.0)
-        if v.any():
-            return v
-    raise EmptyFactor(
-        f"all-zero factor after {retries} retries (dim={dim}, density={density})"
-    )
-
-
-def _snn_factors(params):
+def _snn_factors(params, retries=100):
+    """The nonzeros of the factors X (m x r) and Y (n x r), each as ``(values,
+    (rows, columns))``. Column i of X, then of Y, for each i: an attempt draws
+    ``dim`` mask uniforms, then ``dim`` values, and keeps the masked-in nonzero
+    ones; an all-zero column is drawn again, at most ``retries`` times."""
     rng = np.random.default_rng(params.seed)
-    X = np.empty((params.m, params.r))
-    Y = np.empty((params.n, params.r))
-    for i in range(params.r):
-        X[:, i] = _sparse_nonneg_vector(rng, params.m, params.density)
-        Y[:, i] = _sparse_nonneg_vector(rng, params.n, params.density)
-    return X, Y
+    factors = ([], []), ([], [])
+    for _ in range(params.r):
+        for dim, (rows, values) in zip((params.m, params.n), factors):
+            for _ in range(retries):
+                kept = np.flatnonzero(rng.random(dim) < params.density)
+                drawn = rng.random(dim)
+                kept = kept[drawn[kept] != 0.0]
+                if kept.size:
+                    break
+            else:
+                raise EmptyFactor(f"all-zero factor after {retries} retries "
+                                  f"(dim={dim}, density={params.density})")
+            rows.append(kept)
+            values.append(drawn[kept])
+    return tuple((np.concatenate(values),
+                  (np.concatenate(rows), np.repeat(np.arange(params.r), [x.size for x in rows])))
+                 for rows, values in factors)
 
 
 @dataclass(frozen=True)
@@ -139,20 +142,20 @@ class ImplicitSnnOperator:
 
 def gen_snn(params):
     """Dense SNN matrix; entries are nonnegative by construction."""
-    X, Y = _snn_factors(params)
+    X, Y = np.zeros((params.m, params.r)), np.zeros((params.n, params.r))
+    for F, (values, at) in zip((X, Y), _snn_factors(params)):
+        F[at] = values
     return (X * params.s) @ Y.T
 
 
 def gen_snn_operator(params):
-    """SNN matrix exposed only through (ad)joint products."""
+    """SNN matrix exposed only through (ad)joint products; its sparse factors
+    are built from their nonzeros, in O((m + n) r) time and O(nnz) memory."""
     import scipy.sparse as sp  # scipy is needed for this operator only
 
-    X, Y = _snn_factors(params)
-    return ImplicitSnnOperator(
-        params=params,
-        x_factors=sp.csr_matrix(X),
-        y_factors=sp.csr_matrix(Y),
-    )
+    x, y = _snn_factors(params)
+    return ImplicitSnnOperator(params, sp.csr_matrix(x, shape=(params.m, params.r)),
+                               sp.csr_matrix(y, shape=(params.n, params.r)))
 
 
 @dataclass(frozen=True)

@@ -90,3 +90,22 @@ def unbiased_sines_svd(sigma, k, l, q, n_trials, seed, side="left"):
         nu = np.linalg.svd((w[:k, None] * omega[:k]) @ vt.T / s, compute_uv=False)
         sines[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
     return sines
+
+
+def snn_factors_dense(params, retries=100):
+    """The dense factors ``X`` (m x r) and ``Y`` (n x r) of an SNN matrix by
+    the rule of the first generator: column i of ``X``, then of ``Y``, is
+    drawn as ``dim`` mask uniforms below the density, then ``dim`` value
+    uniforms, the unmasked entries zeroed, and drawn again while all zero."""
+    rng = np.random.default_rng(params.seed)
+    factors = np.empty((params.m, params.r)), np.empty((params.n, params.r))
+    for i in range(params.r):
+        for F in factors:
+            for _ in range(retries):
+                mask = rng.random(F.shape[0]) < params.density
+                F[:, i] = np.where(mask, rng.random(F.shape[0]), 0.0)
+                if F[:, i].any():
+                    break
+            else:
+                raise AssertionError("all-zero factor")
+    return factors

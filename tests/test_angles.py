@@ -276,6 +276,21 @@ class TestPosteriorSimple:
         s_res = np.linalg.svd(E, compute_uv=False)
         assert b[k - 1] == pytest.approx(min(s_res[0] / sigma[k - 1], 1.0))
 
+    @pytest.mark.parametrize("side, rows", [("left", 14), ("right", 15)])
+    def test_basis_of_wrong_length_rejected(self, side, rows):
+        A = np.random.default_rng(8).standard_normal((15, 12))
+        with pytest.raises(ShapeMismatch, match=f"{side} basis rows"):
+            posterior_simple(A, np.eye(rows, 3), np.ones(12), 2, side=side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_overflowing_residual_rejected(self, side):
+        # finite inputs whose residual leaves the float range: an error, not NaN
+        A = np.full((6, 5), 1e308)
+        basis = np.linalg.qr(np.eye(6 if side == "left" else 5, 2) + 1.0)[0]
+        with pytest.raises(BadShape, match="non-finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                posterior_simple(A, basis, np.ones(5), 2, side=side)
+
     def test_dominates_true_sines(self):
         # deterministic theorem: holds in every seeded run
         for seed in range(100):

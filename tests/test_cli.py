@@ -317,6 +317,16 @@ class TestTiming:
         keys = [(r["method"], r["matrix"]) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("what, extra", [("pivot", []), ("sketch", ["--n-fixed", "32"])])
+    def test_sizes_in_numeric_order(self, what, extra, tmp_path):
+        out = tmp_path / "t"
+        assert run(["timing", what, "--sizes", "64,128", "--ranks", "8,16", "--repeats", "1",
+                    "--out", str(out)] + extra) == 0
+        _, rows = read_rows(out / f"timing_{what}.csv")
+        keys = [(r["method"], int(r["matrix"].split(":")[1].split("x")[0]), int(r["param_l"]))
+                for r in rows]
+        assert keys == sorted(keys) and {size for _, size, _ in keys} == {64, 128}
+
     def test_sketch_runs(self, tmp_path):
         out = tmp_path / "t"
         code = run(["timing", "sketch", "--sizes", "128", "--ranks", "16",
@@ -380,6 +390,24 @@ class TestAngles:
         assert code == 3
         assert "BadShape" in capsys.readouterr().err
         assert not (tmp_path / "angles.csv").exists()
+
+    @pytest.mark.parametrize("k, ranks, l", [("30", "40,80", 80), ("10", "5,40", 5),
+                                             ("10", "20,40,90", 90)])
+    def test_inadmissible_rank_exit_3_before_any_cell(self, k, ranks, l, tmp_path,
+                                                      monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a cell ran"))
+        code = run(["angles", "--matrix", "gauss:120x120,profile=slow,r=100", "--ranks", ranks,
+                    "--k", k, "--out", str(tmp_path)])
+        assert code == 3
+        assert f"need k < l < r - k, got k={k}, l={l}, r=100" in capsys.readouterr().err
+        assert not (tmp_path / "angles.csv").exists()
+
+    def test_largest_admissible_rank_runs(self, tmp_path):
+        assert run(["angles", "--matrix", "gauss:60x60,profile=slow,r=40", "--ranks", "29",
+                    "--q", "0", "--k", "10", "--estimate-trials", "1",
+                    "--out", str(tmp_path)]) == 0
 
     def test_matrix_too_large_exit_3(self, tmp_path, capsys):
         code = run(["angles", "--matrix", TINY_SNN, "--ranks", "8", "--q", "0",
@@ -626,6 +654,15 @@ class TestParameters:
         assert parse_spec("snn:300x200")[1]["r1"] == 100
         assert parse_spec("gauss:40x30") == ("gauss", dict(size=(40, 30), r=30, r1=20,
                                                           profile=SlowDecay))
+
+    def test_step_spec_realizes_its_exact_factors(self):
+        from randskel.bench.matrices import realize_matrix
+
+        bundle = realize_matrix("step:k=5,gap=2,beta=3", seed=4)
+        U, sigma, V = bundle.exact_factors()
+        assert bundle.shape == (20, 20)
+        assert np.array_equal(sigma, np.r_[np.full(5, 2.0), np.ones(15)])
+        assert np.allclose((U * sigma) @ V.T, bundle.A, rtol=0, atol=1e-13)
 
     def test_out_is_a_file_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
         from randskel.bench import experiments

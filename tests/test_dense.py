@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import ctypes
 import functools
 import os
@@ -148,6 +147,20 @@ def _same_array(got, want):
             and got.flags.f_contiguous == want.flags.f_contiguous)
 
 
+class TestProjectOut:
+    def test_both_sides_against_the_projector(self):
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((9, 7))
+        for side, rows, projected in (("left", 9, lambda P: M - P @ M),
+                                      ("right", 7, lambda P: M - M @ P)):
+            Q = np.linalg.qr(rng.standard_normal((rows, 3)))[0]
+            got = dense._project_out(M, Q, side)
+            assert np.allclose(got, projected(Q @ Q.T), rtol=0, atol=1e-14)
+            assert np.allclose(dense._project_out(got, Q, side), got, rtol=0, atol=1e-14)
+            with pytest.raises(ShapeMismatch, match=f"{side} basis rows"):
+                dense._project_out(M, Q[1:], side)
+
+
 class TestSvdvals:
     @pytest.mark.parametrize("name", list(_svdvals_inputs()))
     def test_bitwise_equal_to_numpy(self, name):
@@ -159,9 +172,9 @@ class TestSvdvals:
         got, want = svdvals(M), svd(M, compute_uv=False)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert spectral_norm(M) == (float(want.max()) if want.size else 0.0)
-        # svd_thin: numpy's bits and layout (C-ordered U and V^T), at the
-        # default BLAS thread count and at one thread
-        for threads in (contextlib.nullcontext(), blas_threads(1)):
+        # svd_thin: numpy's bits and layout (C-ordered U and V^T), at two BLAS
+        # threads and at one
+        for threads in (blas_threads(2), blas_threads(1)):
             with threads:
                 f = svd_thin(M)
                 u, s, vt = svd(M, full_matrices=False)
@@ -210,20 +223,21 @@ class TestBlasThreads:
 
     def test_sets_and_restores_each_runtime(self):
         assert _blas_runtimes(), "no OpenBLAS runtime bundled with numpy or scipy found"
-        before = self.counts()
-        with blas_threads(1):
-            assert self.counts() == [1] * len(before)
-            with blas_threads(2):
-                assert self.counts() == [2] * len(before)
-            assert self.counts() == [1] * len(before)
-        assert self.counts() == before
+        with blas_threads(3):  # not the suite's count, so that restoring it shows
+            before = self.counts()
+            with blas_threads(1):
+                assert self.counts() == [1] * len(before)
+                with blas_threads(2):
+                    assert self.counts() == [2] * len(before)
+                assert self.counts() == [1] * len(before)
+            assert self.counts() == before == [3] * len(before)
 
     def test_restores_when_block_raises(self):
-        before = self.counts()
-        with pytest.raises(ZeroDivisionError):
-            with blas_threads(1):
-                1 / 0
-        assert self.counts() == before
+        with blas_threads(3):  # not the suite's count, so that restoring it shows
+            with pytest.raises(ZeroDivisionError):
+                with blas_threads(1):
+                    1 / 0
+            assert self.counts() == [3] * len(_blas_runtimes())
 
     def test_unprefixed_symbols_of_older_wheels_found(self, monkeypatch):
         counts = {}

@@ -182,6 +182,17 @@ class TestSketchRows:
         assert np.linalg.norm(got - want) < 1e-12 * max(denom, 1.0)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "srtt", "sparse_sign"])
+def test_apply_t_is_apply_of_the_transpose(kind):
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((30, 50))
+    op = make_embedding(kind, 8, 50, seed=4)
+    got = op.apply_t(A)
+    assert got.flags.c_contiguous and np.array_equal(got, op.apply(A.T).T)
+    with pytest.raises(ShapeMismatch):
+        op.apply_t(np.ones((50, 30)))
+
+
 def test_reproducible_sketch_output():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((50, 20))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,8 @@ from randskel import (
     svd_thin,
 )
 from randskel.errors import BadShape, NonNumericCell, RaggedRows, ShapeMismatch
+from randskel.testmat import SNN_DEFAULT_DENSITY
+from oracles import snn_factors_dense
 
 
 class TestSnn:
@@ -56,6 +59,35 @@ class TestSnn:
             SnnParams(m=5, n=5, r=8, s=np.ones(8))
         with pytest.raises(BadShape):
             SnnParams(m=5, n=5, r=2, s=np.array([1.0, 2.0]))  # increasing
+
+    @pytest.mark.parametrize("m, n, r, density, seed", [
+        (300, 300, 300, SNN_DEFAULT_DENSITY, 0), (60, 60, 60, 0.2, 1),
+        (200, 150, 100, SNN_DEFAULT_DENSITY, 3), (7, 5, 5, 0.05, 2), (6, 5, 2, 1.0, 4)])
+    def test_factors_equal_the_dense_rule(self, m, n, r, density, seed):
+        import scipy.sparse as sp
+
+        params = SnnParams(m=m, n=n, r=r, s=snn_weights(2, min(2, r), r), density=density,
+                           seed=seed)
+        X, Y = snn_factors_dense(params)
+        op = gen_snn_operator(params)
+        for got, want in ((op.x_factors, sp.csr_matrix(X)), (op.y_factors, sp.csr_matrix(Y))):
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert gen_snn(params).tobytes() == ((X * params.s) @ Y.T).tobytes()
+
+    def test_operator_memory_grows_with_nonzeros(self):
+        # a dense m x r factor would take 160 MB; each CSR factor takes 6 MB
+        m, r = 20000, 1000
+        params = SnnParams(m=m, n=m, r=r, s=snn_weights(2, 100, r), seed=1)
+        tracemalloc.start()
+        try:
+            op = gen_snn_operator(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.x_factors.nnz == pytest.approx(SNN_DEFAULT_DENSITY * m * r, rel=0.02)
+        assert peak < m * r * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestImplicitOperator:
