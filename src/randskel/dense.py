@@ -488,9 +488,9 @@ def svdvals(M):
 def _project_out(M, Q, side):
     """``M - Q (Q^T M)`` (``side="left"``) or ``M - (M Q) Q^T`` (right): the one
     order of products, which decides the bits of every such residual. ``Q``
-    must have as many rows as ``M`` has rows (left) or columns (right). The
-    residual overflows where ``M`` nears the float range: :func:`svdvals`
-    of it scans it and raises :class:`BadShape`, where LAPACK would not."""
+    must have as many rows as ``M`` has rows (left) or columns (right). Near
+    the float range the residual can overflow; :func:`svdvals` of it raises
+    :class:`BadShape` there, where LAPACK alone would return NaN."""
     if side == "left":
         if Q.shape[0] != M.shape[0]:
             raise ShapeMismatch("left basis rows must match A rows")
