@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_project_out, _r_checked, as_matrix, lstsq_full_rank, qr_ortho, solve_upper,
-                    spectral_norm, spectral_norm_estimate, svdvals)
+from .dense import (_child_seeds, _project_out, _r_checked, as_matrix, lstsq_full_rank, qr_ortho,
+                    solve_upper, spectral_norm, spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -38,7 +38,6 @@ from .errors import (
     TailRankDeficient,
 )
 from .rangefinder import LowRankSVD
-from .sketch import _as_seed_sequence
 
 
 def _check_side(side):
@@ -261,7 +260,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     w_head = (sigma[:k] / sigma[0]) ** half_p
     w_tail = (sigma[k:] / sigma[0]) ** half_p
     thetas = np.empty((n_trials, k))
-    for j, stream in enumerate(_as_seed_sequence(seed).spawn(n_trials)):
+    for j, stream in enumerate(_child_seeds(seed, n_trials)):
         omega = np.random.default_rng(stream).standard_normal((r, l)) / np.sqrt(l)
         w1 = w_head[:, None] * omega[:k]       # k x l
         w2 = w_tail[:, None] * omega[k:]       # (r-k) x l
@@ -422,8 +421,8 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
     _, V = _low_rank_factors(A, lr, k)
     sigma = _spectrum(sigma, k)
     if estimate_spectral:
-        # salts 0, 1, 2 for EV, E32 and E33, in the order they are estimated
-        seeds = iter([np.random.SeedSequence([estimate_seed or 0, salt]) for salt in range(3)])
+        # child streams 0, 1, 2 for EV, E32 and E33, in the order they are estimated
+        seeds = iter(_child_seeds(estimate_seed, 3))
 
         def spectral(M):
             return spectral_norm_estimate(lambda v: M @ v, lambda w: M.T @ w, M.shape[1],

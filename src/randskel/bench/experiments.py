@@ -26,7 +26,7 @@ from ..angles import (
     BalanceConfig,
     balance_phi,
 )
-from ..dense import blas_threads, qr_ortho, spectral_norm, svd_thin
+from ..dense import _seed_sequence, blas_threads, qr_ortho, spectral_norm, svd_thin
 from ..errors import BadShape, RandskelError, RankDeficient
 from ..rangefinder import randomized_svd
 from ..sketch import make_embedding
@@ -90,8 +90,11 @@ def worker_count():
 
 
 def _run_seed(base_seed, *indices):
-    """Derived, collision-free substream for one (method, l, trial) cell."""
-    return np.random.SeedSequence([int(base_seed)] + [int(i) for i in indices])
+    """The substream of one cell, from the base seed and the cell's integer
+    indices only, never from a float parameter. A driver keys its streams
+    with a fixed number of indices: ``SeedSequence`` reads a trailing 0 as
+    absent, so keys of different lengths can collide."""
+    return _seed_sequence([int(base_seed)] + [int(i) for i in indices])
 
 
 def _sweep(cells, one):
@@ -367,6 +370,10 @@ def run_angles(cfg):
 def run_balance(cfg):
     """phi over admissible q, plus measured angles per (l(q), q) configuration.
 
+    A cell is keyed by the gap's position ``g`` in ``cfg.gaps`` and its trial:
+    its step matrix is drawn from stream ``(g, trial, 0)`` and its sketch
+    at ``q`` from ``(g, trial, q + 1)``.
+
     The largest sample, l at q = 0, must fit the r x r step matrix; that is
     checked before any phi is computed, as the number of admissible q grows
     with the budget."""
@@ -376,7 +383,7 @@ def run_balance(cfg):
         raise BadShape(f"need l <= r, got l={first.sample_size(0)} at q=0 "
                        f"for the {first.r}x{first.r} step matrix")
 
-    def one(gap, trial):
+    def one(g, gap, trial):
         bal = replace(first, gap=gap)
         matrix_id = f"step:k={cfg.k},gap={gap},beta={cfg.beta:g}"
         qs = bal.admissible_q()
@@ -384,13 +391,11 @@ def run_balance(cfg):
             Row("balance", "phi", matrix_id, bal.sample_size(q), q, 0, "phi",
                 balance_phi(bal, q), 0) for q in qs]
         A, U, _, _ = gen_gaussian_spectrum(bal.r, bal.r, StepSpectrum(cfg.k, sigma1=gap),
-                                           seed=_run_seed(cfg.seed, int(gap * 1000), trial, 99),
-                                           r=bal.r)
+                                           seed=_run_seed(cfg.seed, g, trial, 0), r=bal.r)
         for q in qs:
             l = bal.sample_size(q)
             t0 = time.perf_counter_ns()
-            lr = randomized_svd(A, l, q=q,
-                                seed=_run_seed(cfg.seed, int(gap * 1000), trial, q))
+            lr = randomized_svd(A, l, q=q, seed=_run_seed(cfg.seed, g, trial, q + 1))
             nanos = time.perf_counter_ns() - t0
             sines = canonical_angles(lr.U_hat, U[:, :cfg.k])
             for name, v in (("sin_mean", sines.mean()),
@@ -400,4 +405,5 @@ def run_balance(cfg):
                                 trial, name, float(v), nanos))
         return rows
 
-    return _sweep([(gap, t) for gap in cfg.gaps for t in range(cfg.trials)], one)
+    return _sweep([(g, gap, t) for g, gap in enumerate(cfg.gaps) for t in range(cfg.trials)],
+                  one)

@@ -27,6 +27,8 @@ scipy's, a second runtime with its own threads.
 * :func:`cpqr` -- QR with greedy column pivoting,
 * :func:`solve_upper` -- solve with an upper-triangular matrix,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
+* :func:`_seed_sequence` and :func:`_child_seeds` -- the one reading of a
+  ``seed`` that every seeded routine of the library makes,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
@@ -89,6 +91,30 @@ def as_matrix(a, name="matrix"):
     if arr.size and not np.isfinite(arr).all():
         raise BadShape(f"{name} contains non-finite entries")
     return arr
+
+
+def _seed_sequence(seed):
+    """``seed`` as a :class:`numpy.random.SeedSequence`: ``None`` is
+    ``SeedSequence(0)``, a non-negative int or a sequence of them is the
+    entropy, and a ``SeedSequence`` is returned as it is. Anything else raises
+    :class:`BadShape`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(0 if seed is None else seed)
+    except (TypeError, ValueError):
+        raise BadShape("seed must be None, a non-negative int, a sequence of them "
+                       f"or a SeedSequence, got {seed!r}") from None
+
+
+def _child_seeds(seed, n):
+    """The ``n`` child streams that ``spawn(n)`` returns on a fresh copy of
+    :func:`_seed_sequence` of ``seed``. A caller's ``SeedSequence`` is only
+    read: its ``n_children_spawned`` is not advanced, so the same seed gives
+    the same children on every call."""
+    parent = _seed_sequence(seed)
+    return [np.random.SeedSequence(parent.entropy, spawn_key=(*parent.spawn_key, i),
+                                   pool_size=parent.pool_size) for i in range(n)]
 
 
 class Operator:
@@ -658,7 +684,7 @@ def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):
         raise ZeroDimension("operator has dimension zero")
     if iters < 1:
         raise BadShape(f"iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     est = 0.0

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_cpqr_pivots, _lu_pivots, as_matrix, as_operator, lstsq_full_rank,
-                    qr_checked, spectral_norm)
+from .dense import (_child_seeds, _cpqr_pivots, _lu_pivots, as_matrix, as_operator,
+                    lstsq_full_rank, qr_checked, spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -30,7 +30,7 @@ from .errors import (
     StreamExhausted,
 )
 from .rangefinder import randomized_svd
-from .sketch import _as_seed_sequence, make_embedding, sketch_rows
+from .sketch import make_embedding, sketch_rows
 
 #: Column width of the internal panels used by the streaming accumulator.
 #: Re-chunking to fixed panels makes results bitwise independent of how the
@@ -219,7 +219,7 @@ def select_leverage(A, k, l, seed=None):
     A = as_operator(A)
     if not k <= l:
         raise BadShape(f"need k <= l, got k={k}, l={l}")
-    s_svd, s_col, s_row = _as_seed_sequence(seed).spawn(3)
+    s_svd, s_col, s_row = _child_seeds(seed, 3)
     lr = randomized_svd(A, k, q=0, seed=s_svd)
     col_scores = (lr.V_hat ** 2).sum(axis=1) / k
     row_scores = (lr.U_hat ** 2).sum(axis=1) / k
@@ -298,8 +298,7 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     # the row embedding matches select_columns_lupp's draw for the same seed,
     # so a single-block stream reproduces its column pivots exactly
     gamma = make_embedding("gaussian", l, m, seed=seed)
-    omega = make_embedding("gaussian", l, n,
-                           seed=_as_seed_sequence(seed).spawn(1)[0])
+    omega = make_embedding("gaussian", l, n, seed=_child_seeds(seed, 1)[0])
     acc = _PanelAccumulator(gamma.to_dense(), omega.to_dense(), m, n)
     for block in blocks:
         acc.push(block)

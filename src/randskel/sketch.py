@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_matrix, as_operator
+from .dense import _seed_sequence, as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
@@ -155,12 +155,6 @@ class SparseSignSketch(SketchOperator):
         return self._csc.toarray()
 
 
-def _as_seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed if seed is not None else 0)
-
-
 def _check_dims(l, m):
     if l < 1 or l > m:
         raise BadShape(f"need 1 <= l <= m, got l={l}, m={m}")
@@ -169,7 +163,7 @@ def _check_dims(l, m):
 def make_gaussian(l, m, seed=None):
     """Gaussian embedding with i.i.d. N(0, 1/l) entries."""
     _check_dims(l, m)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     mat = rng.standard_normal((l, m)) / np.sqrt(l)
     return GaussianSketch(out_dim=l, in_dim=m, seed=seed, matrix=mat)
 
@@ -177,7 +171,7 @@ def make_gaussian(l, m, seed=None):
 def make_srtt(l, m, seed=None):
     """Subsampled randomized trigonometric transform of shape (l, m)."""
     _check_dims(l, m)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     perm_in = rng.permutation(m)
     signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
     rows = rng.choice(m, size=l, replace=False)
@@ -198,7 +192,7 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
         raise BadShape(f"need 2 <= zeta <= l, got zeta={zeta}, l={l}")
     import scipy.sparse as sp  # scipy is needed for this embedding only
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     base = np.broadcast_to(np.arange(l), (m, l)).copy()
     supports = rng.permuted(base, axis=1)[:, :zeta]
     signs = rng.integers(0, 2, size=(m, zeta)) * 2.0 - 1.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_matrix, qr_ortho
+from .dense import _seed_sequence, as_matrix, qr_ortho
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -68,7 +68,7 @@ def _snn_factors(params, retries=100):
     (rows, columns))``. Column i of X, then of Y, for each i: an attempt draws
     ``dim`` mask uniforms, then ``dim`` values, and keeps the masked-in nonzero
     ones; an all-zero column is drawn again, at most ``retries`` times."""
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(_seed_sequence(params.seed))
     factors = ([], []), ([], [])
     for _ in range(params.r):
         for dim, (rows, values) in zip((params.m, params.n), factors):
@@ -221,7 +221,7 @@ def gen_gaussian_spectrum(m, n, profile, seed=None, r=None):
     if r > min(m, n):
         raise BadShape(f"r={r} exceeds min(m,n)={min(m, n)}")
     sigma = spectrum_values(profile, r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     U = qr_ortho(rng.standard_normal((m, r)))
     V = qr_ortho(rng.standard_normal((n, r)))
     A = (U * sigma) @ V.T
