@@ -11,11 +11,12 @@ Scaling conventions:
 * The trigonometric operator composes a random permutation, a random sign
   flip, an orthonormal discrete Hartley transform, and a uniform row
   subsample, scaled by ``sqrt(m/l)``. Applying it to an ``m x n`` matrix
-  costs O(mn log m) time and one ``n x m`` real buffer: the permuted,
-  sign-flipped input is copied there transposed, so each column's real FFT
-  runs along contiguous memory; the spectra are taken a few columns at a
-  time and only the ``l`` sampled Hartley coefficients are kept. Its dense
-  ``l x m`` form is built directly from the Hartley kernel in O(lm).
+  costs O(mn log m) time and O(pm + ln) memory for panels of p = 64
+  columns: each panel of the permuted, sign-flipped input is copied
+  transposed into one ``p x m`` buffer, so each column's real FFT runs along
+  contiguous memory, and only the ``l`` sampled Hartley coefficients of its
+  spectrum are kept. Its dense ``l x m`` form is built directly from the
+  Hartley kernel in O(lm).
 * Sparse-sign columns carry exactly ``zeta`` entries of ``+-1/sqrt(zeta)``
   so that ``E[||G x||^2] = ||x||^2``.
 """
@@ -31,9 +32,10 @@ from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
 _GATHER_ROWS = 256
-#: Transforms taken per ``rfft`` call: their spectra are the only complex
-#: temporaries, so the full ``(m//2 + 1) x n`` spectrum is never held.
-_FFT_ROWS = 16
+#: Input columns per SRTT panel: each panel is gathered into one transposed
+#: ``_PANEL_COLS x m`` buffer and transformed by one ``rfft``, so neither an
+#: ``n x m`` copy of the input nor its full ``(m//2 + 1) x n`` spectrum is held.
+_PANEL_COLS = 64
 
 
 def _as_operand(A):
@@ -114,16 +116,18 @@ class SrttSketch(SketchOperator):
         folded = self.rows > m // 2
         read = np.where(folded, m - self.rows, self.rows)
         flip = np.where(folded, 1.0, -1.0)
-        # the permuted, sign-flipped input, transposed so that each transform
-        # runs along a contiguous row
-        B = np.empty((n, m))
-        for i in range(0, m, _GATHER_ROWS):
-            p = self.perm_in[i:i + _GATHER_ROWS]
-            np.multiply(A[p].T, self.signs[i:i + _GATHER_ROWS], out=B[:, i:i + _GATHER_ROWS])
+        # a panel of the permuted, sign-flipped input, transposed so that each
+        # transform runs along a contiguous row
+        buf = np.empty((min(n, _PANEL_COLS), m))
         out = np.empty((self.out_dim, n))
-        for j in range(0, n, _FFT_ROWS):
-            fk = np.fft.rfft(B[j:j + _FFT_ROWS], axis=1)[:, read]
-            out[:, j:j + _FFT_ROWS] = (fk.real + flip * fk.imag).T / np.sqrt(self.out_dim)
+        for j in range(0, n, _PANEL_COLS):
+            panel = buf[:min(_PANEL_COLS, n - j)]
+            for i in range(0, m, _GATHER_ROWS):
+                p = self.perm_in[i:i + _GATHER_ROWS]
+                np.multiply(A[p, j:j + _PANEL_COLS].T, self.signs[i:i + _GATHER_ROWS],
+                            out=panel[:, i:i + _GATHER_ROWS])
+            fk = np.fft.rfft(panel, axis=1)[:, read]
+            out[:, j:j + _PANEL_COLS] = (fk.real + flip * fk.imag).T / np.sqrt(self.out_dim)
         return out
 
     def to_dense(self):
