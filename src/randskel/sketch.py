@@ -18,7 +18,8 @@ Scaling conventions:
   spectrum are kept. Its dense ``l x m`` form is built directly from the
   Hartley kernel in O(lm).
 * Sparse-sign columns carry exactly ``zeta`` entries of ``+-1/sqrt(zeta)``
-  so that ``E[||G x||^2] = ||x||^2``.
+  so that ``E[||G x||^2] = ||x||^2``. Their rows are drawn by Floyd's
+  subset sampler, in O(m zeta^2) time and O(m zeta) memory.
 """
 
 from __future__ import annotations
@@ -197,8 +198,13 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
     import scipy.sparse as sp  # scipy is needed for this embedding only
 
     rng = np.random.default_rng(_seed_sequence(seed))
-    base = np.broadcast_to(np.arange(l), (m, l)).copy()
-    supports = rng.permuted(base, axis=1)[:, :zeta]
+    # Floyd's subset sampler on all m columns at once: step t draws a row in
+    # [0, top] for top = l - zeta + t, and takes row top itself where the draw
+    # repeats a row taken before, so every zeta-subset of rows is equally likely
+    supports = np.empty((m, zeta), dtype=np.intp)
+    for t, top in enumerate(range(l - zeta, l)):
+        draw = rng.integers(0, top + 1, size=m)
+        supports[:, t] = np.where((supports[:, :t] == draw[:, None]).any(axis=1), top, draw)
     signs = rng.integers(0, 2, size=(m, zeta)) * 2.0 - 1.0
     data = (signs / np.sqrt(zeta)).ravel()
     indices = supports.ravel()

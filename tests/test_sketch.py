@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from randskel import (
     SrttSketch,
+    select_columns_lupp,
     gen_snn_operator,
     make_embedding,
     make_gaussian,
@@ -139,6 +142,48 @@ class TestSparseSign:
         A = rng.standard_normal((30, 12))
         op = make_sparse_sign(7, 30, zeta=3, seed=9)
         assert np.abs(op.apply(A) - op.to_dense() @ A).max() < 1e-13
+
+
+    def test_supports_are_uniform_subsets(self):
+        # every 3-subset of 5 rows is about equally likely (10 subsets)
+        m = 20000
+        op = make_sparse_sign(5, m, zeta=3, seed=1)
+        rows = np.sort(op._csc.indices.reshape(m, 3), axis=1)
+        assert (np.diff(rows, axis=1) > 0).all()
+        _, counts = np.unique(rows @ np.array([1, 10, 100]), return_counts=True)
+        assert counts.size == 10 and np.abs(counts / (m / 10) - 1).max() < 0.1
+
+    @pytest.mark.parametrize("zeta", [2, 8, 64])
+    def test_every_zeta_up_to_l(self, zeta):
+        dense = make_sparse_sign(64, 500, zeta=zeta, seed=zeta).to_dense()
+        assert ((dense != 0).sum(axis=0) == zeta).all()
+
+    @pytest.mark.parametrize("l", [64, 640])
+    def test_memory_is_m_zeta(self, l):
+        # an m x l index table would take 16 m l bytes: 20 MB at l = 64
+        m, zeta = 20000, 8
+        tracemalloc.start()
+        try:
+            make_sparse_sign(l, m, zeta=zeta, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * m * zeta * 8, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "srtt", "sparse_sign"])
+def test_selection_memory_is_a_few_blocks(kind):
+    # on a wide input, a selection holds a few m x l blocks and the l x n
+    # sketch work; an n x m copy of the input would take 32 MB here
+    m, n, l = 1024, 4096, 64
+    A = np.random.default_rng(0).standard_normal((m, n))
+    tracemalloc.start()
+    try:
+        select_columns_lupp(A, l, 0, seed=1, embedding=kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * m * l + 5 * l * n) * 8, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestSketchRows:
