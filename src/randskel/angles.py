@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _project_out, _r_checked, as_matrix, lstsq_full_rank, qr_ortho,
-                    solve_upper, spectral_norm, spectral_norm_estimate, svdvals)
+from .dense import (_child_seeds, _norm_fro, _project_out, _r_checked, as_matrix, lstsq_full_rank,
+                    qr_ortho, solve_upper, spectral_norm, spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -347,11 +347,21 @@ def _gap_norms(A, lr, V, k, spectral=spectral_norm):
     product ``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation), whose
     trailing ``l - k`` columns are ``E32``."""
     EV = (A - lr.approx()) @ V
-    return float(np.linalg.norm(EV)), spectral(EV), spectral(EV[:, k:])
+    return _norm_fro(EV), spectral(EV), spectral(EV[:, k:])
 
 
 def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     s_k = float(sigma[k - 1])
+    # i-th smallest angle pairs with s_i: tightest factor on the smallest
+    # angle, factor 1 on the largest (arrays ascend with the sines).
+    ratio = s_k / sigma[:k]
+    # The gaps square singular values, which leave the float range beyond
+    # about 2^(+-511). Far from 1, every value is first scaled by the power
+    # of two c nearest 1/s_k: that is exact, so every ratio keeps its value,
+    # and the gaps are scaled back. In range c = 1, and no bit moves.
+    c = 1.0 if 2.0 ** -250 < s_k < 2.0 ** 250 else 2.0 ** -max(math.frexp(s_k)[1], -1022)
+    norms = n_fro, n_spec, n_e32, n_e33
+    n_fro, n_spec, n_e32, n_e33, s_k, shat_k1 = (c * x for x in (*norms, s_k, shat_k1))
     valid = s_k > shat_k1 and s_k > n_e33
 
     gamma1 = (s_k ** 2 - shat_k1 ** 2) / s_k
@@ -375,10 +385,6 @@ def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
         "Vk_Vk_spec": _safe(n_spec * vk_vk_extra, bg1),
     }
 
-    head = sigma[:k]
-    # i-th smallest angle pairs with s_i: tightest factor on the smallest
-    # angle, factor 1 on the largest (arrays ascend with the sines).
-    ratio = s_k / head
     base1 = _safe(n_spec, bg1)
     base2 = _safe(n_spec, bg2)
     anglewise = {
@@ -390,14 +396,14 @@ def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     }
     return PosteriorGapReport(
         valid=valid,
-        norm_E3132_fro=n_fro,
-        norm_E3132_spec=n_spec,
-        norm_E32_spec=n_e32,
-        norm_E33_spec=n_e33,
-        gamma1=float(gamma1),
-        gamma2=float(gamma2),
-        big_gamma1=float(bg1),
-        big_gamma2=float(bg2),
+        norm_E3132_fro=norms[0],
+        norm_E3132_spec=norms[1],
+        norm_E32_spec=norms[2],
+        norm_E33_spec=norms[3],
+        gamma1=float(gamma1) / c,
+        gamma2=float(gamma2) / c,
+        big_gamma1=float(bg1) / c,
+        big_gamma2=float(bg2) / c,
         bounds=bounds,
         anglewise=anglewise,
     )

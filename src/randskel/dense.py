@@ -199,12 +199,26 @@ def _detected_rank(diag, ref):
     return int(small[0]) if small.size else len(diag)
 
 
+def _norm_fro(M):
+    """``||M||_F`` of a finite ``M``. numpy's plain sum of squares underflows
+    to 0 for entries below about 1e-154 and overflows above about 1e154;
+    only then is ``M`` scaled by ``max|M|`` first, so in-range inputs keep
+    that sum's bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if (norm == 0.0 or norm == np.inf) and M.size:
+        top = max(M.max(), -M.min())
+        if top > 0.0:
+            norm = top * float(np.linalg.norm(M / top))
+    return norm
+
+
 def _r_checked(M, error=RankDeficient, name="M"):
     """``R`` of the reduced QR ``M = Q R`` and a function that forms ``Q``
     (:func:`_qr`); raises ``error`` unless ``M`` is numerically full column
     rank (reference ``||M||_F``). ``Q`` is formed only if that function is called."""
     r, form_q = _qr(M)
-    rank = _detected_rank(np.diag(r), np.linalg.norm(M))
+    rank = _detected_rank(np.diag(r), _norm_fro(M))
     if rank < M.shape[1]:
         raise error(f"{name} has detected rank {rank} of {M.shape[1]} columns")
     return np.ascontiguousarray(r), form_q

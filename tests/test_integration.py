@@ -259,3 +259,32 @@ def test_no_numpy_linalg_solver_at_run_time(monkeypatch, tmp_path):
                   "--trials", "1"],
                  ["timing", "pivot", "--sizes", "64", "--ranks", "16", "--repeats", "1"]):
         assert run(args + ["--seed", "0", "--out", str(tmp_path / args[0])]) == 0, args
+
+
+@pytest.mark.parametrize("exponent", [-560, 530])
+def test_rank_decisions_do_not_depend_on_scale(exponent):
+    # 2**exponent is exact in binary, so every rank test and pivot sees the
+    # same relative values; the entries' squares underflow (-560) or
+    # overflow (530), and RuntimeWarnings are errors in this suite
+    from randskel import qr_ortho
+    from randskel.errors import RandskelError
+
+    A0 = np.random.default_rng(20).standard_normal((60, 40))
+    A = np.ldexp(A0, exponent)
+    assert qr_ortho(A).shape == qr_ortho(A0).shape
+    for select in (select_columns_lupp, select_columns_cpqr, select_deim):
+        want, got = select(A0, 10, 0, seed=21), select(A, 10, 0, seed=21)
+        assert np.array_equal(got.J_s, want.J_s) and np.array_equal(got.I_s, want.I_s)
+        assert got.rank_detected == want.rank_detected
+        assert build_cur_stable(A, got.I_s, got.J_s).U_mid.shape == (10, 10)
+    for q in (0, 1):
+        assert randomized_svd(A, 10, q=q, seed=22).l == randomized_svd(A0, 10, q=q, seed=22).l
+    lr = randomized_svd(A, 10, seed=22)
+    sigma = svdvals(A)
+    try:
+        report = posterior_residuals(A, lr, 4).gap(sigma)
+    except RandskelError:
+        return
+    want = posterior_residuals(A0, randomized_svd(A0, 10, seed=22), 4).gap(svdvals(A0))
+    assert report.valid == want.valid
+    assert report.bounds["Uk_Ul_spec"] == pytest.approx(want.bounds["Uk_Ul_spec"], rel=1e-10)
