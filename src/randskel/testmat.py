@@ -64,14 +64,15 @@ def snn_weights(a, r1, r):
 
 
 def _snn_factors(params, retries=100):
-    """The nonzeros of the factors X (m x r) and Y (n x r), each as ``(values,
-    (rows, columns))``. Column i of X, then of Y, for each i: an attempt draws
-    ``dim`` mask uniforms, then ``dim`` values, and keeps the masked-in nonzero
-    ones; an all-zero column is drawn again, at most ``retries`` times."""
+    """The nonzeros of the factors X (m x r) and Y (n x r), column by column:
+    for each, a list of r ``(rows, values)`` pairs, the rows as int32. Column
+    i of X, then of Y, for each i: an attempt draws ``dim`` mask uniforms,
+    then ``dim`` values, and keeps the masked-in nonzero ones; an all-zero
+    column is drawn again, at most ``retries`` times."""
     rng = np.random.default_rng(_seed_sequence(params.seed))
-    factors = ([], []), ([], [])
+    factors = [], []
     for _ in range(params.r):
-        for dim, (rows, values) in zip((params.m, params.n), factors):
+        for dim, columns in zip((params.m, params.n), factors):
             for _ in range(retries):
                 kept = np.flatnonzero(rng.random(dim) < params.density)
                 drawn = rng.random(dim)
@@ -81,11 +82,25 @@ def _snn_factors(params, retries=100):
             else:
                 raise EmptyFactor(f"all-zero factor after {retries} retries "
                                   f"(dim={dim}, density={params.density})")
-            rows.append(kept)
-            values.append(drawn[kept])
-    return tuple((np.concatenate(values),
-                  (np.concatenate(rows), np.repeat(np.arange(params.r), [x.size for x in rows])))
-                 for rows, values in factors)
+            columns.append((kept.astype(np.int32), drawn[kept]))
+    return factors
+
+
+def _csr_factor(columns, dim):
+    """The ``dim x len(columns)`` CSR factor whose column i holds the nonzeros
+    ``columns[i]`` of :func:`_snn_factors`. The columns are the factor's CSC
+    arrays, and scipy's conversion lists each row's entries in column order,
+    as a dense factor's CSR form does; ``columns`` is emptied once they are
+    joined, so the lists and the factor are not both held whole."""
+    import scipy.sparse as sp  # scipy is needed for this operator only
+
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([rows.size for rows, _ in columns], out=indptr[1:])
+    csc = sp.csc_matrix((np.concatenate([values for _, values in columns]),
+                         np.concatenate([rows for rows, _ in columns]), indptr),
+                        shape=(dim, len(columns)))
+    columns.clear()
+    return csc.tocsr()
 
 
 @dataclass(frozen=True)
@@ -143,19 +158,17 @@ class ImplicitSnnOperator:
 def gen_snn(params):
     """Dense SNN matrix; entries are nonnegative by construction."""
     X, Y = np.zeros((params.m, params.r)), np.zeros((params.n, params.r))
-    for F, (values, at) in zip((X, Y), _snn_factors(params)):
-        F[at] = values
+    for F, columns in zip((X, Y), _snn_factors(params)):
+        for i, (rows, values) in enumerate(columns):
+            F[rows, i] = values
     return (X * params.s) @ Y.T
 
 
 def gen_snn_operator(params):
     """SNN matrix exposed only through (ad)joint products; its sparse factors
     are built from their nonzeros, in O((m + n) r) time and O(nnz) memory."""
-    import scipy.sparse as sp  # scipy is needed for this operator only
-
     x, y = _snn_factors(params)
-    return ImplicitSnnOperator(params, sp.csr_matrix(x, shape=(params.m, params.r)),
-                               sp.csr_matrix(y, shape=(params.n, params.r)))
+    return ImplicitSnnOperator(params, _csr_factor(x, params.m), _csr_factor(y, params.n))
 
 
 @dataclass(frozen=True)

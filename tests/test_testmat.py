@@ -88,6 +88,10 @@ class TestSnn:
             tracemalloc.stop()
         assert op.x_factors.nnz == pytest.approx(SNN_DEFAULT_DENSITY * m * r, rel=0.02)
         assert peak < m * r * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
+        # no COO copy of the nonzeros: at most twice the two factors' bytes
+        factors = sum(f.data.nbytes + f.indices.nbytes + f.indptr.nbytes
+                      for f in (op.x_factors, op.y_factors))
+        assert peak < 2 * factors, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestImplicitOperator:
