@@ -93,6 +93,20 @@ def as_matrix(a, name="matrix"):
     return arr
 
 
+def _index_vector(idx, size, name):
+    """``idx`` as an intp vector of integers in ``[0, size)``. Anything else
+    raises :class:`BadShape`: numpy would truncate a fractional index, wrap a
+    negative one and raise a bare ``IndexError`` past the end."""
+    arr = np.asarray(idx)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+        raise BadShape(f"{name} must be a vector of integer indices")
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise BadShape(f"{name} has non-integer entries")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise BadShape(f"{name} entries must lie in [0, {size}), got {arr.min()}..{arr.max()}")
+    return arr.astype(np.intp)
+
+
 def _seed_sequence(seed):
     """``seed`` as a :class:`numpy.random.SeedSequence`: ``None`` is
     ``SeedSequence(0)``, a non-negative int or a sequence of them is the

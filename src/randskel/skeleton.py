@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _cpqr_pivots, _lu_pivots, as_matrix, as_operator,
-                    lstsq_full_rank, qr_checked, spectral_norm)
+from .dense import (_child_seeds, _cpqr_pivots, _index_vector, _lu_pivots, as_matrix,
+                    as_operator, lstsq_full_rank, qr_checked, spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -105,20 +105,6 @@ class CurFactors:
 
     def reconstruct(self):
         return self.Q_C @ self.U_mid @ self.Q_R.T
-
-
-def _index_vector(idx, size, name):
-    """``idx`` as an intp vector of integers in ``[0, size)``. Anything else
-    raises :class:`BadShape`: numpy would truncate a fractional index, wrap a
-    negative one and raise a bare ``IndexError`` past the end."""
-    arr = np.asarray(idx)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
-        raise BadShape(f"{name} must be a vector of integer indices")
-    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
-        raise BadShape(f"{name} has non-integer entries")
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
-        raise BadShape(f"{name} entries must lie in [0, {size}), got {arr.min()}..{arr.max()}")
-    return arr.astype(np.intp)
 
 
 def posterior_eta(X, J_s):

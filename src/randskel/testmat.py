@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _seed_sequence, as_matrix, qr_ortho
+from .dense import _index_vector, _seed_sequence, as_matrix, qr_ortho
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -140,12 +140,12 @@ class ImplicitSnnOperator:
         return self.y_factors @ (self.params.s[:, None] * (self.x_factors.T @ M))
 
     def columns(self, J):
-        J = np.asarray(J, dtype=np.intp)
+        J = _index_vector(J, self.params.n, "J")
         Yj = self.y_factors[J].toarray()  # |J| x r
         return self.x_factors @ (self.params.s[:, None] * Yj.T)
 
     def rows(self, I):
-        I = np.asarray(I, dtype=np.intp)
+        I = _index_vector(I, self.params.m, "I")
         Xi = self.x_factors[I].toarray()  # |I| x r
         return np.ascontiguousarray((self.y_factors @ (Xi * self.params.s).T).T)
 

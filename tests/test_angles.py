@@ -25,6 +25,7 @@ from randskel import (
 from randskel.errors import (
     BadShape,
     DistortionOutOfRange,
+    EmptyTail,
     InadmissibleQ,
     ShapeMismatch,
     SingularOmega1,
@@ -528,3 +529,49 @@ class TestBalancePhi:
         bal = BalanceConfig(k=3, alpha=19 * 1.05 ** 2, beta=6, gamma=1.05, gap=gap)
         assert bal.max_q() == 9
         assert balance_phi(bal, 9) == balance_phi_from_l(bal, 9) == 1.0
+
+
+_A = np.random.default_rng(32).standard_normal((8, 6))
+_LR = randomized_svd(_A, 4, seed=1)
+_SIGMA = np.linalg.svd(_A, compute_uv=False)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=0, side="up"), BadShape,
+                 id="side"),
+    pytest.param(lambda: posterior_simple(_A, _LR.U_hat, _SIGMA, 2, side="up"), BadShape,
+                 id="posterior-simple-side"),
+    pytest.param(lambda: pad_spectrum([], 5), BadShape, id="pad-empty"),
+    pytest.param(lambda: pad_spectrum(np.ones((2, 2)), 5), BadShape, id="pad-matrix"),
+    pytest.param(lambda: PriorBoundInputs(sigma=_SIGMA[::-1], k=1, l=2, q=0), BadShape,
+                 id="prior-increasing-spectrum"),
+    pytest.param(lambda: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=-1), BadShape,
+                 id="prior-q<0"),
+    pytest.param(lambda: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=0, eps1_lower=0.0),
+                 DistortionOutOfRange, id="prior-eps1-lower"),
+    pytest.param(lambda: prior_reference_bound(_SIGMA[:2], 2, 3, 0, np.ones((2, 3)),
+                                               np.ones((1, 3))), EmptyTail,
+                 id="reference-empty-tail"),
+    pytest.param(lambda: unbiased_estimates(np.ones(3), 3, 4, 0, 2), EmptyTail,
+                 id="estimates-empty-tail"),
+    pytest.param(lambda: unbiased_estimates(_SIGMA, 1, 2, 0, 0), BadShape,
+                 id="estimates-no-trials"),
+    pytest.param(lambda: posterior_simple(_A, _LR.U_hat, _SIGMA[:1], 2), ShapeMismatch,
+                 id="spectrum-shorter-than-k"),
+    pytest.param(lambda: posterior_gap(_A, "lr", _SIGMA, 2), BadShape, id="lr-type"),
+    pytest.param(lambda: posterior_gap(_A, randomized_svd(_A, 2, seed=0), _SIGMA, 2), BadShape,
+                 id="l<=k"),
+    pytest.param(lambda: posterior_gap(_A[:7], _LR, _SIGMA, 2), ShapeMismatch,
+                 id="factors-do-not-fit"),
+    pytest.param(lambda: posterior_residuals(_A[:, :5], _LR, 2), ShapeMismatch,
+                 id="residual-factors-do-not-fit"),
+    pytest.param(lambda: BalanceConfig(k=2, alpha=8, beta=1, gamma=1.0, gap=2), BadShape,
+                 id="balance-gamma"),
+    pytest.param(lambda: BalanceConfig(k=0, alpha=8, beta=1, gamma=1.1, gap=2), BadShape,
+                 id="balance-k"),
+    pytest.param(lambda: BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=-1), BadShape,
+                 id="balance-gap"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -593,3 +593,25 @@ class TestSpectralNormEstimate:
             v = spectral_norm_estimate(lambda x: A @ x, lambda x: A.T @ x, 20, 50, seed=seed)
             assert v <= 3.0 + 1e-12
             assert v >= 0.9 * 3.0
+
+
+
+def _sketch_snn_with_wrong_embedding():
+    from randskel import SnnParams, gen_snn_operator, make_gaussian, snn_weights
+
+    op = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=0.5, seed=0))
+    as_operator(op).left_sketch(make_gaussian(3, 7, seed=0))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: qr_ortho(np.ones((2, 2, 2))), BadShape, id="not-2-d"),
+    pytest.param(lambda: lupp(np.ones((2, 3))), BadShape, id="lupp-wide"),
+    pytest.param(_sketch_snn_with_wrong_embedding, ShapeMismatch, id="embedding-dimension"),
+    pytest.param(lambda: spectral_norm_estimate(lambda v: v, lambda w: w, 3, 0), BadShape,
+                 id="estimate-iters<1"),
+    pytest.param(lambda: spectral_norm_estimate(lambda v: v, lambda w: w, 0, 1), ZeroDimension,
+                 id="estimate-dimension-0"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -10,7 +10,7 @@ from randskel import (
     svd_thin,
 )
 from randskel.angles import canonical_angles
-from randskel.errors import RankDeficient
+from randskel.errors import BadShape, RankDeficient, ShapeMismatch
 from oracles import random_matrix, residual_norms, truncated_svd_error
 
 
@@ -185,3 +185,21 @@ class TestRangefinderError:
         X = np.vstack([np.ones((2, 5)), np.ones((1, 5))])
         with pytest.raises(RankDeficient):
             rangefinder_error(np.eye(5), X)
+
+
+_A = np.random.default_rng(30).standard_normal((8, 6))
+_OMEGA = make_gaussian(3, 6, seed=0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: power_iter_plain(_A, _OMEGA, -1), BadShape, id="plain-q<0"),
+    pytest.param(lambda: power_iter_stable(_A, _OMEGA, -1), BadShape, id="stable-q<0"),
+    pytest.param(lambda: randomized_svd(_A), BadShape, id="rsvd-no-l-or-rank"),
+    pytest.param(lambda: randomized_svd(_A, 0), BadShape, id="rsvd-l=0"),
+    pytest.param(lambda: randomized_svd(_A, 7), BadShape, id="rsvd-l>min(m,n)"),
+    pytest.param(lambda: rangefinder_error(_A, np.ones((2, 5))), ShapeMismatch,
+                 id="rangefinder-error-columns"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

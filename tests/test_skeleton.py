@@ -29,7 +29,7 @@ from randskel.errors import (
     SingularSkeleton,
     StreamExhausted,
 )
-from randskel.skeleton import _column_pivots
+from randskel.skeleton import _column_pivots, _sample_without_replacement
 from oracles import (
     column_skeleton_residual,
     cur_residual,
@@ -506,3 +506,25 @@ def test_low_precision_operator_products_are_factored_in_float64(select, dtype):
     np.testing.assert_array_equal(got.J_s, want.J_s)
     np.testing.assert_array_equal(got.I_s, want.I_s)
     assert got.eta_column == want.eta_column
+
+
+_A = np.random.default_rng(31).standard_normal((8, 6))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: select_streaming([_A], 3, pivot="qr", m=8, n=6), BadShape,
+                 id="streaming-pivot"),
+    pytest.param(lambda: select_streaming([_A, _A], 3, m=8, n=6), ShapeMismatch,
+                 id="streaming-too-many-columns"),
+    pytest.param(lambda: select_streaming([_A[:5]], 3, m=8, n=6), ShapeMismatch,
+                 id="streaming-block-height"),
+    pytest.param(lambda: streaming_interp_coeffs(select_leverage(_A, 2, 3, seed=0)), BadShape,
+                 id="interp-coeffs-without-X"),
+    pytest.param(lambda: build_two_sided_id(_A, [0, 1], [0]), ShapeMismatch,
+                 id="two-sided-sizes"),
+    pytest.param(lambda: _sample_without_replacement(np.random.default_rng(0), np.zeros(5), 2),
+                 DegenerateDistribution, id="all-zero-scores"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

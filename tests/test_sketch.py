@@ -245,3 +245,15 @@ def test_reproducible_sketch_output():
         a = make_embedding(kind, 8, 50, seed=123).apply(A)
         b = make_embedding(kind, 8, 50, seed=123).apply(A)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: make_gaussian(2, 5, seed=0).apply(np.ones((5, 2, 2))), BadShape,
+                 id="apply-3-d"),
+    pytest.param(lambda: make_gaussian(2, 5, seed=0).apply(np.ones((4, 2))), ShapeMismatch,
+                 id="apply-rows"),
+    pytest.param(lambda: make_embedding("fourier", 2, 5), BadShape, id="unknown-kind"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()

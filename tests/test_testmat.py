@@ -19,7 +19,7 @@ from randskel import (
     spectrum_values,
     svd_thin,
 )
-from randskel.errors import BadShape, NonNumericCell, RaggedRows, ShapeMismatch
+from randskel.errors import BadShape, EmptyFactor, NonNumericCell, RaggedRows, ShapeMismatch
 from randskel.testmat import SNN_DEFAULT_DENSITY
 from oracles import snn_factors_dense
 
@@ -233,3 +233,38 @@ class TestCsv:
         p.write_bytes(b"\xff\xfe\x00\x01,2\n")
         with pytest.raises(NonNumericCell, match="binary.csv is not text"):
             load_csv(p)
+
+
+_OP = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=0.5, seed=0))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=np.ones(3)), BadShape, id="weights-length"),
+    pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=np.ones(2), density=0), BadShape,
+                 id="density-0"),
+    pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=np.ones(2), density=1.5), BadShape,
+                 id="density-above-1"),
+    pytest.param(lambda: gen_snn(SnnParams(m=2, n=2, r=1, s=np.ones(1), density=1e-12)),
+                 EmptyFactor, id="all-zero-factor"),
+    pytest.param(lambda: _OP.matvec(np.ones(5)), ShapeMismatch, id="matvec-length"),
+    pytest.param(lambda: _OP.matvec_adjoint(np.ones(6)), ShapeMismatch, id="adjoint-length"),
+    pytest.param(lambda: _OP.matmat(np.ones((5, 2))), ShapeMismatch, id="matmat-rows"),
+    pytest.param(lambda: _OP.rmatmat(np.ones((6, 2))), ShapeMismatch, id="rmatmat-rows"),
+    pytest.param(lambda: _OP.columns([6]), BadShape, id="columns-out-of-range"),
+    pytest.param(lambda: _OP.rows([-1]), BadShape, id="rows-out-of-range"),
+    pytest.param(lambda: spectrum_values(StepSpectrum(5, 2.0), 3), BadShape, id="step-k>r"),
+    pytest.param(lambda: spectrum_values(ExplicitSpectrum(np.ones(2)), 3), BadShape,
+                 id="explicit-length"),
+    pytest.param(lambda: spectrum_values("flat", 3), BadShape, id="unknown-profile"),
+    pytest.param(lambda: gen_gaussian_spectrum(4, 3, SlowDecay(), r=4), BadShape,
+                 id="gaussian-r>min(m,n)"),
+])
+def test_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_gaussian_spectrum_rank_defaults_to_min_dim():
+    A, U, sigma, V = gen_gaussian_spectrum(5, 3, SlowDecay(r1=1), seed=0)
+    assert sigma.shape == (3,) and U.shape == (5, 3) and V.shape == (3, 3)
+    assert np.abs(A - (U * sigma) @ V.T).max() < 1e-14
