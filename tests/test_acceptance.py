@@ -5,6 +5,7 @@ Criteria 4 and 5 share one sweep over the 300x300 sparse non-negative
 instance; criteria 6 and 7 share the pool of synthetic 500x500 profiles.
 """
 
+import collections
 import time
 
 import numpy as np
@@ -38,6 +39,7 @@ from randskel import (
     SnnParams,
 )
 from randskel.errors import SingularSkeleton
+from randskel.bench.experiments import _sweep
 from randskel.bench.matrices import realize_matrix
 from oracles import (
     column_skeleton_residual,
@@ -201,34 +203,47 @@ def _angles_for(bundle, k, l, q, seed):
             canonical_angles(lr.V_hat, V0[:, :k]), sigma)
 
 
-def test_06_prior_upper_coverage():
+def _on_two_workers(monkeypatch, cells, one):
+    """The rows of ``one(*cell)`` for every cell, in cell order, from the two
+    workers of the drivers' cell sweep; BLAS runs at one thread in this suite."""
+    monkeypatch.setenv("RANDSKEL_THREADS", "2")
+    return _sweep(cells, one)
+
+
+def test_06_prior_upper_coverage(monkeypatch):
     """Spectrum-only upper bounds cover >= 95% of (i, seed) pairs per cell."""
     k = 50
+    configs = [(name, l, q) for name in PROFILES for l in (80, 200) for q in (0, 1)]
+
+    def one(name, seed):
+        bundle = cached_matrix(PROFILES[name], seed)
+        hits = []
+        for _, l, q in (c for c in configs if c[0] == name):
+            left, right, sigma = _angles_for(bundle, k, l, q, 1000 + seed)
+            for side, truth in (("left", left), ("right", right)):
+                ub = prior_space_agnostic(PriorBoundInputs(
+                    sigma=sigma, k=k, l=l, q=q, side=side)).upper
+                hits.append(((name, l, q, side), int((ub >= truth - 1e-12).sum())))
+        return hits
+
+    hits = collections.Counter()
+    for cell, count in _on_two_workers(monkeypatch, [(name, seed) for name in PROFILES
+                                                     for seed in range(20)], one):
+        hits[cell] += count
+    total = 20 * k
     worst = 1.0
     worst_cell = ""
     ok = True
-    for name, spec in PROFILES.items():
-        for l in (80, 200):
-            for q in (0, 1):
-                hits = {"left": 0, "right": 0}
-                total = 0
-                for seed in range(20):
-                    bundle = cached_matrix(spec, seed)
-                    left, right, sigma = _angles_for(bundle, k, l, q, 1000 + seed)
-                    for side, truth in (("left", left), ("right", right)):
-                        ub = prior_space_agnostic(PriorBoundInputs(
-                            sigma=sigma, k=k, l=l, q=q, side=side)).upper
-                        hits[side] += int((ub >= truth - 1e-12).sum())
-                    total += k
-                for side in ("left", "right"):
-                    frac = hits[side] / total
-                    if frac < worst:
-                        worst, worst_cell = frac, f"{name} l={l} q={q} {side}"
-                    ok &= frac >= 0.95
+    for name, l, q in configs:
+        for side in ("left", "right"):
+            frac = hits[name, l, q, side] / total
+            if frac < worst:
+                worst, worst_cell = frac, f"{name} l={l} q={q} {side}"
+            ok &= frac >= 0.95
     report(6, "prior upper coverage", ok, f"worst cell {worst_cell}: {worst:.3f}")
 
 
-def test_07_prior_lower_coverage():
+def test_07_prior_lower_coverage(monkeypatch):
     """Lower bounds with doubled distortions at l = 4k (q=0, left side).
 
     With k=50, l=200 on matrices of rank <= 500 the doubled tail distortion
@@ -237,20 +252,23 @@ def test_07_prior_lower_coverage():
     tail-flatness assumption the bound rests on and are excluded.
     """
     k, l, q = 20, 80, 0
+
+    def one(name, seed):
+        left, _, sigma = _angles_for(cached_matrix(PROFILES[name], seed), k, l, q, 2000 + seed)
+        lb = prior_space_agnostic(PriorBoundInputs(
+            sigma=sigma, k=k, l=l, q=q, side="left")).lower
+        assert lb is not None
+        return [(name, int((lb <= left + 1e-12).sum()))]
+
+    hits = collections.Counter()
+    for name, count in _on_two_workers(monkeypatch, [(name, seed) for name in PROFILES
+                                                     for seed in range(20)], one):
+        hits[name] += count
+    total = 20 * k
     worst = 1.0
     ok = True
-    for name, spec in PROFILES.items():
-        hits = 0
-        total = 0
-        for seed in range(20):
-            bundle = cached_matrix(spec, seed)
-            left, _, sigma = _angles_for(bundle, k, l, q, 2000 + seed)
-            lb = prior_space_agnostic(PriorBoundInputs(
-                sigma=sigma, k=k, l=l, q=q, side="left")).lower
-            assert lb is not None
-            hits += int((lb <= left + 1e-12).sum())
-            total += k
-        frac = hits / total
+    for name in PROFILES:
+        frac = hits[name] / total
         worst = min(worst, frac)
         ok &= frac >= 0.95
     report(7, "prior lower coverage", ok, f"worst profile fraction {worst:.3f}")
@@ -278,28 +296,31 @@ def test_08_unbiased_estimates_match_ground_truth():
     report(8, "unbiased estimates", ok, f"max |est - truth| {worst:.4f}")
 
 
-def test_09_posterior_bounds_valid():
+def test_09_posterior_bounds_valid(monkeypatch):
     """Residual bounds dominate true sines; gap flag true in >= 80% of runs."""
     k, l = 50, 200
     bundle = cached_matrix("gauss:500x500,profile=fast,r=450", 3)
     A = bundle.A
     U0, sigma, V0 = bundle.exact_factors()
-    dom_simple = dom_gap = valid_ct = runs = 0
-    for seed in range(50):
-        for q in (0, 1):
-            lr = randomized_svd(A, l, q=q, seed=7000 + 2 * seed + q)
-            tl = canonical_angles(lr.U_hat, U0[:, :k])
-            tr = canonical_angles(lr.V_hat, V0[:, :k])
-            bl = posterior_simple(A, lr.U_hat, sigma, k, side="left")
-            br = posterior_simple(A, lr.V_hat, sigma, k, side="right")
-            runs += 1
-            dom_simple += int((bl >= tl - 1e-12).all() and (br >= tr - 1e-12).all())
-            rep = posterior_gap(A, lr, sigma, k)
-            if rep.valid:
-                valid_ct += 1
-                gl = np.minimum(rep.anglewise["Uk_Ul"], 1.0)
-                gr = np.minimum(rep.anglewise["Vk_Vl"], 1.0)
-                dom_gap += int((gl >= tl - 1e-12).all() and (gr >= tr - 1e-12).all())
+
+    def one(seed, q):
+        lr = randomized_svd(A, l, q=q, seed=7000 + 2 * seed + q)
+        tl = canonical_angles(lr.U_hat, U0[:, :k])
+        tr = canonical_angles(lr.V_hat, V0[:, :k])
+        bl = posterior_simple(A, lr.U_hat, sigma, k, side="left")
+        br = posterior_simple(A, lr.V_hat, sigma, k, side="right")
+        dom_simple = int((bl >= tl - 1e-12).all() and (br >= tr - 1e-12).all())
+        rep = posterior_gap(A, lr, sigma, k)
+        dom_gap = 0
+        if rep.valid:
+            gl = np.minimum(rep.anglewise["Uk_Ul"], 1.0)
+            gr = np.minimum(rep.anglewise["Vk_Vl"], 1.0)
+            dom_gap = int((gl >= tl - 1e-12).all() and (gr >= tr - 1e-12).all())
+        return [(dom_simple, dom_gap, int(rep.valid))]
+
+    cells = _on_two_workers(monkeypatch, [(seed, q) for seed in range(50) for q in (0, 1)], one)
+    runs = len(cells)
+    dom_simple, dom_gap, valid_ct = (sum(column) for column in zip(*cells))
     ok = (dom_simple == runs and dom_gap == valid_ct and valid_ct >= 0.8 * runs)
     report(9, "posterior bounds", ok,
            f"residual {dom_simple}/{runs}, gap {dom_gap}/{valid_ct} valid, "
