@@ -37,6 +37,11 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("5:1:2")
 
+    @pytest.mark.parametrize("text", ["1:5", "1:5:2:1", "1:5:0"])
+    def test_malformed(self, text):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+
 
 class TestCurAccuracy:
     def test_schema_and_row_accounting(self, tmp_path):
