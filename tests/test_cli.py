@@ -439,18 +439,21 @@ class TestBalance:
 
     def test_nearby_gaps_draw_their_own_streams(self, tmp_path):
         # cells are seeded by the gap's position in --gaps, not by its value
-        # to three decimals, which these two gaps share
+        # to three decimals, which these two gaps share. Shared factors and
+        # embeddings would move the sines by the gap's 0.03 % only (a median
+        # of 0.2 %); independent draws move them by a few percent.
         assert run(["balance", "--gaps", "1.5,1.5004", "--out", str(tmp_path)]) == 0
         _, rows = read_rows(tmp_path / "balance.csv")
         sines = {}
         for r in rows:
             if r["metric"].startswith("sin_"):
                 key = (r["param_q"], r["trial"], r["metric"])
-                sines.setdefault(r["matrix"], {})[key] = r["value"]
+                sines.setdefault(r["matrix"], {})[key] = float(r["value"])
         assert len(sines) == 2
         first, second = sines.values()
         assert first.keys() == second.keys()
-        assert all(first[key] != second[key] for key in first)
+        rel = [abs(first[key] - second[key]) / max(first[key], second[key]) for key in first]
+        assert min(rel) > 0 and np.median(rel) > 0.01
 
     def test_oversized_sample_exit_3_before_any_phi(self, tmp_path, monkeypatch, capsys):
         from randskel.bench import experiments

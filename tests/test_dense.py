@@ -609,8 +609,6 @@ def _sketch_snn_with_wrong_embedding():
     pytest.param(_sketch_snn_with_wrong_embedding, ShapeMismatch, id="embedding-dimension"),
     pytest.param(lambda: spectral_norm_estimate(lambda v: v, lambda w: w, 3, 0), BadShape,
                  id="estimate-iters<1"),
-    pytest.param(lambda: spectral_norm_estimate(lambda v: v, lambda w: w, 0, 1), ZeroDimension,
-                 id="estimate-dimension-0"),
 ])
 def test_documented_errors(call, error):
     with pytest.raises(error):
