@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _norm_fro, _project_out, _r_checked, as_matrix, lstsq_full_rank,
-                    qr_ortho, solve_upper, spectral_norm, spectral_norm_estimate, svdvals)
+from .dense import (_child_seeds, _count, _norm_fro, _project_out, _r_checked, _spectrum,
+                    as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
+                    spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -49,6 +50,7 @@ def _exponent(q, side):
     """Spectrum power behind the angles after ``q`` power iterations: 4q+2 (left)
     or 4q+4 (right, whose factor absorbs an extra half iteration)."""
     _check_side(side)
+    q = _count(q, "q", 0)
     return 4 * q + 2 if side == "left" else 4 * q + 4
 
 
@@ -86,11 +88,8 @@ def pad_spectrum(sigma_hat, r):
     """Extend an approximated length-l spectrum to length r with copies of
     its last value (the convention for evaluating bounds without the true
     spectrum)."""
-    sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
-    if sigma_hat.ndim != 1 or sigma_hat.size == 0:
-        raise BadShape("sigma_hat must be a nonempty vector")
-    if r < sigma_hat.size:
-        raise BadShape(f"r={r} shorter than the spectrum ({sigma_hat.size})")
+    sigma_hat = _spectrum(sigma_hat, "sigma_hat")
+    r = _count(r, "r", sigma_hat.size)
     return np.concatenate([sigma_hat, np.full(r - sigma_hat.size, sigma_hat[-1])])
 
 
@@ -101,8 +100,8 @@ def default_distortions(k, l, r):
 
 def tail_flatness(sigma, k, q):
     """(sum_{j>k} s_j^(4q+2))^2 / sum_{j>k} s_j^(2(4q+2)), in (1, r-k]."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    tail = sigma[k:]
+    sigma, q = _spectrum(sigma, "sigma"), _count(q, "q", 0)
+    tail = sigma[_count(k, "k", 1):]
     if tail.size == 0:
         raise EmptyTail(f"k={k} leaves no trailing spectrum (r={sigma.size})")
     # Normalize before powering to dodge under/overflow at large exponents.
@@ -131,17 +130,12 @@ class PriorBoundInputs:
     eps2_lower: float | None = None
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64)
+        sigma = _spectrum(self.sigma, "sigma")
         object.__setattr__(self, "sigma", sigma)
-        r = sigma.size
-        if not (sigma > 0).all() or (np.diff(sigma) > 1e-15).any():
-            raise BadShape("spectrum must be positive and nonincreasing")
-        if not 0 < self.k < self.l < r:
-            raise BadShape(f"need 0 < k < l < r, got k={self.k}, l={self.l}, r={r}")
+        _count(self.k, "k", 1, _count(self.l, "l", 2, sigma.size - 1) - 1)
+        _count(self.q, "q", 0)
         _check_side(self.side)
-        if self.q < 0:
-            raise BadShape(f"q must be >= 0, got {self.q}")
-        e1, e2 = default_distortions(self.k, self.l, r)
+        e1, e2 = default_distortions(self.k, self.l, sigma.size)
         for name, default in (("eps1", e1), ("eps2", e2),
                               ("eps1_lower", 2 * e1), ("eps2_lower", 2 * e2)):
             if getattr(self, name) is None:
@@ -204,7 +198,7 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     projection, with ``l`` columns; synthetic matrices with known factors
     can supply both. ``omega1`` must have numerically full row rank.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma, k, l = _spectrum(sigma, "sigma"), _count(k, "k", 1), _count(l, "l", 1)
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
     p = _exponent(q, side)
@@ -241,20 +235,17 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
     formed), a triangular solve and a values-only k x l SVD. The tail block
     must have full column rank (every |R_ii| >= ``RANK_RTOL * ||w2||_F``, the
     test of :func:`~randskel.dense.qr_checked`), so r - k >= l; else
-    :class:`TailRankDeficient`. ``sigma`` must be a finite vector with
-    ``sigma[0] > 0``, and 1 <= k < l; else :class:`BadShape`.
+    :class:`TailRankDeficient`. ``sigma`` must be a finite, positive and
+    nonincreasing vector, 1 <= k < l, q >= 0 and n_trials >= 1; else
+    :class:`BadShape`.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _spectrum(sigma, "sigma")
     half_p = _exponent(q, side) // 2
-    if sigma.ndim != 1 or not (np.isfinite(sigma).all() and (sigma[:1] > 0).all()):
-        raise BadShape("sigma must be a finite vector with sigma[0] > 0")
     r = sigma.size
-    if not 1 <= k < l:
-        raise BadShape(f"need 1 <= k < l, got k={k}, l={l}")
+    k = _count(k, "k", 1, _count(l, "l", 2) - 1)
     if r <= k:
         raise EmptyTail(f"need a spectrum longer than k={k}")
-    if n_trials < 1:
-        raise BadShape(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _count(n_trials, "n_trials", 1)
     if r - k < l:
         raise TailRankDeficient(f"estimator needs r - k >= l, got r={r}, k={k}, l={l}")
     w_head = (sigma[:k] / sigma[0]) ** half_p
@@ -271,12 +262,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
                           max=thetas.max(axis=0), n_trials=n_trials)
 
 
-def _check_k(k, shape):
-    if not 1 <= k <= min(shape):
-        raise BadShape(f"need 1 <= k <= min(m, n), got k={k} for {shape[0]}x{shape[1]}")
-
-
-def _spectrum(sigma, k):
+def _posterior_spectrum(sigma, k):
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size < k:
         raise ShapeMismatch(f"spectrum shorter than k={k}")
@@ -301,8 +287,8 @@ def posterior_simple(A, basis, sigma, k, side="left"):
     A = as_matrix(A, "A")
     basis = as_matrix(basis, "basis")
     _check_side(side)
-    _check_k(k, A.shape)
-    sigma = _spectrum(sigma, k)
+    k = _count(k, "k", 1, min(A.shape))
+    sigma = _posterior_spectrum(sigma, k)
     return _simple_bound(svdvals(_project_out(A, basis, side)), sigma, k)
 
 
@@ -332,9 +318,7 @@ def _low_rank_factors(A, lr, k):
     """Validated ``(U_hat, V_hat)`` of a rank-l SVD of ``A`` for index ``k``."""
     if not isinstance(lr, LowRankSVD):
         raise BadShape("lr must be a LowRankSVD")
-    _check_k(k, A.shape)
-    if lr.sigma_hat.size <= k:
-        raise BadShape(f"need l > k, got l={lr.sigma_hat.size}, k={k}")
+    _count(k, "k", 1, min(*A.shape, lr.sigma_hat.size - 1))
     U = as_matrix(lr.U_hat, "U_hat")
     V = as_matrix(lr.V_hat, "V_hat")
     if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
@@ -425,7 +409,7 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
     """
     A = as_matrix(A, "A")
     _, V = _low_rank_factors(A, lr, k)
-    sigma = _spectrum(sigma, k)
+    sigma = _posterior_spectrum(sigma, k)
     if estimate_spectral:
         # child streams 0, 1, 2 for EV, E32 and E33, in the order they are estimated
         seeds = iter(_child_seeds(estimate_seed, 3))
@@ -463,12 +447,12 @@ class PosteriorResiduals:
         """Equals ``posterior_simple(A, lr.U_hat or lr.V_hat, sigma, k, side)``."""
         _check_side(side)
         s_res = self.left if side == "left" else self.right
-        return _simple_bound(s_res, _spectrum(sigma, self.k), self.k)
+        return _simple_bound(s_res, _posterior_spectrum(sigma, self.k), self.k)
 
     def gap(self, sigma):
         """Equals ``posterior_gap(A, lr, sigma, k)`` (exact norms)."""
         return _gap_report(self.norm_EV_fro, self.norm_EV_spec, self.norm_E32_spec,
-                           float(self.right[0]), _spectrum(sigma, self.k), self.k,
+                           float(self.right[0]), _posterior_spectrum(sigma, self.k), self.k,
                            self.shat_k1)
 
 
@@ -505,10 +489,11 @@ class BalanceConfig:
     gap: float
 
     def __post_init__(self):
-        if self.gamma <= 1:
-            raise BadShape(f"gamma must exceed 1, got {self.gamma}")
-        if self.k < 1 or self.alpha <= 0 or self.beta <= 0 or self.gap <= 0:
-            raise BadShape("k, alpha, beta, gap must be positive")
+        _count(self.k, "k", 1)
+        for name, low in (("alpha", 0), ("beta", 0), ("gamma", 1), ("gap", 0)):
+            value = getattr(self, name)
+            if not low < value < math.inf:
+                raise BadShape(f"{name} must be finite and above {low}, got {name}={value!r}")
 
     @property
     def budget(self):
@@ -533,7 +518,7 @@ class BalanceConfig:
 
 def _check_admissible(config, q):
     top = config.alpha / config.gamma ** 2
-    if q < 0 or 2 * q + 1 > top:
+    if 2 * _count(q, "q", 0) + 1 > top:
         raise InadmissibleQ(f"q={q} outside admissible range (2q+1 <= alpha/gamma^2 = {top:.3f})")
 
 

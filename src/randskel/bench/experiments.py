@@ -11,7 +11,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,17 +374,18 @@ def run_balance(cfg):
     its step matrix is drawn from stream ``(g, trial, 0)`` and its sketch
     at ``q`` from ``(g, trial, q + 1)``.
 
-    The largest sample, l at q = 0, must fit the r x r step matrix; that is
-    checked before any phi is computed, as the number of admissible q grows
-    with the budget."""
-    first = BalanceConfig(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
-                          gap=cfg.gaps[0])
+    Every gap's configuration is read, and the largest sample, l at q = 0,
+    checked to fit the r x r step matrix, before any cell runs or any phi is
+    computed, as the number of admissible q grows with the budget."""
+    configs = [BalanceConfig(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, gap=gap)
+               for gap in cfg.gaps]
+    first = configs[0]
     if first.sample_size(0) > first.r:
         raise BadShape(f"need l <= r, got l={first.sample_size(0)} at q=0 "
                        f"for the {first.r}x{first.r} step matrix")
 
-    def one(g, gap, trial):
-        bal = replace(first, gap=gap)
+    def one(g, trial):
+        bal, gap = configs[g], cfg.gaps[g]
         matrix_id = f"step:k={cfg.k},gap={gap},beta={cfg.beta:g}"
         qs = bal.admissible_q()
         rows = [] if trial else [
@@ -405,5 +406,4 @@ def run_balance(cfg):
                                 trial, name, float(v), nanos))
         return rows
 
-    return _sweep([(g, gap, t) for g, gap in enumerate(cfg.gaps) for t in range(cfg.trials)],
-                  one)
+    return _sweep([(g, t) for g in range(len(cfg.gaps)) for t in range(cfg.trials)], one)

@@ -28,7 +28,9 @@ scipy's, a second runtime with its own threads.
 * :func:`solve_upper` -- solve with an upper-triangular matrix,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
 * :func:`_seed_sequence` and :func:`_child_seeds` -- the one reading of a
-  ``seed`` that every seeded routine of the library makes,
+  ``seed`` that every seeded routine of the library makes, and
+  :func:`_count` and :func:`_spectrum` -- the one reading of a size or count
+  and of a spectrum,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
@@ -121,6 +123,36 @@ def _seed_sequence(seed):
                        f"or a SeedSequence, got {seed!r}") from None
 
 
+def _count(value, name, low, high=None):
+    """``value`` as an ``int`` in ``[low, high]`` (no upper end when ``high``
+    is None): a Python or numpy integer, not a bool. Anything else raises
+    :class:`BadShape` naming ``name``, the range and the value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and low <= value and (high is None or value <= high):
+        return int(value)
+    allowed = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise BadShape(f"{name} must be an integer {allowed}, got {name}={value!r}")
+
+
+def _spectrum(values, name, size=None):
+    """``values`` as a non-empty float64 vector (of length ``size`` when given)
+    that is finite, positive and nonincreasing to within 1e-15. Anything else
+    raises :class:`BadShape` naming ``name`` and the first entry at fault."""
+    try:
+        s = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadShape(f"{name} must be a numeric vector, got {type(values).__name__}") from None
+    if s.ndim != 1 or s.size == 0 or size is not None and s.size != size:
+        length = "non-empty" if size is None else f"length-{size}"
+        raise BadShape(f"{name} must be a {length} vector, got shape {s.shape}")
+    bad = np.flatnonzero(~(np.isfinite(s) & (s > 0)))
+    bad = bad if bad.size else 1 + np.flatnonzero(np.diff(s) > 1e-15)
+    if bad.size:
+        raise BadShape(f"{name} must be finite, positive and nonincreasing, "
+                       f"got {name}[{bad[0]}]={float(s[bad[0]])!r}")
+    return s
+
+
 def _child_seeds(seed, n):
     """The ``n`` child streams that ``spawn(n)`` returns on a fresh copy of
     :func:`_seed_sequence` of ``seed``. A caller's ``SeedSequence`` is only
@@ -170,6 +202,18 @@ class Operator:
 class _MatvecOperator(Operator):
     """Products and slices are the operator's; sketches materialize the embedding."""
 
+    def __init__(self, A):
+        missing = [name for name in ("matmat", "rmatmat", "columns", "rows")
+                   if not callable(getattr(A, name, None))]
+        if missing:
+            raise BadShape(f"matvec-only operator lacks {', '.join(missing)}")
+        try:
+            m, n = A.shape
+        except (AttributeError, TypeError, ValueError):
+            raise BadShape("matvec-only operator needs a shape (m, n), "
+                           f"got {getattr(A, 'shape', None)!r}") from None
+        self.A, self.shape = A, (_count(m, "shape[0]", 0), _count(n, "shape[1]", 0))
+
     def matmat(self, M):
         return self.A.matmat(M)
 
@@ -196,11 +240,13 @@ def _embedding_matrix(emb, dim):
 
 
 def as_operator(A):
-    """Wrap ``A`` once as an :class:`Operator`; a dense input is validated by
+    """Wrap ``A`` once as an :class:`Operator`. An input with ``matmat`` or
+    ``rmatmat`` must carry the whole matvec-only protocol and a ``shape`` of
+    two counts, else :class:`BadShape`; any other input is validated by
     :func:`as_matrix` and not copied when already C-ordered float64."""
     if isinstance(A, Operator):
         return A
-    if hasattr(A, "rmatmat"):
+    if hasattr(A, "matmat") or hasattr(A, "rmatmat"):
         return _MatvecOperator(A)
     return Operator(as_matrix(A, "A"))
 
@@ -602,8 +648,7 @@ def blas_threads(n):
     OpenBLAS builds bundled with numpy or scipy are left alone; when none is
     found, a :class:`RuntimeWarning` says so and the block runs unchanged.
     """
-    if int(n) != n or n < 1:
-        raise BadShape(f"BLAS thread count must be a positive integer, got {n!r}")
+    n = _count(n, "n", 1)
     runtimes = _blas_runtimes()
     if not runtimes:
         warnings.warn("blas_threads: no OpenBLAS runtime bundled with numpy or scipy is "
@@ -612,7 +657,7 @@ def blas_threads(n):
     saved = [get() for _, get in runtimes]
     try:
         for set_threads, _ in runtimes:
-            set_threads(int(n))
+            set_threads(n)
         yield
     finally:
         for (set_threads, _), count in zip(runtimes, saved):
@@ -710,8 +755,7 @@ def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):
     """
     if dim == 0:
         raise ZeroDimension("operator has dimension zero")
-    if iters < 1:
-        raise BadShape(f"iters must be >= 1, got {iters}")
+    iters = _count(iters, "iters", 1)
     rng = np.random.default_rng(_seed_sequence(seed))
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import _project_out, as_matrix, as_operator, orth, qr_checked, spectral_norm, svd_thin
+from .dense import (_count, _project_out, as_matrix, as_operator, orth, qr_checked, spectral_norm,
+                    svd_thin)
 from .errors import BadShape, ShapeMismatch
 from .sketch import make_embedding
 
@@ -42,8 +43,7 @@ def power_iter_plain(A, omega, q):
     Exact per the defining product, but numerically unstable for q > 1 on
     ill-conditioned inputs; prefer :func:`power_iter_stable` there.
     """
-    if q < 0:
-        raise BadShape(f"q must be >= 0, got {q}")
+    q = _count(q, "q", 0)
     A = as_operator(A)
     Y = A.right_sketch(omega)
     for _ in range(q):
@@ -60,8 +60,7 @@ def power_iter_stable(A, omega, q):
     detected rank instead of raising, so the basis may have fewer than l
     columns; only an input with no nonzero direction raises RankDeficient.
     """
-    if q < 0:
-        raise BadShape(f"q must be >= 0, got {q}")
+    q = _count(q, "q", 0)
     A = as_operator(A)
     Q = orth(A.right_sketch(omega))
     for _ in range(q):
@@ -78,7 +77,8 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
     """Rank-l randomized SVD with q re-orthonormalized power iterations.
 
     Callers may pass the sample size ``l`` directly or a ``target_rank`` k,
-    in which case ``l = k + 10``. The column basis comes from
+    in which case ``l = min(k + 10, m, n)``; either must lie in
+    ``[1, min(m, n)]``. The column basis comes from
     :func:`power_iter_stable`; the small matrix ``A^T Q`` is then decomposed
     exactly, which hands the right factor half a power iteration more
     accuracy than the left one. When the input's rank falls below l the
@@ -90,9 +90,8 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
     if l is None:
         if target_rank is None:
             raise BadShape("pass either l or target_rank")
-        l = min(target_rank + DEFAULT_OVERSAMPLING, min(m, n))
-    if not 1 <= l <= min(m, n):
-        raise BadShape(f"need 1 <= l <= min(m,n), got l={l} for {m}x{n}")
+        l = min(_count(target_rank, "target_rank", 1, min(m, n)) + DEFAULT_OVERSAMPLING, m, n)
+    l = _count(l, "l", 1, min(m, n))
     Q = power_iter_stable(A, make_embedding(embedding_kind, l, n, seed=seed), q)
     f = svd_thin(A.rmatmat(Q))  # A^T Q = f.U diag(f.sigma) f.V^T, freed before U_hat
     U_hat = Q @ f.V

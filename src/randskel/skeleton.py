@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _cpqr_pivots, _index_vector, _lu_pivots, as_matrix,
+from .dense import (_child_seeds, _count, _cpqr_pivots, _index_vector, _lu_pivots, as_matrix,
                     as_operator, lstsq_full_rank, qr_checked, spectral_norm)
 from .errors import (
     BadShape,
@@ -151,9 +151,9 @@ def _skeleton(A, X, l, pivot, method, seed):
 
 def _select_on_sketch(A, l, q, seed, embedding, pivot):
     """:func:`_skeleton` on the row sketch, sharpened by ``q`` power iterations."""
-    if q not in (0, 1):
-        raise BadShape(f"q must be 0 or 1, got {q}")
+    q = _count(q, "q", 0, 1)
     A = as_operator(A)
+    l = _count(l, "l", 1, min(A.shape))
     X = _plain_power_sketch(A, l, q, seed, embedding)
     method = f"rand-{pivot}-1piter" if q == 1 else f"rand-{pivot}"
     return _skeleton(A, X, l, pivot, method, seed)
@@ -163,7 +163,8 @@ def select_columns_lupp(A, l, q=0, seed=None, embedding="gaussian"):
     """Column (and row) skeletons by partial-pivoted LU on a row sketch.
 
     ``q`` in {0, 1}: the 1-iteration variant sharpens the sketch with one
-    plain (unorthogonalized) power iteration before pivoting.
+    plain (unorthogonalized) power iteration before pivoting; ``l`` lies in
+    ``[1, min(m, n)]``, as in every selector.
     """
     return _select_on_sketch(A, l, q, seed, embedding, "lupp")
 
@@ -200,11 +201,12 @@ def select_leverage(A, k, l, seed=None):
 
     Scores come from a rank-k randomized SVD: squared row norms of the
     approximated singular-vector factors, normalized by k. ``l`` distinct
-    columns (and rows) are drawn sequentially without replacement.
+    columns (and rows) are drawn sequentially without replacement; ``l`` lies
+    in ``[1, min(m, n)]`` and ``k`` in ``[1, l]``.
     """
     A = as_operator(A)
-    if not k <= l:
-        raise BadShape(f"need k <= l, got k={k}, l={l}")
+    l = _count(l, "l", 1, min(A.shape))
+    k = _count(k, "k", 1, l)
     s_svd, s_col, s_row = _child_seeds(seed, 3)
     lr = randomized_svd(A, k, q=0, seed=s_svd)
     col_scores = (lr.V_hat ** 2).sum(axis=1) / k
@@ -281,6 +283,8 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     """
     if pivot not in ("lupp", "cpqr"):
         raise BadShape(f"pivot must be 'lupp' or 'cpqr', got {pivot!r}")
+    m, n = _count(m, "m", 1), _count(n, "n", 1)
+    l = _count(l, "l", 1, min(m, n))
     # the row embedding matches select_columns_lupp's draw for the same seed,
     # so a single-block stream reproduces its column pivots exactly
     gamma = make_embedding("gaussian", l, m, seed=seed)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _seed_sequence, as_matrix, as_operator
+from .dense import _count, _seed_sequence, as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
@@ -41,7 +41,10 @@ _PANEL_COLS = 64
 
 def _as_operand(A):
     """Accept a vector or matrix; return (2-D view, was_vector flag)."""
-    arr = np.asarray(A, dtype=np.float64)
+    try:
+        arr = np.asarray(A, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadShape(f"operand must be a numeric array, got {type(A).__name__}") from None
     if arr.ndim == 1:
         return arr[:, None], True
     if arr.ndim == 2:
@@ -160,14 +163,10 @@ class SparseSignSketch(SketchOperator):
         return self._csc.toarray()
 
 
-def _check_dims(l, m):
-    if l < 1 or l > m:
-        raise BadShape(f"need 1 <= l <= m, got l={l}, m={m}")
-
-
 def make_gaussian(l, m, seed=None):
     """Gaussian embedding with i.i.d. N(0, 1/l) entries."""
-    _check_dims(l, m)
+    m = _count(m, "m", 1)
+    l = _count(l, "l", 1, m)
     rng = np.random.default_rng(_seed_sequence(seed))
     mat = rng.standard_normal((l, m)) / np.sqrt(l)
     return GaussianSketch(out_dim=l, in_dim=m, seed=seed, matrix=mat)
@@ -175,7 +174,8 @@ def make_gaussian(l, m, seed=None):
 
 def make_srtt(l, m, seed=None):
     """Subsampled randomized trigonometric transform of shape (l, m)."""
-    _check_dims(l, m)
+    m = _count(m, "m", 1)
+    l = _count(l, "l", 1, m)
     rng = np.random.default_rng(_seed_sequence(seed))
     perm_in = rng.permutation(m)
     signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
@@ -190,11 +190,9 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
 
     ``zeta`` defaults to ``min(l, 8)``.
     """
-    _check_dims(l, m)
-    if zeta is None:
-        zeta = min(l, 8)
-    if zeta < 2 or zeta > l:
-        raise BadShape(f"need 2 <= zeta <= l, got zeta={zeta}, l={l}")
+    m = _count(m, "m", 1)
+    l = _count(l, "l", 1, m)
+    zeta = _count(min(l, 8) if zeta is None else zeta, "zeta", 2, l)
     import scipy.sparse as sp  # scipy is needed for this embedding only
 
     rng = np.random.default_rng(_seed_sequence(seed))
@@ -210,7 +208,7 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
     indices = supports.ravel()
     indptr = zeta * np.arange(m + 1)
     csc = sp.csc_matrix((data, indices, indptr), shape=(l, m))
-    return SparseSignSketch(out_dim=l, in_dim=m, seed=seed, zeta=int(zeta), _csc=csc)
+    return SparseSignSketch(out_dim=l, in_dim=m, seed=seed, zeta=zeta, _csc=csc)
 
 
 _FACTORIES = {
@@ -224,12 +222,13 @@ def make_embedding(kind, l, m, seed=None):
     """Construct an embedding by kind name."""
     try:
         factory = _FACTORIES[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise BadShape(f"unknown embedding kind {kind!r}") from None
     return factory(l, m, seed=seed)
 
 
 def sketch_rows(op, A):
-    """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator
-    (which only needs ``rmatmat`` here; the embedding is then materialized)."""
+    """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator (the
+    whole protocol, though only ``rmatmat`` forms the sketch, from the
+    materialized embedding)."""
     return as_operator(A).left_sketch(op)

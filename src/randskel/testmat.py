@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _index_vector, _seed_sequence, as_matrix, qr_ortho
+from .dense import _count, _index_vector, _seed_sequence, _spectrum, as_matrix, qr_ortho
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -43,14 +43,8 @@ class SnnParams:
     seed: object = None
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        object.__setattr__(self, "s", s)
-        if self.r > min(self.m, self.n):
-            raise BadShape(f"r={self.r} exceeds min(m,n)={min(self.m, self.n)}")
-        if s.shape != (self.r,):
-            raise BadShape(f"weights must have length r={self.r}")
-        if not (s > 0).all() or (np.diff(s) > 0).any():
-            raise BadShape("weights must be positive and nonincreasing")
+        r = _count(self.r, "r", 1, min(_count(self.m, "m", 1), _count(self.n, "n", 1)))
+        object.__setattr__(self, "s", _spectrum(self.s, "s", r))
         if not 0 < self.density <= 1:
             raise BadShape(f"density must be in (0, 1], got {self.density}")
 
@@ -200,7 +194,9 @@ class ExplicitSpectrum:
 
 
 def spectrum_values(profile, r):
-    """Materialize a spectrum profile at length ``r`` (positive, nonincreasing)."""
+    """Materialize a spectrum profile at length ``r`` (finite, positive,
+    nonincreasing)."""
+    r = _count(r, "r", 1)
     i = np.arange(1, r + 1, dtype=np.float64)
     if isinstance(profile, SlowDecay):
         s = np.where(i <= profile.r1, 1.0, 1.0 / np.sqrt(np.maximum(i - profile.r1 + 1, 1.0)))
@@ -208,19 +204,13 @@ def spectrum_values(profile, r):
         s = np.where(i <= profile.r1, 1.0,
                      np.maximum(0.99 ** (i - profile.r1), 1e-3))
     elif isinstance(profile, StepSpectrum):
-        if profile.k > r:
-            raise BadShape(f"step k={profile.k} exceeds r={r}")
         s = np.full(r, float(profile.sigma_k1))
-        s[: profile.k] = profile.sigma1
+        s[:_count(profile.k, "StepSpectrum.k", 0, r)] = profile.sigma1
     elif isinstance(profile, ExplicitSpectrum):
-        s = np.asarray(profile.values, dtype=np.float64)
-        if s.shape != (r,):
-            raise BadShape(f"explicit spectrum length {s.size} != r={r}")
+        s = profile.values
     else:
         raise BadShape(f"unknown spectrum profile {profile!r}")
-    if not (s > 0).all() or (np.diff(s) > 1e-15).any():
-        raise BadShape("spectrum must be positive and nonincreasing")
-    return s
+    return _spectrum(s, "spectrum", r)
 
 
 def gen_gaussian_spectrum(m, n, profile, seed=None, r=None):
@@ -229,10 +219,8 @@ def gen_gaussian_spectrum(m, n, profile, seed=None, r=None):
     Returns ``(A, U, sigma, V)`` so that exact singular subspaces are
     available downstream.
     """
-    if r is None:
-        r = min(m, n)
-    if r > min(m, n):
-        raise BadShape(f"r={r} exceeds min(m,n)={min(m, n)}")
+    m, n = _count(m, "m", 1), _count(n, "n", 1)
+    r = min(m, n) if r is None else _count(r, "r", 1, min(m, n))
     sigma = spectrum_values(profile, r)
     rng = np.random.default_rng(_seed_sequence(seed))
     U = qr_ortho(rng.standard_normal((m, r)))

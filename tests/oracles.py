@@ -1,10 +1,17 @@
 """Brute-force oracles shared across the test suite.
 
 Everything here is deliberately naive (dense, explicit, O(n^3)) so the
-library paths can be checked against an independent computation.
+library paths can be checked against an independent computation. The last
+two helpers build rows of the documented-error tables for the library's one
+size rule and one spectrum rule.
 """
 
+import re
+
 import numpy as np
+import pytest
+
+from randskel.errors import BadShape
 
 
 def projector_onto_rows(X):
@@ -109,3 +116,17 @@ def snn_factors_dense(params, retries=100):
             else:
                 raise AssertionError("all-zero factor")
     return factors
+
+
+def names(name, rule="an integer"):
+    """The :class:`BadShape` of the size rule (or, with ``rule="finite"``, of
+    the spectrum rule) whose message opens by naming the parameter ``name``."""
+    return pytest.raises(BadShape, match=rf"^{re.escape(name)} must be {rule}")
+
+
+def size_cases(label, name, call, good, bad):
+    """Documented-error rows for the size or count ``name``: ``call`` of
+    ``float(good)``, of ``True`` and of the out-of-range ``bad`` each raise the
+    :class:`BadShape` that names ``name``."""
+    return [pytest.param(lambda value=value: call(value), names(name), id=f"{label}-{tag}")
+            for tag, value in (("float", float(good)), ("bool", True), ("range", bad))]

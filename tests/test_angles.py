@@ -35,7 +35,7 @@ from randskel.bench.cli import build_config, make_parser
 from randskel.bench.experiments import _run_seed, run_angles
 from randskel.bench.matrices import realize_matrix
 from randskel.testmat import FastDecay, SlowDecay, StepSpectrum, spectrum_values
-from oracles import random_matrix, unbiased_sines_svd
+from oracles import names, random_matrix, size_cases, unbiased_sines_svd
 
 
 class TestCanonicalAngles:
@@ -534,6 +534,9 @@ class TestBalancePhi:
 _A = np.random.default_rng(32).standard_normal((8, 6))
 _LR = randomized_svd(_A, 4, seed=1)
 _SIGMA = np.linalg.svd(_A, compute_uv=False)
+_INF_SIGMA = np.concatenate([[np.inf], _SIGMA[1:]])
+_OMEGAS = np.ones((2, 3)), np.ones((1, 3))
+_BAL = BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -571,7 +574,39 @@ _SIGMA = np.linalg.svd(_A, compute_uv=False)
                  id="balance-k"),
     pytest.param(lambda: BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=-1), BadShape,
                  id="balance-gap"),
+    pytest.param(lambda: BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=np.nan),
+                 names("gap", "finite"), id="balance-gap-nan"),
+    pytest.param(lambda: BalanceConfig(k=2, alpha=np.inf, beta=1, gamma=1.1, gap=2),
+                 names("alpha", "finite"), id="balance-alpha-inf"),
+    *size_cases("balance-k", "k", lambda k: BalanceConfig(k=k, alpha=8, beta=1, gamma=1.1, gap=2),
+                2, 0),
+    *size_cases("phi-q", "q", lambda q: balance_phi(_BAL, q), 0, -1),
+    pytest.param(lambda: PriorBoundInputs(sigma=_INF_SIGMA, k=1, l=2, q=0),
+                 names("sigma", "finite"), id="prior-inf-spectrum"),
+    pytest.param(lambda: unbiased_estimates(_INF_SIGMA, 1, 2, 0, 2), names("sigma", "finite"),
+                 id="estimates-inf-spectrum"),
+    *size_cases("pad-r", "r", lambda r: pad_spectrum(_SIGMA, r), 7, 5),
+    *size_cases("flatness-k", "k", lambda k: tail_flatness(_SIGMA, k, 0), 2, 0),
+    *size_cases("flatness-q", "q", lambda q: tail_flatness(_SIGMA, 2, q), 1, -1),
+    *size_cases("prior-k", "k", lambda k: PriorBoundInputs(sigma=_SIGMA, k=k, l=3, q=0), 1, 3),
+    *size_cases("prior-l", "l", lambda l: PriorBoundInputs(sigma=_SIGMA, k=1, l=l, q=0), 3, 6),
+    *size_cases("prior-q", "q", lambda q: PriorBoundInputs(sigma=_SIGMA, k=1, l=3, q=q), 1, -1),
+    *size_cases("reference-k", "k", lambda k: prior_reference_bound(_SIGMA, k, 3, 0, *_OMEGAS),
+                2, 0),
+    *size_cases("reference-l", "l", lambda l: prior_reference_bound(_SIGMA, 2, l, 0, *_OMEGAS),
+                3, 0),
+    *size_cases("reference-q", "q", lambda q: prior_reference_bound(_SIGMA, 2, 3, q, *_OMEGAS),
+                1, -1),
+    *size_cases("estimates-k", "k", lambda k: unbiased_estimates(_SIGMA, k, 2, 0, 2), 1, 2),
+    *size_cases("estimates-l", "l", lambda l: unbiased_estimates(_SIGMA, 1, l, 0, 2), 2, 1),
+    *size_cases("estimates-q", "q", lambda q: unbiased_estimates(_SIGMA, 1, 2, q, 2), 1, -1),
+    *size_cases("estimates-trials", "n_trials", lambda t: unbiased_estimates(_SIGMA, 1, 2, 0, t),
+                2, 0),
+    *size_cases("posterior-simple-k", "k", lambda k: posterior_simple(_A, _LR.U_hat, _SIGMA, k),
+                2, 7),
+    *size_cases("posterior-gap-k", "k", lambda k: posterior_gap(_A, _LR, _SIGMA, k), 2, 4),
+    *size_cases("residuals-k", "k", lambda k: posterior_residuals(_A, _LR, k), 2, 0),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()

@@ -468,6 +468,14 @@ class TestBalance:
         assert "BadShape" in err and "l=18000000" in err and "21x21" in err
         assert not (out / "balance.csv").exists()
 
+    def test_bad_gap_exit_3_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        from randskel.bench import experiments
+
+        monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a cell ran"))
+        assert run(["balance", "--gaps", "1.5,-1", "--out", str(tmp_path)]) == 3
+        assert "gap must be finite and above 0, got gap=-1.0" in capsys.readouterr().err
+        assert not (tmp_path / "balance.csv").exists()
+
     def test_cell_error_exit_3_without_csv(self, tmp_path, capsys):
         # alpha / gamma^2 < 1 admits no q: every cell raises InadmissibleQ
         code = run(["balance", "--k", "4", "--alpha", "1", "--gamma", "1.05",

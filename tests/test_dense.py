@@ -15,6 +15,7 @@ from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
 from randskel import dense
 from randskel.dense import _blas_runtimes, as_operator, blas_threads, spectral_norm, svdvals
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch, ZeroDimension
+from oracles import names, size_cases
 
 #: The suite runs on scipy's LAPACK under this switch (tests/conftest.py).
 SCIPY_LAPACK = os.environ.get("RANDSKEL_TEST_LAPACK") == "scipy"
@@ -603,13 +604,40 @@ def _sketch_snn_with_wrong_embedding():
     as_operator(op).left_sketch(make_gaussian(3, 7, seed=0))
 
 
+def _operator(**members):
+    """A matvec-only operator over a dense 5 x 4 matrix, with ``members``
+    replacing its own; a member given as None is left out."""
+    A = np.ones((5, 4))
+    own = dict(shape=A.shape, matmat=lambda M: A @ M, rmatmat=lambda M: A.T @ M,
+               columns=lambda J: A[:, J], rows=lambda I: A[I, :])
+    return types.SimpleNamespace(**{k: v for k, v in {**own, **members}.items() if v is not None})
+
+
+def _run_at_threads(n):
+    with blas_threads(n):
+        pass
+
+
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: qr_ortho(np.ones((2, 2, 2))), BadShape, id="not-2-d"),
     pytest.param(lambda: lupp(np.ones((2, 3))), BadShape, id="lupp-wide"),
     pytest.param(_sketch_snn_with_wrong_embedding, ShapeMismatch, id="embedding-dimension"),
     pytest.param(lambda: spectral_norm_estimate(lambda v: v, lambda w: w, 3, 0), BadShape,
                  id="estimate-iters<1"),
+    *size_cases("estimate-iters", "iters",
+                lambda i: spectral_norm_estimate(lambda v: v, lambda w: w, 3, i), 2, 0),
+    *size_cases("blas-threads", "n", _run_at_threads, 2, 0),
+    pytest.param(lambda: as_operator(_operator(columns=None)),
+                 pytest.raises(BadShape, match="lacks columns"), id="operator-no-columns"),
+    pytest.param(lambda: as_operator(_operator(matmat=None, rows=None)),
+                 pytest.raises(BadShape, match="lacks matmat, rows"), id="operator-no-matmat"),
+    pytest.param(lambda: as_operator(_operator(shape=None)),
+                 pytest.raises(BadShape, match="needs a shape"), id="operator-no-shape"),
+    pytest.param(lambda: as_operator(_operator(shape=(5,))),
+                 pytest.raises(BadShape, match="needs a shape"), id="operator-1-d-shape"),
+    pytest.param(lambda: as_operator(_operator(shape=(5.0, 4))), names("shape[0]"),
+                 id="operator-float-shape"),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()

@@ -11,7 +11,7 @@ from randskel import (
 )
 from randskel.angles import canonical_angles
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch
-from oracles import random_matrix, residual_norms, truncated_svd_error
+from oracles import random_matrix, residual_norms, size_cases, truncated_svd_error
 
 
 class _EyeOp:
@@ -199,7 +199,12 @@ _OMEGA = make_gaussian(3, 6, seed=0)
     pytest.param(lambda: randomized_svd(_A, 7), BadShape, id="rsvd-l>min(m,n)"),
     pytest.param(lambda: rangefinder_error(_A, np.ones((2, 5))), ShapeMismatch,
                  id="rangefinder-error-columns"),
+    *size_cases("plain-q", "q", lambda q: power_iter_plain(_A, _OMEGA, q), 1, -1),
+    *size_cases("stable-q", "q", lambda q: power_iter_stable(_A, _OMEGA, q), 1, -1),
+    *size_cases("rsvd-l", "l", lambda l: randomized_svd(_A, l), 3, 7),
+    *size_cases("rsvd-target-rank", "target_rank", lambda k: randomized_svd(_A, target_rank=k),
+                2, 0),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()

@@ -33,9 +33,11 @@ from randskel.skeleton import _column_pivots, _sample_without_replacement
 from oracles import (
     column_skeleton_residual,
     cur_residual,
+    names,
     random_matrix,
     residual_norms,
     row_skeleton_residual,
+    size_cases,
     truncated_svd_error,
 )
 
@@ -524,7 +526,17 @@ _A = np.random.default_rng(31).standard_normal((8, 6))
                  id="two-sided-sizes"),
     pytest.param(lambda: _sample_without_replacement(np.random.default_rng(0), np.zeros(5), 2),
                  DegenerateDistribution, id="all-zero-scores"),
+    *[pytest.param(lambda select=select: select(_A, 11), names("l"), id=f"{select.__name__}-l>n")
+      for select in (select_columns_lupp, select_columns_cpqr, select_deim)],
+    pytest.param(lambda: select_leverage(_A, 2, 11), names("l"), id="select_leverage-l>n"),
+    *size_cases("lupp-q", "q", lambda q: select_columns_lupp(_A, 3, q=q), 1, 2),
+    *size_cases("cpqr-l", "l", lambda l: select_columns_cpqr(_A, l), 3, 0),
+    *size_cases("leverage-l", "l", lambda l: select_leverage(_A, 2, l), 3, 7),
+    *size_cases("leverage-k", "k", lambda k: select_leverage(_A, k, 3), 2, 0),
+    *size_cases("streaming-l", "l", lambda l: select_streaming([_A], l, m=8, n=6), 3, 11),
+    *size_cases("streaming-m", "m", lambda m: select_streaming([_A], 3, m=m, n=6), 8, 0),
+    *size_cases("streaming-n", "n", lambda n: select_streaming([_A], 3, m=8, n=n), 6, 0),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()

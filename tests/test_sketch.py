@@ -16,7 +16,7 @@ from randskel import (
     snn_weights,
 )
 from randskel.errors import BadShape, ShapeMismatch
-from oracles import dht_matrix, srtt_apply_one_shot
+from oracles import dht_matrix, names, size_cases, srtt_apply_one_shot
 
 
 class TestGaussian:
@@ -251,7 +251,16 @@ def test_reproducible_sketch_output():
     pytest.param(lambda: make_gaussian(2, 5, seed=0).apply(np.ones((5, 2, 2))), BadShape,
                  id="apply-3-d"),
     pytest.param(lambda: make_embedding("fourier", 2, 5), BadShape, id="unknown-kind"),
+    pytest.param(lambda: make_embedding(["gaussian"], 2, 5), BadShape, id="unhashable-kind"),
+    pytest.param(lambda: make_gaussian(2, 3, seed=0).apply("abc"), BadShape, id="apply-text"),
+    pytest.param(lambda: make_gaussian(2, 3, seed=0).apply([[1, 2], [3], [4, 5]]), BadShape,
+                 id="apply-ragged"),
+    *size_cases("gaussian-l", "l", lambda l: make_gaussian(l, 5), 2, 6),
+    *size_cases("srtt-m", "m", lambda m: make_srtt(1, m), 5, 0),
+    *size_cases("sparse-sign-zeta", "zeta", lambda z: make_sparse_sign(3, 10, zeta=z), 2, 4),
+    pytest.param(lambda: make_sparse_sign(np.int64(3), np.int64(10), zeta=1), names("zeta"),
+                 id="int64-sizes-accepted"),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()

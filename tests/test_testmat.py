@@ -21,7 +21,7 @@ from randskel import (
 )
 from randskel.errors import BadShape, EmptyFactor, NonNumericCell, RaggedRows, ShapeMismatch
 from randskel.testmat import SNN_DEFAULT_DENSITY
-from oracles import snn_factors_dense
+from oracles import names, size_cases, snn_factors_dense
 
 
 class TestSnn:
@@ -258,9 +258,22 @@ _OP = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=
     pytest.param(lambda: spectrum_values("flat", 3), BadShape, id="unknown-profile"),
     pytest.param(lambda: gen_gaussian_spectrum(4, 3, SlowDecay(), r=4), BadShape,
                  id="gaussian-r>min(m,n)"),
+    pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=[np.inf, 1.0]), names("s", "finite"),
+                 id="weights-inf"),
+    pytest.param(lambda: spectrum_values(ExplicitSpectrum(np.array([np.inf, 1.0])), 2),
+                 names("spectrum", "finite"), id="explicit-inf"),
+    *size_cases("snn-m", "m", lambda m: SnnParams(m=m, n=5, r=2, s=np.ones(2)), 5, 0),
+    *size_cases("snn-n", "n", lambda n: SnnParams(m=5, n=n, r=2, s=np.ones(2)), 5, 0),
+    *size_cases("snn-r", "r", lambda r: SnnParams(m=5, n=5, r=r, s=np.ones(2)), 2, 0),
+    *size_cases("spectrum-r", "r", lambda r: spectrum_values(SlowDecay(), r), 3, 0),
+    *size_cases("step-k", "StepSpectrum.k", lambda k: spectrum_values(StepSpectrum(k, 2.0), 3),
+                2, -1),
+    *size_cases("gaussian-m", "m", lambda m: gen_gaussian_spectrum(m, 3, SlowDecay()), 4, 0),
+    *size_cases("gaussian-n", "n", lambda n: gen_gaussian_spectrum(4, n, SlowDecay()), 3, 0),
+    *size_cases("gaussian-r", "r", lambda r: gen_gaussian_spectrum(4, 3, SlowDecay(), r=r), 2, 0),
 ])
 def test_documented_errors(call, error):
-    with pytest.raises(error):
+    with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
         call()
 
 
