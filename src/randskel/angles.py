@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _norm_fro, _project_out, _r_checked, _spectrum,
-                    as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
+from .dense import (_child_seeds, _count, _norm_fro, _project_out, _r_checked, _real,
+                    _spectrum, as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
                     spectral_norm_estimate, svdvals)
 from .errors import (
     BadShape,
@@ -138,8 +138,9 @@ class PriorBoundInputs:
         e1, e2 = default_distortions(self.k, self.l, sigma.size)
         for name, default in (("eps1", e1), ("eps2", e2),
                               ("eps1_lower", 2 * e1), ("eps2_lower", 2 * e2)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
+            value = getattr(self, name)
+            object.__setattr__(self, name, default if value is None
+                               else _real(value, name, -np.inf, np.inf))
         for name in ("eps1", "eps2"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -491,9 +492,7 @@ class BalanceConfig:
     def __post_init__(self):
         _count(self.k, "k", 1)
         for name, low in (("alpha", 0), ("beta", 0), ("gamma", 1), ("gap", 0)):
-            value = getattr(self, name)
-            if not low < value < math.inf:
-                raise BadShape(f"{name} must be finite and above {low}, got {name}={value!r}")
+            _real(getattr(self, name), name, low, np.inf)
 
     @property
     def budget(self):

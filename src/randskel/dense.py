@@ -10,17 +10,20 @@ scipy's, a second runtime with its own threads.
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
   by :func:`_qr`: ``dgeqrf`` and ``dorgqr``, scipy's calls and bits, or, for
-  an input of at least two blocks of ``max(_TSQR_ROWS, 4n)`` rows, a
-  tall-skinny QR by row blocks (:func:`_tsqr`), each block factored while it
-  sits in cache,
+  an input of at least two blocks of ``max(_TSQR_ROWS, 4n)`` rows (the tall
+  route, :func:`_tall_rows`), a tall-skinny QR by row blocks
+  (:func:`_tsqr`), each block factored while it sits in cache,
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
 * :func:`lstsq_full_rank` -- ``M^+ B`` for a full-column-rank ``M``, by a
   rank-checked QR and a triangular solve,
 * :func:`svd_thin` -- economy SVD with a numerical-rank report, and
-  :func:`svdvals` -- singular values only: both one ``dgesdd`` call
-  (:func:`_gesdd`), numpy's, with its bits and layout, but with the GIL
-  released (numpy holds it for the whole LAPACK call), so threads computing
-  spectra overlap; :func:`spectral_norm` reads ``||M||_2`` off ``svdvals``,
+  :func:`svdvals` -- singular values only: both by :func:`_gesdd`. An input
+  on the tall route, or whose transpose is, is factored by :func:`_tsqr` and
+  the SVD taken of ``R`` alone, ``Q`` formed only when vectors are asked
+  for; any other is one ``dgesdd`` call, numpy's, with its bits and layout,
+  but with the GIL released (numpy holds it for the whole LAPACK call), so
+  threads computing spectra overlap; :func:`spectral_norm` reads ``||M||_2``
+  off ``svdvals``,
 * :func:`_project_out` -- an orthonormal basis projected out of ``M``: the
   residual behind every range error, angle sine and posterior bound,
 * :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
@@ -29,23 +32,28 @@ scipy's, a second runtime with its own threads.
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
 * :func:`_seed_sequence` and :func:`_child_seeds` -- the one reading of a
   ``seed`` that every seeded routine of the library makes, and
-  :func:`_count` and :func:`_spectrum` -- the one reading of a size or count
-  and of a spectrum,
+  :func:`_count`, :func:`_real` and :func:`_spectrum` -- the one reading of
+  a size or count, of a real parameter and of a spectrum,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
 All routines but :func:`blas_threads` take 2-D float64 arrays, treat inputs
 as immutable, and are pure functions of their arguments (safe to call
-concurrently). Every rank decision counts the leading diagonal entries (or
+concurrently). :func:`as_matrix` validates each input: it is finite when its
+row sums are, and only the rows of a sum that is not finite are read entry
+by entry. Every rank decision counts the leading diagonal entries (or
 singular values) at or above ``RANK_RTOL`` times a per-routine reference.
 
 The randomized routines also accept a matvec-only operator: an object with
 ``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
-``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``).
-:func:`as_operator` wraps either kind once, at each public entry; it is the
-only code that tells them apart. A wrapped dense matrix returns
-``columns(J)`` as a Fortran-ordered block, gathered in row tiles, so the QR
-and LU that consume it reach LAPACK without a transposing copy.
+``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``),
+each result of the shape that product or slice has, else
+:class:`ShapeMismatch`. :func:`as_operator` wraps either kind once, at each
+public entry; it is the only code that tells them apart. A wrapped dense
+matrix returns ``columns(J)`` as a Fortran-ordered block, gathered in row
+tiles, so the QR and LU that consume it reach LAPACK without a transposing
+copy. ``U_mid = Q_C^T A Q_R`` of the CUR construction is one
+:meth:`Operator.sandwich`, in the order of fewer multiply-adds.
 """
 
 from __future__ import annotations
@@ -83,15 +91,23 @@ _TSQR_NB = 32
 
 
 def as_matrix(a, name="matrix"):
-    """Validate ``a`` as a finite 2-D float64 array and return it C-ordered."""
+    """Validate ``a`` as a finite 2-D float64 array and return it C-ordered.
+
+    The finite check reads the row sums first: a NaN or an infinity leaves its
+    row's sum non-finite, so only when some sum is not finite (an overflow of
+    finite entries, or a non-finite entry) are that sum's rows read entry by
+    entry. No ``m x n`` temporary is made, and no warning is raised."""
     try:
         arr = np.ascontiguousarray(a, dtype=np.float64)
     except (TypeError, ValueError):
         raise BadShape(f"{name} must be a numeric array, got {type(a).__name__}") from None
     if arr.ndim != 2:
         raise BadShape(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.isfinite(arr).all():
-        raise BadShape(f"{name} contains non-finite entries")
+    if arr.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = arr @ np.ones(arr.shape[1])
+        if not np.isfinite(sums).all() and not np.isfinite(arr[~np.isfinite(sums)]).all():
+            raise BadShape(f"{name} contains non-finite entries")
     return arr
 
 
@@ -132,6 +148,22 @@ def _count(value, name, low, high=None):
         return int(value)
     allowed = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise BadShape(f"{name} must be an integer {allowed}, got {name}={value!r}")
+
+
+def _real(value, name, low, high, closed=False):
+    """``value`` as a ``float`` in the open interval ``(low, high)``, or in
+    ``(low, high]`` when ``closed``: a Python or numpy real number, not a bool;
+    an infinite bound is never reached, so the value is finite. Anything else
+    raises :class:`BadShape` naming ``name``, the range and the value."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    x = float(value) if real and abs(value) <= sys.float_info.max else np.nan
+    if low < x and (x <= high if closed else x < high):
+        return x
+    if high != np.inf:
+        allowed = f"in ({low}, {high}{']' if closed else ')'}"
+    else:
+        allowed = "a finite real number" if low == -np.inf else f"finite and above {low}"
+    raise BadShape(f"{name} must be {allowed}, got {name}={value!r}")
 
 
 def _spectrum(values, name, size=None):
@@ -189,6 +221,20 @@ class Operator:
     def rows(self, I):
         return np.ascontiguousarray(self.A[I, :])
 
+    def sandwich(self, L, R):
+        """``L.T @ A @ R`` in the order of fewer multiply-adds, as
+        ``np.linalg.multi_dot`` picks it: ``(L.T @ A) @ R`` when that is
+        strictly cheaper, else ``L.T @ (A @ R)``, so a tie (every square
+        ``A`` with ``L`` and ``R`` of one width) keeps ``A @ R`` first."""
+        (m, n), a, b = self.shape, L.shape[1], R.shape[1]
+        if a * n * (m + b) < m * b * (n + a):
+            return self._left_product(L) @ R
+        return L.T @ self.matmat(R)
+
+    def _left_product(self, L):
+        """``L.T @ A``."""
+        return L.T @ self.A
+
     def left_sketch(self, emb):
         """``G @ A`` for an embedding ``G`` of the rows."""
         return emb.apply(self.A)
@@ -214,23 +260,35 @@ class _MatvecOperator(Operator):
                            f"got {getattr(A, 'shape', None)!r}") from None
         self.A, self.shape = A, (_count(m, "shape[0]", 0), _count(n, "shape[1]", 0))
 
+    def _checked(self, member, out, shape):
+        """``out``, the result of the operator's ``member``, if it has ``shape``."""
+        if np.shape(out) != shape:
+            raise ShapeMismatch(f"operator {member} returned shape {np.shape(out)}, "
+                                f"expected {shape}")
+        return out
+
     def matmat(self, M):
-        return self.A.matmat(M)
+        return self._checked("matmat", self.A.matmat(M), (self.shape[0], M.shape[1]))
 
     def rmatmat(self, M):
-        return self.A.rmatmat(M)
+        return self._checked("rmatmat", self.A.rmatmat(M), (self.shape[1], M.shape[1]))
 
     def columns(self, J):
-        return as_matrix(self.A.columns(J), "operator columns")
+        out = as_matrix(self.A.columns(J), "operator columns")
+        return self._checked("columns", out, (self.shape[0], np.size(J)))
 
     def rows(self, I):
-        return as_matrix(self.A.rows(I), "operator rows")
+        out = as_matrix(self.A.rows(I), "operator rows")
+        return self._checked("rows", out, (np.size(I), self.shape[1]))
+
+    def _left_product(self, L):
+        return self.rmatmat(L).T
 
     def left_sketch(self, emb):
-        return np.ascontiguousarray(self.A.rmatmat(_embedding_matrix(emb, self.shape[0]).T).T)
+        return np.ascontiguousarray(self.rmatmat(_embedding_matrix(emb, self.shape[0]).T).T)
 
     def right_sketch(self, emb):
-        return self.A.matmat(np.ascontiguousarray(_embedding_matrix(emb, self.shape[1]).T))
+        return self.matmat(np.ascontiguousarray(_embedding_matrix(emb, self.shape[1]).T))
 
 
 def _embedding_matrix(emb, dim):
@@ -486,13 +544,20 @@ def _qr(M):
     with scipy's bits.
     """
     m, n = M.shape
-    a, rows = np.array(M, dtype=np.float64, order="F"), max(_TSQR_ROWS, 4 * n)
-    if n and m >= 2 * rows:
+    a, rows = np.array(M, dtype=np.float64, order="F"), _tall_rows(m, n)
+    if rows:
         return _tsqr(a, rows)
     tau = np.empty(min(m, n))
     if tau.size:
         _with_workspace(_lapack("dgeqrf"), m, n, a, m, tau)
     return np.triu(a[:tau.size]), lambda: _orgqr(a, tau)
+
+
+def _tall_rows(m, n):
+    """Rows per block of the tall route for an m x n input, or 0 when the
+    input takes LAPACK's own route: it needs two blocks of ``max(_TSQR_ROWS, 4n)``."""
+    rows = max(_TSQR_ROWS, 4 * n)
+    return rows if n and m >= 2 * rows else 0
 
 
 def _orgqr(a, tau):
@@ -558,14 +623,27 @@ def _cpqr_pivots(M):
 
 
 def _gesdd(M, vectors):
-    """``(U, sigma, V^T)`` of a finite real ``M`` by numpy's one ``dgesdd`` call
-    on a Fortran-ordered copy, with the workspace it asks for, through ctypes
-    with the GIL released, where numpy holds it for the whole call; the bits
-    are numpy's, or scipy's where numpy bundles no LAPACK. ``jobz='S'`` with
-    ``vectors`` (Fortran-ordered economy factors, of numpy's shapes when
-    ``M`` is empty), else ``jobz='N'``, and ``U`` and ``V^T`` are None.
+    """``(U, sigma, V^T)`` of a finite real ``M``: ``jobz='S'`` with
+    ``vectors`` (economy factors, of numpy's shapes when ``M`` is empty),
+    else ``jobz='N'``, and ``U`` and ``V^T`` are None.
+
+    A tall input (:func:`_tall_rows`) is factored by :func:`_tsqr` and the
+    SVD taken of its ``n x n`` ``R`` alone, ``Q`` formed only for ``U = Q U_R``;
+    a wide one takes that route through its transpose. Any other input is
+    numpy's one ``dgesdd`` call on a Fortran-ordered copy, with the workspace
+    it asks for, through ctypes with the GIL released, where numpy holds it
+    for the whole call; the bits are numpy's, or scipy's where numpy bundles
+    no LAPACK, and the factors are Fortran-ordered.
     """
     m, n = M.shape
+    if _tall_rows(n, m):
+        vt, s, u = _gesdd(M.T, vectors)
+        return (u.T, s, vt.T) if vectors else (None, s, None)
+    rows = _tall_rows(m, n)
+    if rows:
+        r, form_q = _tsqr(np.array(M, dtype=np.float64, order="F"), rows)
+        u, s, vt = _gesdd(r, vectors)
+        return (form_q() @ u if vectors else None), s, vt
     k = min(m, n)
     s = np.empty(k)
     # jobz='N' references neither factor, so they may be null

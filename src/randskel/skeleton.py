@@ -372,7 +372,13 @@ def build_two_sided_id(A, I_s, J_s):
 
 
 def build_cur_stable(A, I_s, J_s):
-    """CUR decomposition assembled through orthonormal skeleton bases."""
+    """CUR decomposition assembled through orthonormal skeleton bases.
+
+    ``U_mid = Q_C.T A Q_R`` is formed in the order of fewer multiply-adds
+    (:meth:`~randskel.dense.Operator.sandwich`): ``Q_C.T @ (A @ Q_R)`` on a
+    square input, ``(Q_C.T @ A) @ Q_R`` (for a matvec-only operator,
+    ``rmatmat(Q_C).T @ Q_R``) on a tall one with skeletons of one size.
+    """
     A = as_operator(A)
     I_s = _index_vector(I_s, A.shape[0], "I_s")
     J_s = _index_vector(J_s, A.shape[1], "J_s")
@@ -380,5 +386,5 @@ def build_cur_stable(A, I_s, J_s):
     R = A.rows(I_s)
     Q_C = qr_checked(C, SingularSkeleton, "skeleton columns")[0]
     Q_R = qr_checked(R.T, SingularSkeleton, "skeleton rows")[0]
-    U_mid = Q_C.T @ A.matmat(Q_R)
+    U_mid = A.sandwich(Q_C, Q_R)
     return CurFactors(C=C, U_mid=U_mid, R=R, Q_C=Q_C, Q_R=Q_R)

@@ -19,7 +19,7 @@ Scaling conventions:
   Hartley kernel in O(lm).
 * Sparse-sign columns carry exactly ``zeta`` entries of ``+-1/sqrt(zeta)``
   so that ``E[||G x||^2] = ||x||^2``. Their rows are drawn by Floyd's
-  subset sampler, in O(m zeta^2) time and O(m zeta) memory.
+  subset sampler, in O(m zeta) time and O(m zeta) memory.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
 _GATHER_ROWS = 256
+#: Entries of the bitmap of taken rows with which the sparse-sign sampler
+#: looks up repeats, one chunk of ``_SUPPORT_BITMAP // l`` columns at a time.
+_SUPPORT_BITMAP = 1 << 16
 #: Input columns per SRTT panel: each panel is gathered into one transposed
 #: ``_PANEL_COLS x m`` buffer and transformed by one ``rfft``, so neither an
 #: ``n x m`` copy of the input nor its full ``(m//2 + 1) x n`` spectrum is held.
@@ -201,8 +204,19 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
     # repeats a row taken before, so every zeta-subset of rows is equally likely
     supports = np.empty((m, zeta), dtype=np.intp)
     for t, top in enumerate(range(l - zeta, l)):
-        draw = rng.integers(0, top + 1, size=m)
-        supports[:, t] = np.where((supports[:, :t] == draw[:, None]).any(axis=1), top, draw)
+        supports[:, t] = rng.integers(0, top + 1, size=m)
+    # a repeat is looked up in a bitmap of the rows taken, one chunk of
+    # columns at a time, so the bitmap stays in cache
+    chunk = max(1, _SUPPORT_BITMAP // l)
+    for i in range(0, m, chunk):
+        block = supports[i:i + chunk]
+        base = l * np.arange(block.shape[0])
+        taken = np.zeros(base.size * l, dtype=bool)
+        for t, top in enumerate(range(l - zeta, l)):
+            drawn = base + block[:, t]
+            repeat = taken[drawn]
+            block[repeat, t] = top
+            taken[np.where(repeat, base + top, drawn)] = True
     signs = rng.integers(0, 2, size=(m, zeta)) * 2.0 - 1.0
     data = (signs / np.sqrt(zeta)).ravel()
     indices = supports.ravel()

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _count, _index_vector, _seed_sequence, _spectrum, as_matrix, qr_ortho
+from .dense import (_count, _index_vector, _real, _seed_sequence, _spectrum, as_matrix,
+                    qr_ortho)
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -45,8 +46,7 @@ class SnnParams:
     def __post_init__(self):
         r = _count(self.r, "r", 1, min(_count(self.m, "m", 1), _count(self.n, "n", 1)))
         object.__setattr__(self, "s", _spectrum(self.s, "s", r))
-        if not 0 < self.density <= 1:
-            raise BadShape(f"density must be in (0, 1], got {self.density}")
+        _real(self.density, "density", 0, 1, closed=True)
 
 
 def snn_weights(a, r1, r):

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (dense, explicit, O(n^3)) so the
 library paths can be checked against an independent computation. The last
 two helpers build rows of the documented-error tables for the library's one
-size rule and one spectrum rule.
+size rule and one spectrum rule; :class:`MatvecOnly` serves a dense matrix,
+correctly or not, through the matvec-only protocol.
 """
 
 import re
@@ -83,6 +84,18 @@ def srtt_apply_one_shot(op, A):
     return H / np.sqrt(op.out_dim)
 
 
+def sparse_sign_floyd(l, m, zeta, seed):
+    """Row supports (m x zeta) and signs of ``make_sparse_sign(l, m, zeta,
+    seed)`` by Floyd's sampler with each draw tested against every row taken
+    before it, in O(m zeta^2); the library's sampler must give the same bits."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    supports = np.empty((m, zeta), dtype=np.intp)
+    for t, top in enumerate(range(l - zeta, l)):
+        draw = rng.integers(0, top + 1, size=m)
+        supports[:, t] = np.where((supports[:, :t] == draw[:, None]).any(axis=1), top, draw)
+    return supports, rng.integers(0, 2, size=(m, zeta)) * 2.0 - 1.0
+
+
 def unbiased_sines_svd(sigma, k, l, q, n_trials, seed, side="left"):
     """Per-trial sines (n_trials x k) of the Monte-Carlo angle estimator with
     its own draws, one child ``SeedSequence`` per trial, read off the
@@ -116,6 +129,29 @@ def snn_factors_dense(params, retries=100):
             else:
                 raise AssertionError("all-zero factor")
     return factors
+
+
+class MatvecOnly:
+    """Matvec-only access to a dense ``A``; ``wrong`` maps a member name to a
+    function of its correct result that returns a wrong one."""
+
+    def __init__(self, A, **wrong):
+        self.A, self.shape, self.wrong = A, A.shape, wrong
+
+    def _out(self, member, P):
+        return self.wrong.get(member, lambda P: P)(P)
+
+    def matmat(self, M):
+        return self._out("matmat", self.A @ M)
+
+    def rmatmat(self, M):
+        return self._out("rmatmat", self.A.T @ M)
+
+    def columns(self, J):
+        return self._out("columns", self.A[:, J])
+
+    def rows(self, I):
+        return self._out("rows", self.A[I, :])
 
 
 def names(name, rule="an integer"):

@@ -536,7 +536,8 @@ _LR = randomized_svd(_A, 4, seed=1)
 _SIGMA = np.linalg.svd(_A, compute_uv=False)
 _INF_SIGMA = np.concatenate([[np.inf], _SIGMA[1:]])
 _OMEGAS = np.ones((2, 3)), np.ones((1, 3))
-_BAL = BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
+_BALANCE = dict(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
+_BAL = BalanceConfig(**_BALANCE)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -580,6 +581,17 @@ _BAL = BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
                  names("alpha", "finite"), id="balance-alpha-inf"),
     *size_cases("balance-k", "k", lambda k: BalanceConfig(k=k, alpha=8, beta=1, gamma=1.1, gap=2),
                 2, 0),
+    *[pytest.param(lambda name=name: BalanceConfig(**{**_BALANCE, name: "2"}),
+                   names(name, "finite and above"), id=f"balance-{name}-text")
+      for name in ("alpha", "beta", "gamma", "gap")],
+    pytest.param(lambda: BalanceConfig(**{**_BALANCE, "beta": True}),
+                 names("beta", "finite and above"), id="balance-beta-bool"),
+    *[pytest.param(lambda name=name: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=0,
+                                                      **{name: "0.5"}),
+                   names(name, "a finite real number"), id=f"prior-{name}-text")
+      for name in ("eps1", "eps2", "eps1_lower", "eps2_lower")],
+    pytest.param(lambda: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=0, eps2_lower=np.nan),
+                 names("eps2_lower", "a finite real number"), id="prior-eps2-lower-nan"),
     *size_cases("phi-q", "q", lambda q: balance_phi(_BAL, q), 0, -1),
     pytest.param(lambda: PriorBoundInputs(sigma=_INF_SIGMA, k=1, l=2, q=0),
                  names("sigma", "finite"), id="prior-inf-spectrum"),

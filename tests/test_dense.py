@@ -4,6 +4,7 @@ import functools
 import os
 import pathlib
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -289,6 +290,27 @@ def test_library_has_no_gil_holding_values_only_svd():
     assert not found, f"use dense.svdvals/spectral_norm at {found}"
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize("row", [[1.0, np.nan, 2.0], [np.inf, 1.0, 2.0],
+                                     [1.0, 2.0, -np.inf], [1e308, 1e308, np.nan],
+                                     [1e308, 1e308, -np.inf], [np.inf, -np.inf, 0.0]])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_non_finite_entry_raises_without_warning(self, row, at):
+        M = np.ones((7, 3))
+        M[at] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadShape, match="non-finite"):
+                dense.as_matrix(M)
+
+    def test_overflowing_row_sums_are_accepted(self):
+        M = np.array([[1e308, 1e308], [1.0, 2.0], [-1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dense.as_matrix(M)
+        assert np.array_equal(got, M)
+
+
 class TestOperatorColumns:
     @pytest.mark.parametrize("m, n, J", [
         (1300, 7, [3, 3, 0, 6, 3]),  # repeated J; m not a multiple of the row tile
@@ -502,6 +524,9 @@ class TestTallQr:
         assert tall_calls
         f = svd_thin(M)
         assert f.rank == rank and _bitwise(dense.orth(M), f.U[:, :rank])
+        # the SVD of R detects the rank that dgesdd on the whole input does
+        s = sla.svd(M, compute_uv=False, check_finite=False)
+        assert dense._detected_rank(s, s[0]) == rank
 
     def test_same_bits_on_rerun_and_across_threads(self, lapack_path):
         inputs = list(_tall_inputs().values())[:4]
@@ -512,6 +537,31 @@ class TestTallQr:
                 pooled = list(pool.map(dense.qr_checked, inputs))
         for s, a, p in zip(serial, again, pooled):
             assert all(np.array_equal(x, y) and np.array_equal(x, z) for x, y, z in zip(s, a, p))
+
+
+class TestTallSvd:
+    @pytest.mark.parametrize("shape", [(3000, 100), (100, 2900), (_tall_crossover(40), 40),
+                                       (40, _tall_crossover(40))])
+    def test_matches_dgesdd(self, shape, lapack_path, tall_calls):
+        rng = np.random.default_rng(shape[0])
+        M = rng.standard_normal(shape) * np.logspace(0, -6, shape[1])
+        want = np.linalg.svd(M, compute_uv=False)
+        got = svdvals(M)
+        assert tall_calls == [tuple(sorted(shape, reverse=True))]  # a wide M through M.T
+        f = svd_thin(M)
+        k = min(shape)
+        assert f.U.shape == (shape[0], k) and f.V.shape == (shape[1], k)
+        assert f.U.flags.c_contiguous and f.V.T.flags.c_contiguous
+        for sigma in (got, f.sigma):
+            assert np.abs(sigma - want).max() <= 1e-13 * want[0]
+        assert np.linalg.norm(f.U.T @ f.U - np.eye(k)) <= 1e-13
+        assert np.linalg.norm(f.V.T @ f.V - np.eye(k)) <= 1e-13
+        assert np.linalg.norm((f.U * f.sigma) @ f.V.T - M) <= 1e-13 * np.linalg.norm(M)
+
+    def test_below_crossover_keeps_dgesdd(self, tall_calls):
+        M = np.random.default_rng(3).standard_normal((_tall_crossover(40) - 1, 40))
+        svd_thin(M), svdvals(M.T)
+        assert not tall_calls
 
 
 class TestSolveUpper:
@@ -637,6 +687,11 @@ def _run_at_threads(n):
                  pytest.raises(BadShape, match="needs a shape"), id="operator-1-d-shape"),
     pytest.param(lambda: as_operator(_operator(shape=(5.0, 4))), names("shape[0]"),
                  id="operator-float-shape"),
+    pytest.param(lambda: as_operator(_operator(rows=lambda I: np.ones((1, 4)))).rows([0, 2]),
+                 pytest.raises(ShapeMismatch, match=r"rows returned shape \(1, 4\), "
+                               r"expected \(2, 4\)"), id="operator-rows-shape"),
+    *[pytest.param(lambda text=text: dense._real(text, "x", 0, 1), names("x", "in"),
+                   id=f"real-{tag}") for tag, text in (("text", "0.5"), ("complex", 0.5j), ("huge-int", 10 ** 400))],
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):

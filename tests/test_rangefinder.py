@@ -11,7 +11,7 @@ from randskel import (
 )
 from randskel.angles import canonical_angles
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch
-from oracles import random_matrix, residual_norms, size_cases, truncated_svd_error
+from oracles import MatvecOnly, random_matrix, residual_norms, size_cases, truncated_svd_error
 
 
 class _EyeOp:
@@ -189,6 +189,7 @@ class TestRangefinderError:
 
 _A = np.random.default_rng(30).standard_normal((8, 6))
 _OMEGA = make_gaussian(3, 6, seed=0)
+_B = np.random.default_rng(31).standard_normal((60, 40))
 
 
 @pytest.mark.parametrize("call, error", [
@@ -199,6 +200,9 @@ _OMEGA = make_gaussian(3, 6, seed=0)
     pytest.param(lambda: randomized_svd(_A, 7), BadShape, id="rsvd-l>min(m,n)"),
     pytest.param(lambda: rangefinder_error(_A, np.ones((2, 5))), ShapeMismatch,
                  id="rangefinder-error-columns"),
+    pytest.param(lambda: randomized_svd(MatvecOnly(_B, matmat=lambda P: P[:, :1]), 5, q=1),
+                 pytest.raises(ShapeMismatch, match="operator matmat returned shape"),
+                 id="rsvd-matmat-shape"),
     *size_cases("plain-q", "q", lambda q: power_iter_plain(_A, _OMEGA, q), 1, -1),
     *size_cases("stable-q", "q", lambda q: power_iter_stable(_A, _OMEGA, q), 1, -1),
     *size_cases("rsvd-l", "l", lambda l: randomized_svd(_A, l), 3, 7),

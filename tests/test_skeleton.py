@@ -31,6 +31,7 @@ from randskel.errors import (
 )
 from randskel.skeleton import _column_pivots, _sample_without_replacement
 from oracles import (
+    MatvecOnly,
     column_skeleton_residual,
     cur_residual,
     names,
@@ -393,6 +394,26 @@ class TestBuilders:
         cur = build_cur_stable(A, sel.I_s, sel.J_s)
         assert np.linalg.norm(A - cur.reconstruct()) < 1e-8 * np.linalg.norm(A)
 
+    def test_cur_middle_factor_on_a_square_input_keeps_its_bits(self):
+        rng = np.random.default_rng(36)
+        A = rng.standard_normal((60, 60))
+        sel = select_columns_lupp(A, 8, 0, seed=37)
+        cur = build_cur_stable(A, sel.I_s, sel.J_s)
+        assert np.array_equal(cur.U_mid, cur.Q_C.T @ (A @ cur.Q_R))
+
+    @pytest.mark.parametrize("shape", [(900, 40), (40, 900)])
+    @pytest.mark.parametrize("matvec", [False, True])
+    def test_cur_middle_factor_on_tall_and_wide_inputs(self, shape, matvec):
+        rng = np.random.default_rng(shape[0])
+        A = random_matrix(rng, *shape, spectrum=np.logspace(0, -4, 30))
+        sel = select_columns_lupp(A, 8, 0, seed=38)
+        cur = build_cur_stable(MatvecOnly(A) if matvec else A, sel.I_s, sel.J_s)
+        want = cur.Q_C.T @ (A @ cur.Q_R)
+        assert cur.U_mid.shape == (8, 8)
+        assert np.abs(cur.U_mid - want).max() <= 1e-13 * np.linalg.norm(A)
+        if shape[0] > shape[1] and not matvec:  # the cheaper order, (Q_C^T A) Q_R
+            assert np.array_equal(cur.U_mid, (cur.Q_C.T @ A) @ cur.Q_R)
+
     def test_cur_matches_oracle_and_sandwich(self):
         # stable construction equals the pseudoinverse oracle and sits inside
         # the two-sided error sandwich, both norms, 100 seeded instances
@@ -511,6 +532,8 @@ def test_low_precision_operator_products_are_factored_in_float64(select, dtype):
 
 
 _A = np.random.default_rng(31).standard_normal((8, 6))
+_B = np.random.default_rng(32).standard_normal((60, 40))
+_I, _J = np.arange(5), np.arange(5)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -536,6 +559,20 @@ _A = np.random.default_rng(31).standard_normal((8, 6))
     *size_cases("streaming-l", "l", lambda l: select_streaming([_A], l, m=8, n=6), 3, 11),
     *size_cases("streaming-m", "m", lambda m: select_streaming([_A], 3, m=m, n=6), 8, 0),
     *size_cases("streaming-n", "n", lambda n: select_streaming([_A], 3, m=8, n=n), 6, 0),
+    pytest.param(lambda: build_cur_stable(MatvecOnly(_B[:40], matmat=lambda P: P[:, :1]),
+                                          _I, _J),
+                 pytest.raises(ShapeMismatch, match=r"matmat returned shape \(40, 1\), "
+                               r"expected \(40, 5\)"), id="cur-matmat-shape"),
+    pytest.param(lambda: build_cur_stable(MatvecOnly(_B, columns=lambda P: P[1:]), _I, _J),
+                 pytest.raises(ShapeMismatch, match=r"columns returned shape \(59, 5\)"),
+                 id="cur-columns-shape"),
+    pytest.param(lambda: build_cur_stable(MatvecOnly(_B, rows=lambda P: P[:, 1:]), _I, _J),
+                 pytest.raises(ShapeMismatch, match=r"rows returned shape \(5, 39\)"),
+                 id="cur-rows-shape"),
+    pytest.param(lambda: build_cur_stable(MatvecOnly(_B[:, :8], rmatmat=lambda P: P[:-1]),
+                                          _I, _J),
+                 pytest.raises(ShapeMismatch, match="rmatmat returned shape"),
+                 id="cur-rmatmat-shape"),
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):

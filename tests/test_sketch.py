@@ -16,7 +16,7 @@ from randskel import (
     snn_weights,
 )
 from randskel.errors import BadShape, ShapeMismatch
-from oracles import dht_matrix, names, size_cases, srtt_apply_one_shot
+from oracles import dht_matrix, names, size_cases, sparse_sign_floyd, srtt_apply_one_shot
 
 
 class TestGaussian:
@@ -245,6 +245,15 @@ def test_reproducible_sketch_output():
         a = make_embedding(kind, 8, 50, seed=123).apply(A)
         b = make_embedding(kind, 8, 50, seed=123).apply(A)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("l, m, zeta", [(64, 5000, 8), (64, 5000, 64), (9, 700, 2), (9, 700, 9),
+                                         (2, 3, 2), (40, 3000, 37), (700, 1500, 700)])
+def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
+    op = make_sparse_sign(l, m, zeta=zeta, seed=[l, m, zeta])
+    supports, signs = sparse_sign_floyd(l, m, zeta, [l, m, zeta])
+    assert np.array_equal(op._csc.indices, supports.ravel())
+    assert np.array_equal(op._csc.data, (signs / np.sqrt(zeta)).ravel())
 
 
 @pytest.mark.parametrize("call, error", [

@@ -244,6 +244,10 @@ _OP = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=
                  id="density-0"),
     pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=np.ones(2), density=1.5), BadShape,
                  id="density-above-1"),
+    *[pytest.param(lambda density=density: SnnParams(m=5, n=5, r=2, s=np.ones(2),
+                                                     density=density),
+                   names("density", r"in \(0, 1\], got density="), id=f"density-{tag}")
+      for tag, density in (("text", "0.5"), ("bool", True), ("nan", np.nan), ("inf", np.inf))],
     pytest.param(lambda: gen_snn(SnnParams(m=2, n=2, r=1, s=np.ones(1), density=1e-12)),
                  EmptyFactor, id="all-zero-factor"),
     pytest.param(lambda: _OP.matvec(np.ones(5)), ShapeMismatch, id="matvec-length"),
