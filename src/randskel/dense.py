@@ -627,21 +627,21 @@ def _gesdd(M, vectors):
     ``vectors`` (economy factors, of numpy's shapes when ``M`` is empty),
     else ``jobz='N'``, and ``U`` and ``V^T`` are None.
 
-    A tall input (:func:`_tall_rows`) is factored by :func:`_tsqr` and the
-    SVD taken of its ``n x n`` ``R`` alone, ``Q`` formed only for ``U = Q U_R``;
-    a wide one takes that route through its transpose. Any other input is
-    numpy's one ``dgesdd`` call on a Fortran-ordered copy, with the workspace
-    it asks for, through ctypes with the GIL released, where numpy holds it
-    for the whole call; the bits are numpy's, or scipy's where numpy bundles
-    no LAPACK, and the factors are Fortran-ordered.
+    A tall input (:func:`_tall_rows`) is factored by :func:`_qr`'s tall
+    route and the SVD taken of its ``n x n`` ``R`` alone, ``Q`` formed only
+    for ``U = Q U_R``; a wide one takes that route through its transpose. Any
+    other input is numpy's one ``dgesdd`` call on a Fortran-ordered copy,
+    with the workspace it asks for, through ctypes with the GIL released,
+    where numpy holds it for the whole call; the bits are numpy's, or
+    scipy's where numpy bundles no LAPACK, and the factors are
+    Fortran-ordered.
     """
     m, n = M.shape
     if _tall_rows(n, m):
         vt, s, u = _gesdd(M.T, vectors)
         return (u.T, s, vt.T) if vectors else (None, s, None)
-    rows = _tall_rows(m, n)
-    if rows:
-        r, form_q = _tsqr(np.array(M, dtype=np.float64, order="F"), rows)
+    if _tall_rows(m, n):
+        r, form_q = _qr(M)
         u, s, vt = _gesdd(r, vectors)
         return (form_q() @ u if vectors else None), s, vt
     k = min(m, n)
