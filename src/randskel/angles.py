@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _norm_fro, _project_out, _r_checked, _real,
-                    _spectrum, as_matrix, lstsq_full_rank, qr_ortho, solve_upper, spectral_norm,
-                    spectral_norm_estimate, svdvals)
+from .dense import (_child_seeds, _count, _gesdd, _in_range, _norm_fro, _project_out, _r_checked,
+                    _real, _spectrum, as_matrix, lstsq_full_rank, qr_checked, solve_upper,
+                    spectral_norm, spectral_norm_estimate)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -56,13 +56,14 @@ def _exponent(q, side):
 
 def _orthonormal_bases(U, V):
     """``(Q_U, Q_V)`` for bases ``U`` (d x a) and ``V`` (d x b) with a >= b."""
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
+    U, V = as_matrix(U, "U"), as_matrix(V, "V")
     if U.shape[0] != V.shape[0]:
         raise ShapeMismatch("subspace bases live in different dimensions")
     if U.shape[1] < V.shape[1]:
         raise BadShape("first basis must span the larger subspace (a >= b)")
-    return qr_ortho(U), qr_ortho(V)
+    if U.shape[0] < U.shape[1]:
+        raise BadShape(f"need rows >= cols, got {U.shape[0]}x{U.shape[1]}")
+    return qr_checked(U)[0], qr_checked(V)[0]
 
 
 def canonical_angles(U, V):
@@ -74,13 +75,13 @@ def canonical_angles(U, V):
     :func:`canonical_angles_cos` for the cosine-route cross-check.
     """
     Qu, Qv = _orthonormal_bases(U, V)
-    return np.clip(svdvals(_project_out(Qv, Qu, "left"))[::-1], 0.0, 1.0)
+    return np.clip(_gesdd(_project_out(Qv, Qu, "left"))[1][::-1], 0.0, 1.0)
 
 
 def canonical_angles_cos(U, V):
     """Same angles via cosines sigma_i(Q_U^T Q_V); loses accuracy near zero."""
     Qu, Qv = _orthonormal_bases(U, V)
-    c = np.clip(svdvals(Qu.T @ Qv), 0.0, 1.0)
+    c = np.clip(_gesdd(Qu.T @ Qv)[1], 0.0, 1.0)
     return np.sqrt(np.clip(1.0 - c ** 2, 0.0, 1.0))
 
 
@@ -200,8 +201,7 @@ def prior_reference_bound(sigma, k, l, q, omega1, omega2, side="left"):
     can supply both. ``omega1`` must have numerically full row rank.
     """
     sigma, k, l = _spectrum(sigma, "sigma"), _count(k, "k", 1), _count(l, "l", 1)
-    omega1 = as_matrix(omega1, "omega1")
-    omega2 = as_matrix(omega2, "omega2")
+    omega1, omega2 = as_matrix(omega1, "omega1"), as_matrix(omega2, "omega2")
     p = _exponent(q, side)
     if omega1.shape != (k, l) or omega2.shape[1] != l:
         raise ShapeMismatch(f"omega1 must be {k}x{l} and omega2 have {l} columns, "
@@ -257,7 +257,7 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
         w1 = w_head[:, None] * omega[:k]       # k x l
         w2 = w_tail[:, None] * omega[k:]       # (r-k) x l
         R = _r_checked(w2, TailRankDeficient, "weighted tail block")[0]
-        nu = svdvals(w1 @ solve_upper(R, np.eye(l)))
+        nu = _gesdd(_in_range("w1 R^-1", lambda: w1 @ solve_upper(R, np.eye(l))))[1]
         thetas[j] = 1.0 / np.sqrt(1.0 + nu ** 2)
     return EstimateReport(mean=thetas.mean(axis=0), min=thetas.min(axis=0),
                           max=thetas.max(axis=0), n_trials=n_trials)
@@ -285,12 +285,11 @@ def posterior_simple(A, basis, sigma, k, side="left"):
     ``min(s_{k-i+1}(residual)/s_k, s_1(residual)/s_i)``, clipped to [0, 1].
     Needs ``1 <= k <= min(m, n)``.
     """
-    A = as_matrix(A, "A")
-    basis = as_matrix(basis, "basis")
+    A, basis = as_matrix(A, "A"), as_matrix(basis, "basis")
     _check_side(side)
     k = _count(k, "k", 1, min(A.shape))
     sigma = _posterior_spectrum(sigma, k)
-    return _simple_bound(svdvals(_project_out(A, basis, side)), sigma, k)
+    return _simple_bound(_gesdd(_project_out(A, basis, side))[1], sigma, k)
 
 
 @dataclass(frozen=True)
@@ -320,8 +319,7 @@ def _low_rank_factors(A, lr, k):
     if not isinstance(lr, LowRankSVD):
         raise BadShape("lr must be a LowRankSVD")
     _count(k, "k", 1, min(*A.shape, lr.sigma_hat.size - 1))
-    U = as_matrix(lr.U_hat, "U_hat")
-    V = as_matrix(lr.V_hat, "V_hat")
+    U, V = as_matrix(lr.U_hat, "U_hat"), as_matrix(lr.V_hat, "V_hat")
     if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"factors {U.shape}, {V.shape} do not fit A {A.shape}")
     return U, V
@@ -331,10 +329,11 @@ def _gap_norms(A, lr, V, k, spectral=spectral_norm):
     """``||EV||_F``, ``||EV||_2`` and ``||E32||_2`` by ``spectral``, from one
     product ``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation), whose
     trailing ``l - k`` columns are ``E32``."""
-    EV = (A - lr.approx()) @ V
+    EV = _in_range("EV = (A - U S V^T) V", lambda: (A - lr.approx()) @ V)
     return _norm_fro(EV), spectral(EV), spectral(EV[:, k:])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a gap far below the norms squares to inf
 def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     s_k = float(sigma[k - 1])
     # i-th smallest angle pairs with s_i: tightest factor on the smallest
@@ -346,8 +345,8 @@ def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     # and the gaps are scaled back. In range c = 1, and no bit moves.
     c = 1.0 if 2.0 ** -250 < s_k < 2.0 ** 250 else 2.0 ** -max(math.frexp(s_k)[1], -1022)
     norms = n_fro, n_spec, n_e32, n_e33
-    n_fro, n_spec, n_e32, n_e33, s_k, shat_k1 = (c * x for x in (*norms, s_k, shat_k1))
-    valid = s_k > shat_k1 and s_k > n_e33
+    n_fro, n_spec, n_e32, n_e33, s_k, shat_k1 = c * np.array([*norms, s_k, shat_k1])
+    valid = bool(s_k > shat_k1 and s_k > n_e33)
 
     gamma1 = (s_k ** 2 - shat_k1 ** 2) / s_k
     gamma2 = (s_k ** 2 - shat_k1 ** 2) / shat_k1 if shat_k1 > 0 else np.inf
@@ -355,7 +354,7 @@ def _gap_report(n_fro, n_spec, n_e32, n_e33, sigma, k, shat_k1):
     bg2 = (s_k ** 2 - n_e33 ** 2) / n_e33 if n_e33 > 0 else np.inf
 
     def _safe(num, den):
-        return float(num / den) if den > 0 else float("inf")
+        return num / den if den > 0 else np.inf
 
     uk_uk_extra = np.sqrt(1.0 + _safe(n_e32, gamma2) ** 2)
     vk_vk_extra = np.sqrt((n_e32 / gamma1) ** 2 + (n_e33 / s_k) ** 2) if gamma1 != 0 else np.inf
@@ -468,8 +467,8 @@ def posterior_residuals(A, lr, k):
     A = as_matrix(A, "A")
     U, V = _low_rank_factors(A, lr, k)
     n_fro, n_spec, n_e32 = _gap_norms(A, lr, V, k)  # EV is freed before the residuals
-    return PosteriorResiduals(k=k, left=svdvals(_project_out(A, U, "left")),
-                              right=svdvals(_project_out(A, V, "right")), norm_EV_fro=n_fro,
+    return PosteriorResiduals(k=k, left=_gesdd(_project_out(A, U, "left"))[1],
+                              right=_gesdd(_project_out(A, V, "right"))[1], norm_EV_fro=n_fro,
                               norm_EV_spec=n_spec, norm_E32_spec=n_e32,
                               shat_k1=float(lr.sigma_hat[k]))
 

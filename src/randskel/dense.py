@@ -9,40 +9,39 @@ lives. It is numpy's bundled OpenBLAS, or, where numpy bundles none,
 scipy's, a second runtime with its own threads.
 
 * :func:`qr_ortho` -- orthonormal basis of a full-column-rank tall matrix,
-  by :func:`_qr`: ``dgeqrf`` and ``dorgqr``, scipy's calls and bits, or, for
-  an input of at least two blocks of ``max(_TSQR_ROWS, 4n)`` rows (the tall
-  route, :func:`_tall_rows`), a tall-skinny QR by row blocks
-  (:func:`_tsqr`), each block factored while it sits in cache,
+  by :func:`_qr`: ``dgeqrf`` and ``dorgqr``, or, on the tall route
+  (:func:`_tall_rows`), a tall-skinny QR by row blocks (:func:`_tsqr`),
 * :func:`orth` -- orthonormal basis truncated at the detected rank,
-* :func:`lstsq_full_rank` -- ``M^+ B`` for a full-column-rank ``M``, by a
-  rank-checked QR and a triangular solve,
-* :func:`svd_thin` -- economy SVD with a numerical-rank report, and
-  :func:`svdvals` -- singular values only: both by :func:`_gesdd`. An input
-  on the tall route, or whose transpose is, is factored by :func:`_tsqr` and
-  the SVD taken of ``R`` alone, ``Q`` formed only when vectors are asked
-  for; any other is one ``dgesdd`` call, numpy's, with its bits and layout,
-  but with the GIL released (numpy holds it for the whole LAPACK call), so
-  threads computing spectra overlap; :func:`spectral_norm` reads ``||M||_2``
-  off ``svdvals``,
-* :func:`_project_out` -- an orthonormal basis projected out of ``M``: the
-  residual behind every range error, angle sine and posterior bound,
-* :func:`lupp` -- LU with partial (row) pivoting on a tall matrix,
-* :func:`cpqr` -- QR with greedy column pivoting,
-* :func:`solve_upper` -- solve with an upper-triangular matrix,
+* :func:`lstsq_full_rank` -- ``M^+ B`` by a rank-checked QR and
+  :func:`solve_upper`, a triangular solve,
+* :func:`svd_thin` and :func:`svdvals` -- economy SVD and singular values,
+  by :func:`_gesdd`: the SVD of ``R`` of :func:`_tsqr` on the tall route,
+  else numpy's one ``dgesdd`` call, with the GIL released,
+* :func:`_project_out` -- the residual of an orthonormal basis projected
+  out, behind every range error, angle sine and posterior bound,
+* :func:`lupp` and :func:`cpqr` -- LU with partial (row) pivoting, QR with
+  greedy column pivoting,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
-* :func:`_seed_sequence` and :func:`_child_seeds` -- the one reading of a
-  ``seed`` that every seeded routine of the library makes, and
-  :func:`_count`, :func:`_real` and :func:`_spectrum` -- the one reading of
-  a size or count, of a real parameter and of a spectrum,
+* :func:`_seed_sequence`, :func:`_child_seeds`, :func:`_count`,
+  :func:`_real` and :func:`_spectrum` -- the one reading of a seed, a size
+  or count, a real parameter and a spectrum,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
-All routines but :func:`blas_threads` take 2-D float64 arrays, treat inputs
-as immutable, and are pure functions of their arguments (safe to call
-concurrently). :func:`as_matrix` validates each input: it is finite when its
-row sums are, and only the rows of a sum that is not finite are read entry
-by entry. Every rank decision counts the leading diagonal entries (or
-singular values) at or above ``RANK_RTOL`` times a per-routine reference.
+Routines treat inputs as immutable and are pure functions of their
+arguments (safe to call concurrently). Every rank decision counts the
+leading diagonal entries (or singular values) at or above ``RANK_RTOL``
+times a per-routine reference.
+
+Data from outside the library is checked once, where it enters: each array
+argument of a public call by :func:`as_matrix` (or :func:`as_operator`),
+and each result of a matvec-only operator by
+:meth:`_MatvecOperator._checked`. Here the checked entries are
+:func:`qr_ortho`, :func:`svd_thin`, :func:`svdvals`, :func:`lupp` and
+:func:`cpqr`; every other routine, the kernels among them, takes finite
+float64 arrays and scans none. A product of finite arrays may still leave
+the float range: :func:`_in_range` guards it where it arises, so no kernel
+is handed a non-finite array, and a norm beyond the range raises.
 
 The randomized routines also accept a matvec-only operator: an object with
 ``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
@@ -50,10 +49,10 @@ The randomized routines also accept a matvec-only operator: an object with
 each result of the shape that product or slice has, else
 :class:`ShapeMismatch`. :func:`as_operator` wraps either kind once, at each
 public entry; it is the only code that tells them apart. A wrapped dense
-matrix returns ``columns(J)`` as a Fortran-ordered block, gathered in row
-tiles, so the QR and LU that consume it reach LAPACK without a transposing
-copy. ``U_mid = Q_C^T A Q_R`` of the CUR construction is one
-:meth:`Operator.sandwich`, in the order of fewer multiply-adds.
+matrix returns ``columns(J)`` Fortran-ordered, gathered in row tiles, for
+the QR and LU that consume it; ``U_mid = Q_C^T A Q_R`` of the CUR
+construction is one :meth:`Operator.sandwich`, in the order of fewer
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -91,24 +90,37 @@ _TSQR_NB = 32
 
 
 def as_matrix(a, name="matrix"):
-    """Validate ``a`` as a finite 2-D float64 array and return it C-ordered.
-
-    The finite check reads the row sums first: a NaN or an infinity leaves its
-    row's sum non-finite, so only when some sum is not finite (an overflow of
-    finite entries, or a non-finite entry) are that sum's rows read entry by
-    entry. No ``m x n`` temporary is made, and no warning is raised."""
+    """Validate ``a`` as a finite 2-D float64 array and return it C-ordered."""
     try:
         arr = np.ascontiguousarray(a, dtype=np.float64)
     except (TypeError, ValueError):
         raise BadShape(f"{name} must be a numeric array, got {type(a).__name__}") from None
     if arr.ndim != 2:
         raise BadShape(f"{name} must be 2-D, got ndim={arr.ndim}")
+    return _check_finite(arr, f"{name} contains non-finite entries")
+
+
+def _check_finite(arr, message):
+    """The 2-D float64 ``arr`` if it is finite, else :class:`BadShape` with
+    ``message``. A NaN or inf leaves its row's sum non-finite, so only rows whose
+    sum is not finite are read entry by entry: no ``m x n`` temporary, no warning."""
     if arr.size:
         with np.errstate(over="ignore", invalid="ignore"):
             sums = arr @ np.ones(arr.shape[1])
         if not np.isfinite(sums).all() and not np.isfinite(arr[~np.isfinite(sums)]).all():
-            raise BadShape(f"{name} contains non-finite entries")
+            raise BadShape(message)
     return arr
+
+
+def _in_range(what, product, *args):
+    """``product(*args)``, an array or a tuple of them formed from finite arrays
+    with numpy's overflow warnings off; :class:`BadShape` naming ``what`` if
+    one left the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = product(*args)
+    for part in out if isinstance(out, tuple) else (out,):
+        _check_finite(part, f"{what} overflows the float range: it has non-finite entries")
+    return out
 
 
 def _index_vector(idx, size, name):
@@ -236,13 +248,13 @@ class Operator:
         return L.T @ self.A
 
     def left_sketch(self, emb):
-        """``G @ A`` for an embedding ``G`` of the rows."""
-        return emb.apply(self.A)
+        """``G @ A`` for an embedding ``G`` of the rows, by its unchecked body."""
+        return emb._sketch(self.A)
 
     def right_sketch(self, emb):
-        """``A @ G.T`` for an embedding ``G`` of the columns; ``A`` was validated
-        once on wrapping, so the embedding's ``apply`` is called on ``A.T``."""
-        return np.ascontiguousarray(emb.apply(self.A.T).T)
+        """``A @ G.T`` for an embedding ``G`` of the columns, by its unchecked body
+        on the view ``A.T``."""
+        return np.ascontiguousarray(emb._sketch(self.A.T).T)
 
 
 class _MatvecOperator(Operator):
@@ -260,26 +272,26 @@ class _MatvecOperator(Operator):
                            f"got {getattr(A, 'shape', None)!r}") from None
         self.A, self.shape = A, (_count(m, "shape[0]", 0), _count(n, "shape[1]", 0))
 
-    def _checked(self, member, out, shape):
-        """``out``, the result of the operator's ``member``, if it has ``shape``."""
+    def _checked(self, member, arg, shape):
+        """The operator's ``member`` of ``arg``: :class:`ShapeMismatch` unless it
+        has ``shape``, else read by :func:`as_matrix`, as data from outside."""
+        out = getattr(self.A, member)(arg)
         if np.shape(out) != shape:
             raise ShapeMismatch(f"operator {member} returned shape {np.shape(out)}, "
                                 f"expected {shape}")
-        return out
+        return as_matrix(out, f"operator {member}")
 
     def matmat(self, M):
-        return self._checked("matmat", self.A.matmat(M), (self.shape[0], M.shape[1]))
+        return self._checked("matmat", M, (self.shape[0], M.shape[1]))
 
     def rmatmat(self, M):
-        return self._checked("rmatmat", self.A.rmatmat(M), (self.shape[1], M.shape[1]))
+        return self._checked("rmatmat", M, (self.shape[1], M.shape[1]))
 
     def columns(self, J):
-        out = as_matrix(self.A.columns(J), "operator columns")
-        return self._checked("columns", out, (self.shape[0], np.size(J)))
+        return self._checked("columns", J, (self.shape[0], np.size(J)))
 
     def rows(self, I):
-        out = as_matrix(self.A.rows(I), "operator rows")
-        return self._checked("rows", out, (np.size(I), self.shape[1]))
+        return self._checked("rows", I, (np.size(I), self.shape[1]))
 
     def _left_product(self, L):
         return self.rmatmat(L).T
@@ -318,16 +330,16 @@ def _detected_rank(diag, ref):
 
 
 def _norm_fro(M):
-    """``||M||_F`` of a finite ``M``. numpy's plain sum of squares underflows
-    to 0 for entries below about 1e-154 and overflows above about 1e154;
-    only then is ``M`` scaled by ``max|M|`` first, so in-range inputs keep
-    that sum's bits."""
+    """``||M||_F`` of a finite ``M``, inf beyond the float range. numpy's plain
+    sum of squares underflows to 0 for entries below about 1e-154 and
+    overflows above about 1e154; only then is ``M`` scaled by ``max|M|``
+    first, so in-range inputs keep that sum's bits."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(M))
-    if (norm == 0.0 or norm == np.inf) and M.size:
-        top = max(M.max(), -M.min())
-        if top > 0.0:
-            norm = top * float(np.linalg.norm(M / top))
+        if (norm == 0.0 or norm == np.inf) and M.size:
+            top = max(M.max(), -M.min())
+            if top > 0.0:
+                norm = float(top * np.linalg.norm(M / top))
     return norm
 
 
@@ -354,9 +366,9 @@ def qr_checked(M, error=RankDeficient, name="M"):
 def lstsq_full_rank(M, B, error=RankDeficient, name="M"):
     """``M^+ B`` (Fortran-ordered) by :func:`qr_checked` and :func:`solve_upper`,
     with no pseudoinverse formed; raises ``error`` unless ``M`` is numerically
-    full column rank."""
+    full column rank, and :class:`BadShape` if it overflows (:func:`_in_range`)."""
     q, r = qr_checked(M, error, name)
-    return solve_upper(r, q.T @ B)
+    return _in_range("the least-squares solution", lambda: solve_upper(r, q.T @ B))
 
 
 @dataclass(frozen=True)
@@ -414,13 +426,13 @@ def qr_ortho(M):
 
 
 def orth(M):
-    """Orthonormal basis of span(M), truncated at the detected rank: that of
-    :func:`qr_ortho` at full column rank, else the leading :attr:`ThinSVD.rank`
-    left singular vectors. Raises :class:`RankDeficient` at rank 0."""
+    """Orthonormal basis of span(M), truncated at the detected rank: ``Q`` of
+    :func:`qr_checked` at full column rank, else the leading
+    :attr:`ThinSVD.rank` left singular vectors. Raises :class:`RankDeficient` at rank 0."""
     try:
-        return qr_ortho(M)
+        return qr_checked(M)[0]
     except RankDeficient:
-        f = svd_thin(M)
+        f = _svd(M)
     if f.rank == 0:
         raise RankDeficient("input has no numerically nonzero directions")
     return f.U[:, :f.rank]
@@ -429,7 +441,12 @@ def orth(M):
 def svd_thin(M):
     """Economy SVD of ``M`` as a :class:`ThinSVD`, by :func:`_gesdd`, in numpy's
     layout (C-ordered ``U`` and ``V^T``), which decides how later products round."""
-    u, sigma, vt = _gesdd(as_matrix(M, "M"), vectors=True)
+    return _svd(as_matrix(M, "M"))
+
+
+def _svd(M):
+    """:func:`svd_thin` of a finite float64 ``M``, not checked."""
+    u, sigma, vt = _gesdd(M, vectors=True)
     return ThinSVD(U=np.ascontiguousarray(u), sigma=sigma, V=np.ascontiguousarray(vt).T)
 
 
@@ -610,9 +627,8 @@ def _cpqr_pivots(M):
     """Column order, detected rank (reference ``max|M|``), packed factor and
     reflector scalars of ``dgeqp3``'s greedy column-pivoted QR of a finite real
     ``M``, factored in float64; ``Q`` is not formed."""
-    M = np.asarray(M, dtype=np.float64)  # dgeqp3 reads 8-byte entries
     m, n = M.shape
-    a, tau = np.array(M, order="F"), np.empty(min(m, n))
+    a, tau = np.array(M, dtype=np.float64, order="F"), np.empty(min(m, n))
     if tau.size == 0:
         return np.arange(n), 0, a, tau
     geqp3 = _lapack("dgeqp3")
@@ -622,7 +638,7 @@ def _cpqr_pivots(M):
     return perm.astype(np.intp) - 1, _detected_rank(np.diag(a), max(M.max(), -M.min())), a, tau
 
 
-def _gesdd(M, vectors):
+def _gesdd(M, vectors=False):
     """``(U, sigma, V^T)`` of a finite real ``M``: ``jobz='S'`` with
     ``vectors`` (economy factors, of numpy's shapes when ``M`` is empty),
     else ``jobz='N'``, and ``U`` and ``V^T`` are None.
@@ -655,32 +671,35 @@ def _gesdd(M, vectors):
                                after=(np.empty(8 * k, dtype=gesdd.int),))
         if info != 0:
             raise ConvergenceFailure(f"dgesdd did not converge (info={info})")
+        if s[0] == np.inf:
+            raise BadShape("a singular value exceeds the float range")
     return u, s, vt
 
 
 def svdvals(M):
     """Singular values of ``M``, nonincreasing, by a values-only :func:`_gesdd`."""
-    return _gesdd(as_matrix(M, "M"), vectors=False)[1]
+    return _gesdd(as_matrix(M, "M"))[1]
 
 
 def _project_out(M, Q, side):
     """``M - Q (Q^T M)`` (``side="left"``) or ``M - (M Q) Q^T`` (right): the one
     order of products, which decides the bits of every such residual. ``Q``
     must have as many rows as ``M`` has rows (left) or columns (right). Near
-    the float range the residual can overflow; :func:`svdvals` of it raises
-    :class:`BadShape` there, where LAPACK alone would return NaN."""
+    the float range the residual can overflow: :class:`BadShape` there
+    (:func:`_in_range`), where LAPACK alone would return NaN."""
     if side == "left":
         if Q.shape[0] != M.shape[0]:
             raise ShapeMismatch("left basis rows must match A rows")
-        return M - Q @ (Q.T @ M)
+        return _in_range("the residual M - Q Q^T M", lambda: M - Q @ (Q.T @ M))
     if Q.shape[0] != M.shape[1]:
         raise ShapeMismatch("right basis rows must match A columns")
-    return M - (M @ Q) @ Q.T
+    return _in_range("the residual M - M Q Q^T", lambda: M - (M @ Q) @ Q.T)
 
 
 def spectral_norm(M):
-    """``||M||_2`` as the largest of :func:`svdvals`; 0.0 for an empty ``M``."""
-    s = svdvals(M)
+    """``||M||_2`` of a finite ``M``, the largest of its values-only
+    :func:`_gesdd`; 0.0 for an empty ``M``."""
+    s = _gesdd(M)[1]
     return float(s[0]) if s.size else 0.0
 
 
@@ -748,14 +767,13 @@ def _lu_pivots(M):
     the one Fortran-ordered copy that ``dgetrf`` overwrites. ``L`` and ``U``
     are not formed. Ties between equal pivot magnitudes break toward the
     lowest row index; the rank reference is ``max|M|``."""
-    M = np.asarray(M, dtype=np.float64)  # dgetrf reads 8-byte entries
     m, n = M.shape
     if m < n:
         raise BadShape(f"need rows >= cols, got {m}x{n}")
     if n == 0:
         return np.arange(m), 0, np.zeros((m, 0))
     getrf = _lapack("dgetrf")
-    lu = np.array(M, order="F")
+    lu = np.array(M, dtype=np.float64, order="F")  # dgetrf reads 8-byte entries
     piv = np.empty(n, dtype=getrf.int)
     getrf(m, n, lu, m, piv)  # INFO > 0 flags an exactly zero pivot: the rank test's
     perm = np.arange(m)
@@ -799,16 +817,13 @@ def cpqr(M):
 
 def solve_upper(R, B):
     """``X = R^{-1} B`` for a square upper-triangular ``R`` (its strict lower
-    triangle is not read) and a 2-D ``B``, by LAPACK ``dtrtrs``; ``X`` is
-    Fortran-ordered. The result is ``scipy.linalg.solve_triangular(R, B)``,
-    bits included: a Fortran-ordered ``R`` is read in place, any other as the
-    lower triangle of ``R.T``. Raises :class:`RankDeficient` when a diagonal
-    entry of ``R`` is exactly zero.
-    """
-    R = np.asarray(R)
-    fortran = R.ndim == 2 and R.flags.f_contiguous
-    a = as_matrix(R.T if fortran else R, "R")  # its buffer, read by Fortran, is R or R.T
-    B = as_matrix(B, "B")
+    triangle is not read) and a 2-D ``B``, finite float64 arrays checked for
+    their shapes only, by LAPACK ``dtrtrs``; ``X`` is Fortran-ordered. The result
+    is ``scipy.linalg.solve_triangular(R, B)``, bits included: a Fortran-ordered
+    ``R`` is read in place, any other as the lower triangle of ``R.T``. Raises
+    :class:`RankDeficient` when a diagonal entry of ``R`` is exactly zero."""
+    fortran = R.flags.f_contiguous
+    a = R.T if fortran else np.ascontiguousarray(R)  # its buffer, read by Fortran, is R or R.T
     n, k = B.shape
     if a.shape != (n, n):
         raise ShapeMismatch(f"need a square R with {n} rows, got {R.shape}")

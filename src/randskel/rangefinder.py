@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (_count, _project_out, as_matrix, as_operator, orth, qr_checked, spectral_norm,
-                    svd_thin)
+from .dense import (_count, _in_range, _norm_fro, _project_out, _svd, as_matrix, as_operator, orth,
+                    qr_checked, spectral_norm)
 from .errors import BadShape, ShapeMismatch
 from .sketch import make_embedding
 
@@ -45,9 +45,10 @@ def power_iter_plain(A, omega, q):
     """
     q = _count(q, "q", 0)
     A = as_operator(A)
-    Y = A.right_sketch(omega)
+    step = "the plain power iteration (A A^T)^q A Omega^T"
+    Y = _in_range(step, A.right_sketch, omega)
     for _ in range(q):
-        Y = A.matmat(A.rmatmat(Y))
+        Y = _in_range(step, lambda: A.matmat(A.rmatmat(Y)))
     return Y
 
 
@@ -62,9 +63,10 @@ def power_iter_stable(A, omega, q):
     """
     q = _count(q, "q", 0)
     A = as_operator(A)
-    Q = orth(A.right_sketch(omega))
+    step = "a product of the stable power iteration"
+    Q = orth(_in_range(step, A.right_sketch, omega))
     for _ in range(q):
-        Q = orth(A.matmat(orth(A.rmatmat(Q))))
+        Q = orth(_in_range(step, A.matmat, orth(_in_range(step, A.rmatmat, Q))))
     return Q
 
 
@@ -93,7 +95,7 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
         l = min(_count(target_rank, "target_rank", 1, min(m, n)) + DEFAULT_OVERSAMPLING, m, n)
     l = _count(l, "l", 1, min(m, n))
     Q = power_iter_stable(A, make_embedding(embedding_kind, l, n, seed=seed), q)
-    f = svd_thin(A.rmatmat(Q))  # A^T Q = f.U diag(f.sigma) f.V^T, freed before U_hat
+    f = _svd(_in_range("A^T Q", A.rmatmat, Q))  # = f.U diag(f.sigma) f.V^T, freed before U_hat
     U_hat = Q @ f.V
     return LowRankSVD(U_hat=U_hat, sigma_hat=f.sigma, V_hat=f.U,
                       l=U_hat.shape[1], q=q, seed=seed,
@@ -107,11 +109,10 @@ def rangefinder_error(A, X):
     through an explicit pseudoinverse). Raises :class:`RankDeficient` when X
     loses row rank.
     """
-    A = as_matrix(A, "A")
-    X = as_matrix(X, "X")
+    A, X = as_matrix(A, "A"), as_matrix(X, "X")
     if X.shape[1] != A.shape[1]:
         raise ShapeMismatch(
             f"X has {X.shape[1]} columns, A has {A.shape[1]}"
         )
     E = _project_out(A, qr_checked(X.T, name="row approximator")[0], "right")
-    return float(np.linalg.norm(E)), spectral_norm(E)
+    return _norm_fro(E), spectral_norm(E)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _cpqr_pivots, _index_vector, _lu_pivots, as_matrix,
-                    as_operator, lstsq_full_rank, qr_checked, spectral_norm)
+from .dense import (_child_seeds, _count, _cpqr_pivots, _in_range, _index_vector, _lu_pivots,
+                    as_matrix, as_operator, lstsq_full_rank, qr_checked, spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -115,7 +115,11 @@ def posterior_eta(X, J_s):
     An empty ``X1`` or ``X2`` gives 1.0: ``X1^+ X2`` is then an empty matrix.
     """
     X = as_matrix(X, "X")
-    J_s = _index_vector(J_s, X.shape[1], "J_s")
+    return _eta(X, _index_vector(J_s, X.shape[1], "J_s"))
+
+
+def _eta(X, J_s):
+    """:func:`posterior_eta` of a finite ``X`` and valid ``J_s``, not checked."""
     mask = np.ones(X.shape[1], dtype=bool)
     mask[J_s] = False
     Z = lstsq_full_rank(X[:, J_s], X[:, mask], SingularPivotBlock, "pivot block")
@@ -145,7 +149,7 @@ def _skeleton(A, X, l, pivot, method, seed):
     chosen columns of ``A``, with ``eta`` of the column skeleton."""
     J_s, rank = _column_pivots(pivot, X, l)
     I_s, _ = _column_pivots(pivot, A.columns(J_s).T, J_s.size)
-    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=posterior_eta(X, J_s),
+    return SkeletonResult(J_s=J_s, I_s=I_s, method=method, eta_column=_eta(X, J_s),
                           eta_row=None, seed=seed, X=X, rank_detected=min(rank, l))
 
 
@@ -154,7 +158,7 @@ def _select_on_sketch(A, l, q, seed, embedding, pivot):
     q = _count(q, "q", 0, 1)
     A = as_operator(A)
     l = _count(l, "l", 1, min(A.shape))
-    X = _plain_power_sketch(A, l, q, seed, embedding)
+    X = _in_range("the plain power iteration", _plain_power_sketch, A, l, q, seed, embedding)
     method = f"rand-{pivot}-1piter" if q == 1 else f"rand-{pivot}"
     return _skeleton(A, X, l, pivot, method, seed)
 
@@ -230,8 +234,7 @@ class _PanelAccumulator:
         self.W = omega_dense          # l x n
         self.X = np.zeros((self.G.shape[0], n))
         self.Y = np.zeros((m, self.W.shape[0]))
-        self.m = m
-        self.n = n
+        self.m, self.n = m, n
         self.filled = 0
         self._buf = np.empty((m, _STREAM_PANEL))
         self._buf_cols = 0
@@ -250,9 +253,7 @@ class _PanelAccumulator:
     def push(self, block):
         block = as_matrix(block, "block")
         if block.shape[0] != self.m:
-            raise ShapeMismatch(
-                f"block has {block.shape[0]} rows, stream declared {self.m}"
-            )
+            raise ShapeMismatch(f"block has {block.shape[0]} rows, stream declared {self.m}")
         if self.filled + self._buf_cols + block.shape[1] > self.n:
             raise ShapeMismatch("stream delivered more columns than declared")
         j = 0
@@ -264,12 +265,13 @@ class _PanelAccumulator:
             if self._buf_cols == _STREAM_PANEL:
                 self._flush()
 
-    def finish(self):
+    def sketches(self, blocks):
+        """``X`` and ``Y`` of the stream of column ``blocks``, pushed in turn."""
+        for block in blocks:
+            self.push(block)
         self._flush()
         if self.filled != self.n:
-            raise StreamExhausted(
-                f"stream ended after {self.filled} of {self.n} columns"
-            )
+            raise StreamExhausted(f"stream ended after {self.filled} of {self.n} columns")
         return self.X, self.Y
 
 
@@ -290,16 +292,12 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     gamma = make_embedding("gaussian", l, m, seed=seed)
     omega = make_embedding("gaussian", l, n, seed=_child_seeds(seed, 1)[0])
     acc = _PanelAccumulator(gamma.to_dense(), omega.to_dense(), m, n)
-    for block in blocks:
-        acc.push(block)
-    X, Y = acc.finish()
+    X, Y = _in_range("a streamed sketch", acc.sketches, blocks)
     J_s, rank = _column_pivots(pivot, X, l)
     I_s, _ = _column_pivots(pivot, Y.T, l)
-    eta_col = posterior_eta(X, J_s)
-    eta_row = posterior_eta(np.ascontiguousarray(Y.T), I_s)
     return SkeletonResult(J_s=J_s, I_s=I_s, method=f"streaming-{pivot}",
-                          eta_column=eta_col, eta_row=eta_row, seed=seed,
-                          X=X, Y=Y, rank_detected=min(rank, l))
+                          eta_column=_eta(X, J_s), eta_row=_eta(np.ascontiguousarray(Y.T), I_s),
+                          seed=seed, X=X, Y=Y, rank_detected=min(rank, l))
 
 
 def streaming_interp_coeffs(result):
@@ -311,7 +309,8 @@ def streaming_interp_coeffs(result):
     """
     if result.X is None:
         raise BadShape("result carries no row sketch")
-    return lstsq_full_rank(result.X[:, result.J_s], result.X, SingularPivotBlock, "pivot block")
+    X = as_matrix(result.X, "X")
+    return lstsq_full_rank(X[:, result.J_s], X, SingularPivotBlock, "pivot block")
 
 
 def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
@@ -326,9 +325,7 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
             "C S^{-1} R estimation is numerically unstable; "
             "pass allow_unstable=True to opt in"
         )
-    C = as_matrix(C, "C")
-    S = as_matrix(S, "S")
-    R = as_matrix(R, "R")
+    C, S, R = as_matrix(C, "C"), as_matrix(S, "S"), as_matrix(R, "R")
     l = S.shape[0]
     if S.shape != (l, l) or C.shape[1] != l or R.shape[0] != l:
         raise ShapeMismatch(f"need C m x l, S l x l, R l x n; got {C.shape}, {S.shape}, {R.shape}")
@@ -386,5 +383,5 @@ def build_cur_stable(A, I_s, J_s):
     R = A.rows(I_s)
     Q_C = qr_checked(C, SingularSkeleton, "skeleton columns")[0]
     Q_R = qr_checked(R.T, SingularSkeleton, "skeleton rows")[0]
-    U_mid = A.sandwich(Q_C, Q_R)
+    U_mid = _in_range("U_mid = Q_C^T A Q_R", A.sandwich, Q_C, Q_R)
     return CurFactors(C=C, U_mid=U_mid, R=R, Q_C=Q_C, Q_R=Q_R)

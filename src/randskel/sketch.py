@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _count, _seed_sequence, as_matrix, as_operator
+from .dense import _check_finite, _count, _seed_sequence, as_matrix, as_operator
 from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
@@ -40,19 +40,6 @@ _SUPPORT_BITMAP = 1 << 16
 #: ``_PANEL_COLS x m`` buffer and transformed by one ``rfft``, so neither an
 #: ``n x m`` copy of the input nor its full ``(m//2 + 1) x n`` spectrum is held.
 _PANEL_COLS = 64
-
-
-def _as_operand(A):
-    """Accept a vector or matrix; return (2-D view, was_vector flag)."""
-    try:
-        arr = np.asarray(A, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise BadShape(f"operand must be a numeric array, got {type(A).__name__}") from None
-    if arr.ndim == 1:
-        return arr[:, None], True
-    if arr.ndim == 2:
-        return arr, False
-    raise BadShape(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
 
 
 class SketchOperator:
@@ -67,23 +54,26 @@ class SketchOperator:
         raise NotImplementedError
 
     def apply(self, A):
-        """Return ``G @ A`` for ``A`` with ``in_dim`` rows (or a vector)."""
-        arr, was_vec = _as_operand(A)
-        if arr.shape[0] != self.in_dim:
-            raise ShapeMismatch(
-                f"operator expects {self.in_dim} rows, got {arr.shape[0]}"
-            )
-        out = self._apply_dense(arr)
-        return out[:, 0] if was_vec else out
+        """Return ``G @ A`` for a finite ``A`` with ``in_dim`` rows (or a vector)."""
+        try:
+            arr = np.asarray(A, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise BadShape(f"operand must be a numeric array, got {type(A).__name__}") from None
+        if arr.ndim not in (1, 2):
+            raise BadShape(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
+        out = self._sketch(_check_finite(arr[:, None] if arr.ndim == 1 else arr,
+                                         "operand contains non-finite entries"))
+        return out[:, 0] if arr.ndim == 1 else out
 
     def apply_t(self, A):
-        """Return ``A @ G.T`` for ``A`` with ``in_dim`` columns."""
-        arr = as_matrix(A, "A")
-        if arr.shape[1] != self.in_dim:
-            raise ShapeMismatch(
-                f"operator expects {self.in_dim} columns, got {arr.shape[1]}"
-            )
-        return np.ascontiguousarray(self.apply(arr.T).T)
+        """Return ``A @ G.T`` for a finite ``A`` with ``in_dim`` columns."""
+        return np.ascontiguousarray(self._sketch(as_matrix(A, "A").T).T)
+
+    def _sketch(self, A):
+        """``G @ A`` for a 2-D float64 ``A``, checked for its row count only."""
+        if A.shape[0] != self.in_dim:
+            raise ShapeMismatch(f"operator expects dimension {self.in_dim}, got {A.shape[0]}")
+        return self._apply_dense(A)
 
 
 @dataclass(frozen=True)

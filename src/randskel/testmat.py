@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import (_count, _index_vector, _real, _seed_sequence, _spectrum, as_matrix,
-                    qr_ortho)
+                    qr_checked)
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -97,6 +97,14 @@ def _csr_factor(columns, dim):
     return csc.tocsr()
 
 
+def _factor_product(left, s, right, M):
+    """``left diag(s) right^T M`` for a finite ``M`` with a row per row of ``right``."""
+    M = as_matrix(M, "M")
+    if M.shape[0] != right.shape[0]:
+        raise ShapeMismatch(f"expected {right.shape[0]} rows, got {M.shape[0]}")
+    return left @ (s[:, None] * (right.T @ M))
+
+
 @dataclass(frozen=True)
 class ImplicitSnnOperator:
     """Matvec-only access to an SNN matrix; cost O((m+n) * r * density)."""
@@ -110,28 +118,16 @@ class ImplicitSnnOperator:
         return (self.params.m, self.params.n)
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.params.n,):
-            raise ShapeMismatch(f"expected length {self.params.n}, got {v.shape}")
-        return self.x_factors @ (self.params.s * (self.y_factors.T @ v))
+        return self.matmat(np.reshape(v, (-1, 1)))[:, 0]
 
     def matvec_adjoint(self, w):
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.params.m,):
-            raise ShapeMismatch(f"expected length {self.params.m}, got {w.shape}")
-        return self.y_factors @ (self.params.s * (self.x_factors.T @ w))
+        return self.rmatmat(np.reshape(w, (-1, 1)))[:, 0]
 
     def matmat(self, M):
-        M = as_matrix(M, "M")
-        if M.shape[0] != self.params.n:
-            raise ShapeMismatch(f"expected {self.params.n} rows, got {M.shape[0]}")
-        return self.x_factors @ (self.params.s[:, None] * (self.y_factors.T @ M))
+        return _factor_product(self.x_factors, self.params.s, self.y_factors, M)
 
     def rmatmat(self, M):
-        M = as_matrix(M, "M")
-        if M.shape[0] != self.params.m:
-            raise ShapeMismatch(f"expected {self.params.m} rows, got {M.shape[0]}")
-        return self.y_factors @ (self.params.s[:, None] * (self.x_factors.T @ M))
+        return _factor_product(self.y_factors, self.params.s, self.x_factors, M)
 
     def columns(self, J):
         J = _index_vector(J, self.params.n, "J")
@@ -223,8 +219,8 @@ def gen_gaussian_spectrum(m, n, profile, seed=None, r=None):
     r = min(m, n) if r is None else _count(r, "r", 1, min(m, n))
     sigma = spectrum_values(profile, r)
     rng = np.random.default_rng(_seed_sequence(seed))
-    U = qr_ortho(rng.standard_normal((m, r)))
-    V = qr_ortho(rng.standard_normal((n, r)))
+    U = qr_checked(rng.standard_normal((m, r)))[0]
+    V = qr_checked(rng.standard_normal((n, r)))[0]
     A = (U * sigma) @ V.T
     return A, U, sigma, V
 

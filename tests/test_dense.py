@@ -12,11 +12,13 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from randskel import cpqr, lupp, qr_ortho, spectral_norm_estimate, svd_thin
+from randskel import (build_cur_stable, cpqr, lupp, make_gaussian, power_iter_plain, qr_ortho,
+                      randomized_svd, select_columns_cpqr, select_columns_lupp,
+                      spectral_norm_estimate, svd_thin)
 from randskel import dense
 from randskel.dense import _blas_runtimes, as_operator, blas_threads, spectral_norm, svdvals
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch, ZeroDimension
-from oracles import names, size_cases
+from oracles import MatvecOnly, names, size_cases
 
 #: The suite runs on scipy's LAPACK under this switch (tests/conftest.py).
 SCIPY_LAPACK = os.environ.get("RANDSKEL_TEST_LAPACK") == "scipy"
@@ -668,6 +670,29 @@ def _run_at_threads(n):
         pass
 
 
+def _nan_result(P):
+    return np.full(np.shape(P), np.nan)
+
+
+_SQUARE, _TALL = (np.random.default_rng(9).standard_normal(shape) for shape in ((20, 20), (30, 20)))
+#: (label, input, call on its matvec-only form, the members the call reads): a
+#: square input's CUR middle factor is formed through matmat, a tall one's
+#: through rmatmat.
+_OPERATOR_CALLS = [
+    ("cur-square", _SQUARE, lambda op: build_cur_stable(op, np.arange(4), np.arange(4)),
+     ("matmat", "columns", "rows")),
+    ("cur-tall", _TALL, lambda op: build_cur_stable(op, np.arange(4), np.arange(4)),
+     ("rmatmat",)),
+    ("plain", _TALL, lambda op: power_iter_plain(op, make_gaussian(4, 20, seed=0), 1),
+     ("matmat", "rmatmat")),
+    ("rsvd", _TALL, lambda op: randomized_svd(op, 4, q=1, seed=0), ("matmat", "rmatmat")),
+    ("lupp", _TALL, lambda op: select_columns_lupp(op, 4, 1, seed=0),
+     ("matmat", "rmatmat", "columns")),
+    ("cpqr", _TALL, lambda op: select_columns_cpqr(op, 4, 1, seed=0),
+     ("matmat", "rmatmat", "columns")),
+]
+
+
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: qr_ortho(np.ones((2, 2, 2))), BadShape, id="not-2-d"),
     pytest.param(lambda: lupp(np.ones((2, 3))), BadShape, id="lupp-wide"),
@@ -690,6 +715,11 @@ def _run_at_threads(n):
     pytest.param(lambda: as_operator(_operator(rows=lambda I: np.ones((1, 4)))).rows([0, 2]),
                  pytest.raises(ShapeMismatch, match=r"rows returned shape \(1, 4\), "
                                r"expected \(2, 4\)"), id="operator-rows-shape"),
+    *[pytest.param(lambda A=A, call=call, member=member: call(
+        MatvecOnly(A, **{member: _nan_result})),
+        pytest.raises(BadShape, match=f"^operator {member} contains non-finite entries$"),
+        id=f"operator-{member}-nan-{label}")
+      for label, A, call, members in _OPERATOR_CALLS for member in members],
     *[pytest.param(lambda text=text: dense._real(text, "x", 0, 1), names("x", "in"),
                    id=f"real-{tag}") for tag, text in (("text", "0.5"), ("complex", 0.5j), ("huge-int", 10 ** 400))],
 ])

@@ -1,6 +1,7 @@
 """Cross-module seams: embedding kinds through the pipeline, CSV matrices
 through the CLI, the installed console script, and opt-in estimation paths."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -259,6 +260,30 @@ def test_no_numpy_linalg_solver_at_run_time(monkeypatch, tmp_path):
                   "--trials", "1"],
                  ["timing", "pivot", "--sizes", "64", "--ranks", "16", "--repeats", "1"]):
         assert run(args + ["--seed", "0", "--out", str(tmp_path / args[0])]) == 0, args
+
+
+#: The entries of ``randskel.dense`` that validate their input (``as_matrix``):
+#: for data from outside the library only.
+CHECKED_ENTRIES = {"qr_ortho", "svd_thin", "svdvals", "lupp", "cpqr"}
+
+
+def test_library_calls_no_checked_entry():
+    # inside the library every array is finite once a public call has checked
+    # its inputs, so modules reach the unchecked kernels (dense._qr, _gesdd,
+    # _lu_pivots, _cpqr_pivots, solve_upper) and scan nothing twice; only the
+    # benchmark experiments under bench/, which call the library as a user does,
+    # call a checked entry. No other exception exists.
+    src = Path(__file__).resolve().parents[1] / "src" / "randskel"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if "bench" in path.relative_to(src).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if name in CHECKED_ENTRIES:
+                    found.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+    assert not found, f"call the unchecked kernel instead at {found}"
 
 
 @pytest.mark.parametrize("exponent", [-560, 530])

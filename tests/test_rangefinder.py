@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from randskel import (
     svd_thin,
 )
 from randskel.angles import canonical_angles
+from randskel.sketch import SketchOperator
 from randskel.errors import BadShape, RankDeficient, ShapeMismatch
 from oracles import MatvecOnly, random_matrix, residual_norms, size_cases, truncated_svd_error
 
 
-class _EyeOp:
+class _EyeOp(SketchOperator):
     """Identity 'embedding' stub for exact small cases."""
 
     def __init__(self, n):
@@ -23,10 +26,7 @@ class _EyeOp:
     def to_dense(self):
         return np.eye(self.in_dim)
 
-    def apply(self, A):
-        return A
-
-    def apply_t(self, A):
+    def _apply_dense(self, A):
         return A
 
 
@@ -181,6 +181,17 @@ class TestRangefinderError:
         assert abs(fe - fo) < 1e-11
         assert abs(se - so) < 1e-11
 
+    def test_residual_near_the_float_range_has_finite_norms(self):
+        # the Frobenius norm of a finite 7 x 7 residual of entries near 1e300 is
+        # about 4e300: in range, and read without an overflow warning
+        A = np.random.default_rng(19).standard_normal((7, 7)) * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fe, se = rangefinder_error(A, A[:3])
+        fo, so = residual_norms(A / 1e300, A[:3] / 1e300)
+        assert fe == pytest.approx(fo * 1e300, rel=1e-10)
+        assert se == pytest.approx(so * 1e300, rel=1e-10)
+
     def test_rank_deficient_rows(self):
         X = np.vstack([np.ones((2, 5)), np.ones((1, 5))])
         with pytest.raises(RankDeficient):
@@ -189,6 +200,8 @@ class TestRangefinderError:
 
 _A = np.random.default_rng(30).standard_normal((8, 6))
 _OMEGA = make_gaussian(3, 6, seed=0)
+#: A finite input whose plain power iteration leaves the float range.
+_HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
 _B = np.random.default_rng(31).standard_normal((60, 40))
 
 
@@ -203,6 +216,9 @@ _B = np.random.default_rng(31).standard_normal((60, 40))
     pytest.param(lambda: randomized_svd(MatvecOnly(_B, matmat=lambda P: P[:, :1]), 5, q=1),
                  pytest.raises(ShapeMismatch, match="operator matmat returned shape"),
                  id="rsvd-matmat-shape"),
+    pytest.param(lambda: power_iter_plain(_HUGE, make_gaussian(2, 4, seed=0), 1),
+                 pytest.raises(BadShape, match=r"^the plain power iteration \(A A\^T\)\^q A "
+                               r"Omega\^T overflows"), id="plain-overflow"),
     *size_cases("plain-q", "q", lambda q: power_iter_plain(_A, _OMEGA, q), 1, -1),
     *size_cases("stable-q", "q", lambda q: power_iter_stable(_A, _OMEGA, q), 1, -1),
     *size_cases("rsvd-l", "l", lambda l: randomized_svd(_A, l), 3, 7),

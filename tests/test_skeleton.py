@@ -534,6 +534,8 @@ def test_low_precision_operator_products_are_factored_in_float64(select, dtype):
 _A = np.random.default_rng(31).standard_normal((8, 6))
 _B = np.random.default_rng(32).standard_normal((60, 40))
 _I, _J = np.arange(5), np.arange(5)
+#: A finite input whose plain power iteration leaves the float range.
+_HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
 
 
 @pytest.mark.parametrize("call, error", [
@@ -573,6 +575,10 @@ _I, _J = np.arange(5), np.arange(5)
                                           _I, _J),
                  pytest.raises(ShapeMismatch, match="rmatmat returned shape"),
                  id="cur-rmatmat-shape"),
+    *[pytest.param(lambda select=select: select(_HUGE, 2, 1),
+                   pytest.raises(BadShape, match="^the plain power iteration overflows"),
+                   id=f"{select.__name__}-power-iteration-overflow")
+      for select in (select_columns_lupp, select_columns_cpqr)],
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):

@@ -269,6 +269,16 @@ def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
     *size_cases("sparse-sign-zeta", "zeta", lambda z: make_sparse_sign(3, 10, zeta=z), 2, 4),
     pytest.param(lambda: make_sparse_sign(np.int64(3), np.int64(10), zeta=1), names("zeta"),
                  id="int64-sizes-accepted"),
+    *[pytest.param(lambda kind=kind, value=value: make_embedding(kind, 3, 5, seed=0).apply(
+        np.full(5, value)), pytest.raises(BadShape, match="^operand contains non-finite entries$"),
+        id=f"apply-{kind}-{tag}")
+      for kind in ("gaussian", "srtt", "sparse_sign") for tag, value in (("nan", np.nan),
+                                                                          ("inf", np.inf))],
+    pytest.param(lambda: make_srtt(3, 5, seed=0).apply(np.eye(5) * [1, 1, np.nan, 1, 1]),
+                 pytest.raises(BadShape, match="non-finite"), id="apply-matrix-nan"),
+    pytest.param(lambda: make_gaussian(3, 5, seed=0).apply_t(np.full((2, 5), -np.inf)),
+                 pytest.raises(BadShape, match="^A contains non-finite entries$"),
+                 id="apply-t-inf"),
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
