@@ -264,10 +264,12 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
 
 
 def _posterior_spectrum(sigma, k):
+    """The first ``k`` entries of ``sigma``, the only ones a bound reads, by
+    :func:`_spectrum`; :class:`ShapeMismatch` if a vector ``sigma`` has fewer."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.size < k:
+    if sigma.ndim == 1 and sigma.size < k:
         raise ShapeMismatch(f"spectrum shorter than k={k}")
-    return sigma
+    return _spectrum(sigma[:k] if sigma.ndim == 1 else sigma, "sigma")
 
 
 def _simple_bound(s_res, sigma, k):

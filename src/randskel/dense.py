@@ -43,16 +43,17 @@ float64 arrays and scans none. A product of finite arrays may still leave
 the float range: :func:`_in_range` guards it where it arises, so no kernel
 is handed a non-finite array, and a norm beyond the range raises.
 
-The randomized routines also accept a matvec-only operator: an object with
-``shape``, ``matmat(M)`` (``A @ M``), ``rmatmat(M)`` (``A.T @ M``),
-``columns(J)`` (dense ``A[:, J]``) and ``rows(I)`` (dense ``A[I, :]``),
-each result of the shape that product or slice has, else
-:class:`ShapeMismatch`. :func:`as_operator` wraps either kind once, at each
-public entry; it is the only code that tells them apart. A wrapped dense
-matrix returns ``columns(J)`` Fortran-ordered, gathered in row tiles, for
-the QR and LU that consume it; ``U_mid = Q_C^T A Q_R`` of the CUR
-construction is one :meth:`Operator.sandwich`, in the order of fewer
-multiply-adds.
+The randomized routines also accept a matvec-only operator, such as a
+``scipy.sparse.linalg.LinearOperator``: an object with ``shape``,
+``matmat(M)`` (``A @ M``) and ``rmatmat(M)`` (``A.T @ M``), each result of
+the shape that product has, else :class:`ShapeMismatch`. Its slices
+``A[:, J]`` and ``A[I, :]`` are products with unit vectors, ``|J|`` or
+``|I|`` of them, read like every other product. :func:`as_operator` wraps
+either kind once, at each public entry; it is the only code that tells them
+apart. A wrapped dense matrix returns ``columns(J)`` Fortran-ordered,
+gathered in row tiles, for the QR and LU that consume it; ``U_mid = Q_C^T A
+Q_R`` of the CUR construction is one :meth:`Operator.sandwich`, in the order
+of fewer multiply-adds.
 """
 
 from __future__ import annotations
@@ -258,11 +259,11 @@ class Operator:
 
 
 class _MatvecOperator(Operator):
-    """Products and slices are the operator's; sketches materialize the embedding."""
+    """Products are the operator's; a slice is the product with a block of unit
+    vectors, and a sketch materializes the embedding."""
 
     def __init__(self, A):
-        missing = [name for name in ("matmat", "rmatmat", "columns", "rows")
-                   if not callable(getattr(A, name, None))]
+        missing = [name for name in ("matmat", "rmatmat") if not callable(getattr(A, name, None))]
         if missing:
             raise BadShape(f"matvec-only operator lacks {', '.join(missing)}")
         try:
@@ -288,10 +289,10 @@ class _MatvecOperator(Operator):
         return self._checked("rmatmat", M, (self.shape[1], M.shape[1]))
 
     def columns(self, J):
-        return self._checked("columns", J, (self.shape[0], np.size(J)))
+        return self.matmat(_unit_vectors(self.shape[1], J))
 
     def rows(self, I):
-        return self._checked("rows", I, (np.size(I), self.shape[1]))
+        return np.ascontiguousarray(self.rmatmat(_unit_vectors(self.shape[0], I)).T)
 
     def _left_product(self, L):
         return self.rmatmat(L).T
@@ -303,6 +304,13 @@ class _MatvecOperator(Operator):
         return self.matmat(np.ascontiguousarray(_embedding_matrix(emb, self.shape[1]).T))
 
 
+def _unit_vectors(dim, idx):
+    """The ``dim x |idx|`` block whose column ``t`` is the unit vector ``e_idx[t]``."""
+    E = np.zeros((dim, len(idx)))
+    E[idx, np.arange(len(idx))] = 1.0
+    return E
+
+
 def _embedding_matrix(emb, dim):
     if emb.in_dim != dim:
         raise ShapeMismatch(f"embedding expects dimension {emb.in_dim}, got {dim}")
@@ -311,9 +319,12 @@ def _embedding_matrix(emb, dim):
 
 def as_operator(A):
     """Wrap ``A`` once as an :class:`Operator`. An input with ``matmat`` or
-    ``rmatmat`` must carry the whole matvec-only protocol and a ``shape`` of
-    two counts, else :class:`BadShape`; any other input is validated by
-    :func:`as_matrix` and not copied when already C-ordered float64."""
+    ``rmatmat`` must carry both and a ``shape`` of two counts, else
+    :class:`BadShape`; its ``columns(J)`` is ``matmat`` of the ``|J|`` unit
+    vectors ``e_j`` and ``rows(I)`` the transpose of ``rmatmat`` of the ``|I|``
+    ones, so a slice costs ``|J|`` or ``|I|`` products and one ``n x |J|`` or
+    ``m x |I|`` unit block. Any other input is validated by :func:`as_matrix`
+    and not copied when already C-ordered float64."""
     if isinstance(A, Operator):
         return A
     if hasattr(A, "matmat") or hasattr(A, "rmatmat"):
@@ -422,7 +433,7 @@ def qr_ortho(M):
     m, n = M.shape
     if m < n:
         raise BadShape(f"need rows >= cols, got {m}x{n}")
-    return qr_checked(M)[0]
+    return _check_finite(qr_checked(M)[0], "Q overflows the float range: it has non-finite entries")
 
 
 def orth(M):

@@ -32,7 +32,7 @@ from .errors import (
 from .rangefinder import randomized_svd
 from .sketch import make_embedding, sketch_rows
 
-#: Column width of the internal panels used by the streaming accumulator.
+#: Column width of the internal panels of the streamed sketches (:func:`_panels`).
 #: Re-chunking to fixed panels makes results bitwise independent of how the
 #: caller splits the stream.
 _STREAM_PANEL = 64
@@ -221,58 +221,31 @@ def select_leverage(A, k, l, seed=None):
                           eta_row=None, seed=seed, X=None, rank_detected=None)
 
 
-class _PanelAccumulator:
-    """Re-chunk an incoming column stream into fixed-width panels.
-
-    The sketches are updated once per complete panel, so the arithmetic (and
-    hence the bit pattern of the result) depends only on the absolute column
-    positions, not on where the caller's blocks begin and end.
-    """
-
-    def __init__(self, gamma_dense, omega_dense, m, n):
-        self.G = gamma_dense          # l x m
-        self.W = omega_dense          # l x n
-        self.X = np.zeros((self.G.shape[0], n))
-        self.Y = np.zeros((m, self.W.shape[0]))
-        self.m, self.n = m, n
-        self.filled = 0
-        self._buf = np.empty((m, _STREAM_PANEL))
-        self._buf_cols = 0
-
-    def _flush(self):
-        w = self._buf_cols
-        if w == 0:
-            return
-        j0 = self.filled
-        panel = self._buf[:, :w]
-        self.X[:, j0:j0 + w] = self.G @ panel
-        self.Y += panel @ self.W[:, j0:j0 + w].T
-        self.filled += w
-        self._buf_cols = 0
-
-    def push(self, block):
+def _panels(blocks, m, n):
+    """The column stream ``blocks`` re-chunked into ``_STREAM_PANEL``-wide
+    panels of one reused buffer (the last may be narrower), each with the slice
+    of the columns it holds. The sketches are updated once per panel, so the
+    arithmetic (and hence the bit pattern of the result) depends only on the
+    absolute column positions, not on where the caller's blocks begin and end."""
+    buf, end, width = np.empty((m, _STREAM_PANEL)), 0, 0  # columns received, in buf
+    for block in blocks:
         block = as_matrix(block, "block")
-        if block.shape[0] != self.m:
-            raise ShapeMismatch(f"block has {block.shape[0]} rows, stream declared {self.m}")
-        if self.filled + self._buf_cols + block.shape[1] > self.n:
+        if block.shape[0] != m:
+            raise ShapeMismatch(f"block has {block.shape[0]} rows, stream declared {m}")
+        if end + block.shape[1] > n:
             raise ShapeMismatch("stream delivered more columns than declared")
         j = 0
         while j < block.shape[1]:
-            take = min(_STREAM_PANEL - self._buf_cols, block.shape[1] - j)
-            self._buf[:, self._buf_cols:self._buf_cols + take] = block[:, j:j + take]
-            self._buf_cols += take
-            j += take
-            if self._buf_cols == _STREAM_PANEL:
-                self._flush()
-
-    def sketches(self, blocks):
-        """``X`` and ``Y`` of the stream of column ``blocks``, pushed in turn."""
-        for block in blocks:
-            self.push(block)
-        self._flush()
-        if self.filled != self.n:
-            raise StreamExhausted(f"stream ended after {self.filled} of {self.n} columns")
-        return self.X, self.Y
+            take = min(_STREAM_PANEL - width, block.shape[1] - j)
+            buf[:, width:width + take] = block[:, j:j + take]
+            j, width, end = j + take, width + take, end + take
+            if width == _STREAM_PANEL:
+                yield slice(end - width, end), buf
+                width = 0
+    if width:
+        yield slice(end - width, end), buf[:, :width]
+    if end != n:
+        raise StreamExhausted(f"stream ended after {end} of {n} columns")
 
 
 def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
@@ -291,8 +264,16 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     # so a single-block stream reproduces its column pivots exactly
     gamma = make_embedding("gaussian", l, m, seed=seed)
     omega = make_embedding("gaussian", l, n, seed=_child_seeds(seed, 1)[0])
-    acc = _PanelAccumulator(gamma.to_dense(), omega.to_dense(), m, n)
-    X, Y = _in_range("a streamed sketch", acc.sketches, blocks)
+    G, W = gamma.to_dense(), omega.to_dense()
+
+    def sketches():
+        X, Y = np.zeros((l, n)), np.zeros((m, l))
+        for cols, panel in _panels(blocks, m, n):
+            X[:, cols] = G @ panel
+            Y += panel @ W[:, cols].T
+        return X, Y
+
+    X, Y = _in_range("a streamed sketch", sketches)
     J_s, rank = _column_pivots(pivot, X, l)
     I_s, _ = _column_pivots(pivot, Y.T, l)
     return SkeletonResult(J_s=J_s, I_s=I_s, method=f"streaming-{pivot}",

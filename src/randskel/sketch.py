@@ -181,11 +181,12 @@ def make_sparse_sign(l, m, zeta=None, seed=None):
     """Sparse-sign embedding; each of the m columns holds ``zeta`` entries
     of ``+-1/sqrt(zeta)`` at distinct random coordinates.
 
-    ``zeta`` defaults to ``min(l, 8)``.
+    ``zeta`` defaults to ``min(l, 8)`` and lies in ``[min(2, l), l]``: at
+    ``l = 1`` each column holds one sign.
     """
     m = _count(m, "m", 1)
     l = _count(l, "l", 1, m)
-    zeta = _count(min(l, 8) if zeta is None else zeta, "zeta", 2, l)
+    zeta = _count(min(l, 8) if zeta is None else zeta, "zeta", min(2, l), l)
     import scipy.sparse as sp  # scipy is needed for this embedding only
 
     rng = np.random.default_rng(_seed_sequence(seed))
@@ -232,7 +233,7 @@ def make_embedding(kind, l, m, seed=None):
 
 
 def sketch_rows(op, A):
-    """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator (the
-    whole protocol, though only ``rmatmat`` forms the sketch, from the
-    materialized embedding)."""
+    """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator
+    (``shape``, ``matmat`` and ``rmatmat``; only ``rmatmat`` forms the sketch,
+    from the materialized embedding)."""
     return as_operator(A).left_sketch(op)

@@ -147,12 +147,6 @@ class MatvecOnly:
     def rmatmat(self, M):
         return self._out("rmatmat", self.A.T @ M)
 
-    def columns(self, J):
-        return self._out("columns", self.A[:, J])
-
-    def rows(self, I):
-        return self._out("rows", self.A[I, :])
-
 
 def names(name, rule="an integer"):
     """The :class:`BadShape` of the size rule (or, with ``rule="finite"``, of

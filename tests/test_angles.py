@@ -536,6 +536,13 @@ _LR = randomized_svd(_A, 4, seed=1)
 _SIGMA = np.linalg.svd(_A, compute_uv=False)
 _INF_SIGMA = np.concatenate([[np.inf], _SIGMA[1:]])
 _OMEGAS = np.ones((2, 3)), np.ones((1, 3))
+#: Every reader of a posterior spectrum, on a spectrum of at least k = 2 entries.
+_POSTERIOR_CALLS = {
+    "posterior-simple": lambda sigma: posterior_simple(_A, _LR.U_hat, sigma, 2),
+    "posterior-gap": lambda sigma: posterior_gap(_A, _LR, sigma, 2),
+    "residuals-simple": lambda sigma: posterior_residuals(_A, _LR, 2).simple(sigma),
+    "residuals-gap": lambda sigma: posterior_residuals(_A, _LR, 2).gap(sigma),
+}
 _BALANCE = dict(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
 _BAL = BalanceConfig(**_BALANCE)
 
@@ -562,6 +569,10 @@ _BAL = BalanceConfig(**_BALANCE)
                  id="estimates-no-trials"),
     pytest.param(lambda: posterior_simple(_A, _LR.U_hat, _SIGMA[:1], 2), ShapeMismatch,
                  id="spectrum-shorter-than-k"),
+    *[pytest.param(lambda call=call, bad=bad: call([1.0, bad, 1.0, 1.0]), names("sigma", "finite"),
+                   id=f"{label}-{tag}-spectrum")
+      for label, call in _POSTERIOR_CALLS.items()
+      for tag, bad in (("nan", np.nan), ("inf", np.inf), ("zero", 0.0))],
     pytest.param(lambda: posterior_gap(_A, "lr", _SIGMA, 2), BadShape, id="lr-type"),
     pytest.param(lambda: posterior_gap(_A, randomized_svd(_A, 2, seed=0), _SIGMA, 2), BadShape,
                  id="l<=k"),

@@ -326,6 +326,22 @@ class TestOperatorColumns:
         assert C.shape == (m, len(J)) and C.flags.f_contiguous
         assert np.ascontiguousarray(C).tobytes() == A[:, J].tobytes()
 
+    @pytest.mark.parametrize("J", [[3, 3, 0, 6, 3], [], [6]])
+    def test_matvec_slices_are_unit_vector_products(self, J):
+        # a matvec-only operator's slices are C-ordered and equal to the
+        # dense form's, bit for bit, and to the SNN operator's own slices
+        A = np.random.default_rng(5).standard_normal((13, 7))
+        op = as_operator(MatvecOnly(A))
+        C, R = op.columns(J), op.rows(J)
+        assert C.flags.c_contiguous and C.tobytes() == A[:, J].tobytes()
+        assert R.flags.c_contiguous and R.tobytes() == A[J, :].tobytes()
+        from randskel import SnnParams, gen_snn_operator, snn_weights
+
+        snn = gen_snn_operator(SnnParams(m=40, n=30, r=10, s=snn_weights(2, 3, 10),
+                                         density=0.3, seed=1))
+        assert as_operator(snn).columns(J).tobytes() == snn.columns(J).tobytes()
+        assert as_operator(snn).rows(J).tobytes() == snn.rows(J).tobytes()
+
 
 class TestCpqr:
     def test_norm_dominant_first_pivot(self):
@@ -660,8 +676,7 @@ def _operator(**members):
     """A matvec-only operator over a dense 5 x 4 matrix, with ``members``
     replacing its own; a member given as None is left out."""
     A = np.ones((5, 4))
-    own = dict(shape=A.shape, matmat=lambda M: A @ M, rmatmat=lambda M: A.T @ M,
-               columns=lambda J: A[:, J], rows=lambda I: A[I, :])
+    own = dict(shape=A.shape, matmat=lambda M: A @ M, rmatmat=lambda M: A.T @ M)
     return types.SimpleNamespace(**{k: v for k, v in {**own, **members}.items() if v is not None})
 
 
@@ -676,20 +691,18 @@ def _nan_result(P):
 
 _SQUARE, _TALL = (np.random.default_rng(9).standard_normal(shape) for shape in ((20, 20), (30, 20)))
 #: (label, input, call on its matvec-only form, the members the call reads): a
-#: square input's CUR middle factor is formed through matmat, a tall one's
-#: through rmatmat.
+#: CUR reads both, its slices as products with unit vectors and its middle
+#: factor through matmat (square input) or rmatmat (tall input).
 _OPERATOR_CALLS = [
     ("cur-square", _SQUARE, lambda op: build_cur_stable(op, np.arange(4), np.arange(4)),
-     ("matmat", "columns", "rows")),
+     ("matmat", "rmatmat")),
     ("cur-tall", _TALL, lambda op: build_cur_stable(op, np.arange(4), np.arange(4)),
-     ("rmatmat",)),
+     ("matmat", "rmatmat")),
     ("plain", _TALL, lambda op: power_iter_plain(op, make_gaussian(4, 20, seed=0), 1),
      ("matmat", "rmatmat")),
     ("rsvd", _TALL, lambda op: randomized_svd(op, 4, q=1, seed=0), ("matmat", "rmatmat")),
-    ("lupp", _TALL, lambda op: select_columns_lupp(op, 4, 1, seed=0),
-     ("matmat", "rmatmat", "columns")),
-    ("cpqr", _TALL, lambda op: select_columns_cpqr(op, 4, 1, seed=0),
-     ("matmat", "rmatmat", "columns")),
+    ("lupp", _TALL, lambda op: select_columns_lupp(op, 4, 1, seed=0), ("matmat", "rmatmat")),
+    ("cpqr", _TALL, lambda op: select_columns_cpqr(op, 4, 1, seed=0), ("matmat", "rmatmat")),
 ]
 
 
@@ -702,19 +715,22 @@ _OPERATOR_CALLS = [
     *size_cases("estimate-iters", "iters",
                 lambda i: spectral_norm_estimate(lambda v: v, lambda w: w, 3, i), 2, 0),
     *size_cases("blas-threads", "n", _run_at_threads, 2, 0),
-    pytest.param(lambda: as_operator(_operator(columns=None)),
-                 pytest.raises(BadShape, match="lacks columns"), id="operator-no-columns"),
-    pytest.param(lambda: as_operator(_operator(matmat=None, rows=None)),
-                 pytest.raises(BadShape, match="lacks matmat, rows"), id="operator-no-matmat"),
+    pytest.param(lambda: as_operator(_operator(matmat=None)),
+                 pytest.raises(BadShape, match="lacks matmat$"), id="operator-no-matmat"),
+    pytest.param(lambda: as_operator(_operator(rmatmat=None)),
+                 pytest.raises(BadShape, match="lacks rmatmat$"), id="operator-no-rmatmat"),
     pytest.param(lambda: as_operator(_operator(shape=None)),
                  pytest.raises(BadShape, match="needs a shape"), id="operator-no-shape"),
     pytest.param(lambda: as_operator(_operator(shape=(5,))),
                  pytest.raises(BadShape, match="needs a shape"), id="operator-1-d-shape"),
     pytest.param(lambda: as_operator(_operator(shape=(5.0, 4))), names("shape[0]"),
                  id="operator-float-shape"),
-    pytest.param(lambda: as_operator(_operator(rows=lambda I: np.ones((1, 4)))).rows([0, 2]),
-                 pytest.raises(ShapeMismatch, match=r"rows returned shape \(1, 4\), "
-                               r"expected \(2, 4\)"), id="operator-rows-shape"),
+    pytest.param(lambda: as_operator(_operator(rmatmat=lambda M: np.ones((1, 4)))).rows([0, 2]),
+                 pytest.raises(ShapeMismatch, match=r"rmatmat returned shape \(1, 4\), "
+                               r"expected \(4, 2\)"), id="operator-rows-shape"),
+    pytest.param(lambda: qr_ortho([[1e308], [1e308]]),
+                 pytest.raises(BadShape, match="^Q overflows the float range"),
+                 id="qr-ortho-overflow"),
     *[pytest.param(lambda A=A, call=call, member=member: call(
         MatvecOnly(A, **{member: _nan_result})),
         pytest.raises(BadShape, match=f"^operator {member} contains non-finite entries$"),

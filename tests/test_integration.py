@@ -16,8 +16,12 @@ from randskel import (
     canonical_angles,
     canonical_angles_cos,
     estimate_cur_from_skeletons,
+    make_embedding,
     make_gaussian,
     make_srtt,
+    power_iter_plain,
+    power_iter_stable,
+    sketch_rows,
     posterior_eta,
     prior_reference_bound,
     select_leverage,
@@ -45,7 +49,7 @@ from randskel.errors import BadShape
 from randskel.bench.cli import run
 from randskel.bench.experiments import METHODS
 from randskel.dense import svdvals
-from oracles import dht_matrix, random_matrix
+from oracles import MatvecOnly, dht_matrix, random_matrix
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "srtt", "sparse_sign"])
@@ -112,6 +116,57 @@ def test_implicit_operator_through_selection_and_cur(select):
     cur = build_cur_stable(op, sel_op.I_s, sel_op.J_s)
     cur_d = build_cur_stable(A, sel_dn.I_s, sel_dn.J_s)
     assert np.allclose(cur.reconstruct(), cur_d.reconstruct(), atol=1e-10)
+
+
+def _sparse_input():
+    """A 2000 x 500 CSR matrix with 1 % nonzeros and its dense form."""
+    from scipy.sparse import random as sparse_random
+
+    S = sparse_random(2000, 500, density=0.01, format="csr", random_state=12)
+    return S, S.toarray()
+
+
+def _close(got, want, rtol=1e-12):
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "srtt", "sparse_sign"])
+def test_sparse_input_through_linear_operator(kind):
+    # a sparse matrix runs through scipy's LinearOperator, with its slices
+    # derived from products: the skeletons are the dense form's
+    from scipy.sparse.linalg import aslinearoperator
+
+    S, D = _sparse_input()
+    op = aslinearoperator(S)
+    for select in (select_columns_lupp, select_columns_cpqr, select_deim):
+        for q in (0, 1):
+            got, want = (select(A, 20, q, seed=3, embedding=kind) for A in (op, D))
+            assert np.array_equal(got.J_s, want.J_s) and np.array_equal(got.I_s, want.I_s)
+    got, want = (randomized_svd(A, 20, q=1, seed=4, embedding_kind=kind) for A in (op, D))
+    assert _close(got.sigma_hat, want.sigma_hat)
+    for power_iter in (power_iter_plain, power_iter_stable):
+        got, want = (power_iter(A, make_embedding(kind, 20, 500, seed=5), 1) for A in (op, D))
+        assert _close(got, want, 1e-10)
+    got, want = (sketch_rows(make_embedding(kind, 20, 2000, seed=6), A) for A in (op, D))
+    assert _close(got, want)
+    if kind == "gaussian":
+        got, want = (select_leverage(A, 10, 20, seed=7) for A in (op, D))
+        assert np.array_equal(got.J_s, want.J_s) and np.array_equal(got.I_s, want.I_s)
+        sel = select_columns_lupp(D, 20, seed=8)
+        got, want = (build_cur_stable(A, sel.I_s, sel.J_s) for A in (op, D))
+        assert np.array_equal(got.C, want.C) and np.array_equal(got.R, want.R)
+        assert _close(got.reconstruct(), want.reconstruct(), 1e-10)
+
+
+def test_linear_operator_equals_matvec_only_bitwise():
+    from scipy.sparse.linalg import aslinearoperator
+
+    D = np.random.default_rng(13).standard_normal((300, 200))
+    for call in (lambda A: select_columns_lupp(A, 20, 1, seed=3).J_s,
+                 lambda A: select_deim(A, 20, 1, seed=3).I_s,
+                 lambda A: randomized_svd(A, 20, q=1, seed=4).U_hat,
+                 lambda A: build_cur_stable(A, np.arange(20), np.arange(20)).U_mid):
+        assert call(aslinearoperator(D)).tobytes() == call(MatvecOnly(D)).tobytes()
 
 
 @pytest.mark.parametrize("call", [

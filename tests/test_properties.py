@@ -1,5 +1,6 @@
 """The failure contract as a property: every public routine, on degenerate and
-extreme-scale inputs, dense or matvec-only, returns finite outputs or raises a
+extreme-scale inputs, dense, matvec-only or a scipy ``LinearOperator``, returns
+finite outputs or raises a
 :class:`~randskel.errors.RandskelError`, with no warning and nothing written
 to the process's stderr (LAPACK's ``DLASCL`` message there shows that a
 kernel was handed a non-finite array)."""
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.sparse.linalg import aslinearoperator
 
 from randskel import (build_column_id, build_cur_stable, build_row_id, build_two_sided_id,
                       canonical_angles, make_embedding, posterior_eta, posterior_gap,
@@ -21,6 +23,8 @@ from oracles import MatvecOnly
 SHAPES = [(1, 5), (5, 1), (1, 1), (6, 4), (4, 6), (7, 7)]
 KINDS = ["zero", "rank-1", "duplicate-column", "fortran", "tiny", "huge", "max-fill"]
 EMBEDDINGS = ["gaussian", "srtt", "sparse_sign"]
+#: The input forms, by name: the array itself and two operators over it.
+FORMS = {"dense": lambda A: A, "matvec": MatvecOnly, "linear-operator": aslinearoperator}
 
 
 def make_input(kind, m, n, seed):
@@ -68,10 +72,11 @@ def _no_nan(out):
                    for v in (*values, *out.bounds.values(), *out.anglewise.values()))
 
 
-def calls(A, l, matvec):
-    """(name, thunk) of every public routine on ``A`` at sample size ``l``."""
+def calls(A, l, form):
+    """(name, thunk) of every public routine on ``A``, in the input ``form``, at
+    sample size ``l``."""
     m, n = A.shape
-    op = MatvecOnly(A) if matvec else A
+    op = FORMS[form](A)
     k = min(m, n)
     J, I = np.arange(l), np.arange(l)
     for emb in EMBEDDINGS:
@@ -87,7 +92,7 @@ def calls(A, l, matvec):
                 op, make_embedding(e, l, n, seed=4), 1)
     yield "select_leverage", lambda: select_leverage(op, 1, l, seed=5)
     yield "build_cur_stable", lambda: build_cur_stable(op, I, J)
-    if matvec:
+    if form != "dense":
         return
     for pivot in ("lupp", "cpqr"):
         yield f"select_streaming-{pivot}", lambda p=pivot: select_streaming(
@@ -109,15 +114,16 @@ def calls(A, l, matvec):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(KINDS), shape=st.sampled_from(SHAPES), full=st.booleans(),
-       matvec=st.booleans(), seed=st.integers(0, 3))
-@example(kind="huge", shape=(7, 7), full=True, matvec=False, seed=0)   # rangefinder_error norm
-@example(kind="huge", shape=(6, 4), full=False, matvec=False, seed=0)  # plain power iterations
-@example(kind="max-fill", shape=(7, 7), full=True, matvec=True, seed=0)
-def test_returns_finite_or_raises_quietly(kind, shape, full, matvec, seed, capfd):
+       form=st.sampled_from(sorted(FORMS)), seed=st.integers(0, 3))
+@example(kind="huge", shape=(7, 7), full=True, form="dense", seed=0)   # rangefinder_error norm
+@example(kind="huge", shape=(6, 4), full=False, form="dense", seed=0)  # plain power iterations
+@example(kind="max-fill", shape=(7, 7), full=True, form="matvec", seed=0)
+@example(kind="max-fill", shape=(7, 7), full=True, form="linear-operator", seed=0)
+def test_returns_finite_or_raises_quietly(kind, shape, full, form, seed, capfd):
     A = make_input(kind, *shape, seed)
     l = min(shape) if full else 1
     capfd.readouterr()
-    for name, call in calls(A, l, matvec):
+    for name, call in calls(A, l, form):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:

@@ -122,6 +122,12 @@ class TestSelectLupp:
         sel = select_columns_lupp(A, l, 0, seed=0)
         assert set(sel.J_s) == set(range(l))
 
+    def test_sparse_sign_at_one_column(self):
+        # at l = 1 the sparse sign holds one sign per column
+        A = np.diag([1.0, 3.0, 2.0, 0.5])
+        sel = select_columns_lupp(A, 1, embedding="sparse_sign", seed=0)
+        assert list(sel.J_s) == list(sel.I_s) and sel.J_s.size == 1
+
     def test_exact_rank_recovery(self):
         rng = np.random.default_rng(1)
         k = 6
@@ -565,12 +571,6 @@ _HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
                                           _I, _J),
                  pytest.raises(ShapeMismatch, match=r"matmat returned shape \(40, 1\), "
                                r"expected \(40, 5\)"), id="cur-matmat-shape"),
-    pytest.param(lambda: build_cur_stable(MatvecOnly(_B, columns=lambda P: P[1:]), _I, _J),
-                 pytest.raises(ShapeMismatch, match=r"columns returned shape \(59, 5\)"),
-                 id="cur-columns-shape"),
-    pytest.param(lambda: build_cur_stable(MatvecOnly(_B, rows=lambda P: P[:, 1:]), _I, _J),
-                 pytest.raises(ShapeMismatch, match=r"rows returned shape \(5, 39\)"),
-                 id="cur-rows-shape"),
     pytest.param(lambda: build_cur_stable(MatvecOnly(_B[:, :8], rmatmat=lambda P: P[:-1]),
                                           _I, _J),
                  pytest.raises(ShapeMismatch, match="rmatmat returned shape"),

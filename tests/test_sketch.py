@@ -121,6 +121,10 @@ class TestSparseSign:
         assert make_sparse_sign(20, 40, seed=0).zeta == 8
         assert make_sparse_sign(5, 40, seed=0).zeta == 5
 
+    def test_one_row_holds_one_sign_per_column(self):
+        op = make_sparse_sign(1, 30, seed=0)
+        assert op.zeta == 1 and np.array_equal(np.abs(op.to_dense()), np.ones((1, 30)))
+
     def test_zeta_bounds(self):
         with pytest.raises(BadShape):
             make_sparse_sign(10, 20, zeta=1)
