@@ -36,7 +36,7 @@ times a per-routine reference.
 Data from outside the library is checked once, where it enters: each array
 argument of a public call by :func:`as_matrix` (or :func:`as_operator`),
 and each result of a matvec-only operator by
-:meth:`_MatvecOperator._checked`. Here the checked entries are
+:meth:`_MatvecOperator.matmat`. Here the checked entries are
 :func:`qr_ortho`, :func:`svd_thin`, :func:`svdvals`, :func:`lupp` and
 :func:`cpqr`; every other routine, the kernels among them, takes finite
 float64 arrays and scans none. A product of finite arrays may still leave
@@ -46,14 +46,13 @@ is handed a non-finite array, and a norm beyond the range raises.
 The randomized routines also accept a matvec-only operator, such as a
 ``scipy.sparse.linalg.LinearOperator``: an object with ``shape``,
 ``matmat(M)`` (``A @ M``) and ``rmatmat(M)`` (``A.T @ M``), each result of
-the shape that product has, else :class:`ShapeMismatch`. Its slices
-``A[:, J]`` and ``A[I, :]`` are products with unit vectors, ``|J|`` or
-``|I|`` of them, read like every other product. :func:`as_operator` wraps
-either kind once, at each public entry; it is the only code that tells them
-apart. A wrapped dense matrix returns ``columns(J)`` Fortran-ordered,
-gathered in row tiles, for the QR and LU that consume it; ``U_mid = Q_C^T A
-Q_R`` of the CUR construction is one :meth:`Operator.sandwich`, in the order
-of fewer multiply-adds.
+the shape that product has, else :class:`ShapeMismatch`. :func:`as_operator`
+wraps either kind once, at each public entry, and is the only code that
+tells them apart. Each kind states one side: ``matmat``, ``columns``,
+``right_sketch`` and the transpose view ``T``; every transposed member is
+its twin on ``T``. A matvec-only operator's slices are products with unit
+vectors, read like every other product; a dense one's are gathered in row
+tiles, Fortran-ordered for the QR and LU that consume them.
 """
 
 from __future__ import annotations
@@ -210,29 +209,36 @@ def _child_seeds(seed, n):
 
 class Operator:
     """A dense matrix under the operator protocol, plus its sketches by an
-    embedding. Build it with :func:`as_operator`."""
+    embedding. Build it with :func:`as_operator`. Its transposed members are
+    their twins on ``T``: ``rmatmat(M)`` is ``T.matmat(M)`` and ``rows(I)``
+    is ``T.columns(I).T``, C-ordered."""
 
     def __init__(self, A):
         self.A, self.shape = A, tuple(A.shape)
+
+    @property
+    def T(self):
+        return Operator(self.A.T)
 
     def matmat(self, M):
         return self.A @ M
 
     def rmatmat(self, M):
-        return self.A.T @ M
+        return self.T.matmat(M)
 
     def columns(self, J):
         """``A[:, J]`` as a Fortran-ordered ``m x |J|`` block (the transpose of
-        a C-ordered ``|J| x m`` buffer filled one row tile at a time)."""
+        a C-ordered ``|J| x m`` buffer filled one row tile at a time); a tile is
+        gathered by fancy index, which, unlike ``np.take``, copies no view whole."""
         J = np.asarray(J, dtype=np.intp)
         m = self.shape[0]
         out = np.empty((J.size, m))
         for i in range(0, m, _GATHER_ROWS):
-            out[:, i:i + _GATHER_ROWS] = np.take(self.A[i:i + _GATHER_ROWS], J, axis=1).T
+            out[:, i:i + _GATHER_ROWS] = self.A[i:i + _GATHER_ROWS][:, J].T
         return out.T
 
     def rows(self, I):
-        return np.ascontiguousarray(self.A[I, :])
+        return np.ascontiguousarray(self.T.columns(I).T)
 
     def sandwich(self, L, R):
         """``L.T @ A @ R`` in the order of fewer multiply-adds, as
@@ -245,12 +251,8 @@ class Operator:
         return L.T @ self.matmat(R)
 
     def _left_product(self, L):
-        """``L.T @ A``."""
+        """``L.T @ A``, faster than ``(A^T L)^T`` on a C-ordered ``A``."""
         return L.T @ self.A
-
-    def left_sketch(self, emb):
-        """``G @ A`` for an embedding ``G`` of the rows, by its unchecked body."""
-        return emb._sketch(self.A)
 
     def right_sketch(self, emb):
         """``A @ G.T`` for an embedding ``G`` of the columns, by its unchecked body
@@ -260,9 +262,10 @@ class Operator:
 
 class _MatvecOperator(Operator):
     """Products are the operator's; a slice is the product with a block of unit
-    vectors, and a sketch materializes the embedding."""
+    vectors, and a sketch materializes the embedding. ``T`` is the same object
+    with ``matmat`` and ``rmatmat`` swapped."""
 
-    def __init__(self, A):
+    def __init__(self, A, transposed=False):
         missing = [name for name in ("matmat", "rmatmat") if not callable(getattr(A, name, None))]
         if missing:
             raise BadShape(f"matvec-only operator lacks {', '.join(missing)}")
@@ -271,60 +274,45 @@ class _MatvecOperator(Operator):
         except (AttributeError, TypeError, ValueError):
             raise BadShape("matvec-only operator needs a shape (m, n), "
                            f"got {getattr(A, 'shape', None)!r}") from None
-        self.A, self.shape = A, (_count(m, "shape[0]", 0), _count(n, "shape[1]", 0))
+        shape = (_count(m, "shape[0]", 0), _count(n, "shape[1]", 0))
+        self.A, self._transposed = A, transposed
+        self.shape = shape[::-1] if transposed else shape
 
-    def _checked(self, member, arg, shape):
-        """The operator's ``member`` of ``arg``: :class:`ShapeMismatch` unless it
-        has ``shape``, else read by :func:`as_matrix`, as data from outside."""
-        out = getattr(self.A, member)(arg)
+    @property
+    def T(self):
+        return _MatvecOperator(self.A, not self._transposed)
+
+    def matmat(self, M):
+        """The operator's own product with ``M``, its ``rmatmat`` on the view
+        ``T``: :class:`ShapeMismatch` naming that member unless the result has
+        the product's shape, else read by :func:`as_matrix`."""
+        member = "rmatmat" if self._transposed else "matmat"
+        out, shape = getattr(self.A, member)(M), (self.shape[0], M.shape[1])
         if np.shape(out) != shape:
             raise ShapeMismatch(f"operator {member} returned shape {np.shape(out)}, "
                                 f"expected {shape}")
         return as_matrix(out, f"operator {member}")
 
-    def matmat(self, M):
-        return self._checked("matmat", M, (self.shape[0], M.shape[1]))
-
-    def rmatmat(self, M):
-        return self._checked("rmatmat", M, (self.shape[1], M.shape[1]))
-
     def columns(self, J):
-        return self.matmat(_unit_vectors(self.shape[1], J))
-
-    def rows(self, I):
-        return np.ascontiguousarray(self.rmatmat(_unit_vectors(self.shape[0], I)).T)
+        E = np.zeros((self.shape[1], len(J)))  # column t is the unit vector e_J[t]
+        E[J, np.arange(len(J))] = 1.0
+        return self.matmat(E)
 
     def _left_product(self, L):
         return self.rmatmat(L).T
 
-    def left_sketch(self, emb):
-        return np.ascontiguousarray(self.rmatmat(_embedding_matrix(emb, self.shape[0]).T).T)
-
     def right_sketch(self, emb):
-        return self.matmat(np.ascontiguousarray(_embedding_matrix(emb, self.shape[1]).T))
-
-
-def _unit_vectors(dim, idx):
-    """The ``dim x |idx|`` block whose column ``t`` is the unit vector ``e_idx[t]``."""
-    E = np.zeros((dim, len(idx)))
-    E[idx, np.arange(len(idx))] = 1.0
-    return E
-
-
-def _embedding_matrix(emb, dim):
-    if emb.in_dim != dim:
-        raise ShapeMismatch(f"embedding expects dimension {emb.in_dim}, got {dim}")
-    return emb.to_dense()
+        if emb.in_dim != self.shape[1]:
+            raise ShapeMismatch(f"embedding expects dimension {emb.in_dim}, got {self.shape[1]}")
+        return self.matmat(np.ascontiguousarray(emb.to_dense().T))
 
 
 def as_operator(A):
     """Wrap ``A`` once as an :class:`Operator`. An input with ``matmat`` or
     ``rmatmat`` must carry both and a ``shape`` of two counts, else
-    :class:`BadShape`; its ``columns(J)`` is ``matmat`` of the ``|J|`` unit
-    vectors ``e_j`` and ``rows(I)`` the transpose of ``rmatmat`` of the ``|I|``
-    ones, so a slice costs ``|J|`` or ``|I|`` products and one ``n x |J|`` or
-    ``m x |I|`` unit block. Any other input is validated by :func:`as_matrix`
-    and not copied when already C-ordered float64."""
+    :class:`BadShape`; a slice of it costs ``|J|`` or ``|I|`` products and one
+    ``n x |J|`` or ``m x |I|`` unit block. Any other input is validated by
+    :func:`as_matrix` and not copied when already C-ordered float64."""
     if isinstance(A, Operator):
         return A
     if hasattr(A, "matmat") or hasattr(A, "rmatmat"):
@@ -855,24 +843,43 @@ def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):
     ``apply``/``apply_adjoint`` are matvec oracles for ``A`` and ``A^T``,
     ``dim`` the domain dimension of ``A``. The returned value is
     ``||A v||_2`` for a unit vector ``v``, hence never exceeds the true
-    spectral norm.
+    spectral norm. Each product is read by :func:`_product`.
     """
+    dim = _count(dim, "dim", 0)
     if dim == 0:
         raise ZeroDimension("operator has dimension zero")
     iters = _count(iters, "iters", 1)
     rng = np.random.default_rng(_seed_sequence(seed))
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    est = 0.0
+    est, rows = 0.0, None
     for _ in range(iters):
-        w = np.asarray(apply(v), dtype=np.float64)
-        wn = np.linalg.norm(w)
+        w, wn = _product(apply, "apply", v, rows)
         if wn == 0.0:
             return 0.0
-        est = wn
-        v = np.asarray(apply_adjoint(w), dtype=np.float64)
-        vn = np.linalg.norm(v)
+        est, rows = wn, w.size
+        v, vn = _product(apply_adjoint, "apply_adjoint", w, dim)
         if vn == 0.0:
             return 0.0
         v /= vn
     return float(est)
+
+
+def _product(oracle, name, x, size):
+    """``oracle(x)`` as a finite float64 vector (of length ``size`` unless None)
+    and its 2-norm, else :class:`BadShape` or :class:`ShapeMismatch` naming ``name``."""
+    out = oracle(x)
+    try:
+        y = np.asarray(out, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadShape(f"{name} must return a numeric vector, got {type(out).__name__}") from None
+    if y.ndim != 1:
+        raise BadShape(f"{name} must return a vector, got shape {y.shape}")
+    if size is not None and y.size != size:
+        raise ShapeMismatch(f"{name} returned length {y.size}, expected {size}")
+    if not np.isfinite(y).all():
+        raise BadShape(f"{name} returned non-finite entries")
+    norm = _norm_fro(y)
+    if norm == np.inf:
+        raise BadShape(f"the norm of the {name} product exceeds the float range")
+    return y, norm

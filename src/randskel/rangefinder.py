@@ -17,7 +17,7 @@ import numpy as np
 from .dense import (_count, _in_range, _norm_fro, _project_out, _svd, as_matrix, as_operator, orth,
                     qr_checked, spectral_norm)
 from .errors import BadShape, ShapeMismatch
-from .sketch import make_embedding
+from .sketch import _as_embedding, make_embedding
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,27 @@ class LowRankSVD:
         return (self.U_hat * self.sigma_hat) @ self.V_hat.T
 
 
+def _power(A, omega, q, step, basis=lambda Y: Y):
+    """``basis`` of ``(A A^T)^q A Omega^T``, taken after the sketch and after
+    every product: the one power iteration, which the pivoting selectors run
+    on ``A^T`` for their row sketch. ``q`` is read first, then ``A`` and
+    ``omega``; a product that leaves the float range raises
+    :class:`BadShape` naming ``step``."""
+    q = _count(q, "q", 0)
+    A = as_operator(A)
+    Y = basis(_in_range(step, A.right_sketch, _as_embedding(omega, "omega")))
+    for _ in range(q):
+        Y = basis(_in_range(step, A.matmat, basis(_in_range(step, A.rmatmat, Y))))
+    return Y
+
+
 def power_iter_plain(A, omega, q):
     """(A A^T)^q A Omega^T by repeated multiplication.
 
     Exact per the defining product, but numerically unstable for q > 1 on
     ill-conditioned inputs; prefer :func:`power_iter_stable` there.
     """
-    q = _count(q, "q", 0)
-    A = as_operator(A)
-    step = "the plain power iteration (A A^T)^q A Omega^T"
-    Y = _in_range(step, A.right_sketch, omega)
-    for _ in range(q):
-        Y = _in_range(step, lambda: A.matmat(A.rmatmat(Y)))
-    return Y
+    return _power(A, omega, q, "the plain power iteration (A A^T)^q A Omega^T")
 
 
 def power_iter_stable(A, omega, q):
@@ -61,13 +69,7 @@ def power_iter_stable(A, omega, q):
     detected rank instead of raising, so the basis may have fewer than l
     columns; only an input with no nonzero direction raises RankDeficient.
     """
-    q = _count(q, "q", 0)
-    A = as_operator(A)
-    step = "a product of the stable power iteration"
-    Q = orth(_in_range(step, A.right_sketch, omega))
-    for _ in range(q):
-        Q = orth(_in_range(step, A.matmat, orth(_in_range(step, A.rmatmat, Q))))
-    return Q
+    return _power(A, omega, q, "a product of the stable power iteration", orth)
 
 
 #: Default oversampling margin when only a target rank is given.

@@ -29,8 +29,8 @@ from .errors import (
     SingularSkeleton,
     StreamExhausted,
 )
-from .rangefinder import randomized_svd
-from .sketch import make_embedding, sketch_rows
+from .rangefinder import _power, randomized_svd
+from .sketch import make_embedding
 
 #: Column width of the internal panels of the streamed sketches (:func:`_panels`).
 #: Re-chunking to fixed panels makes results bitwise independent of how the
@@ -61,7 +61,10 @@ class ColumnID:
     coeffs: np.ndarray  # l x n
 
     def reconstruct(self, A):
-        return as_matrix(A, "A")[:, self.J_s] @ self.coeffs
+        A = as_matrix(A, "A")
+        if A.shape[1] != self.coeffs.shape[1]:
+            raise ShapeMismatch(f"A has {A.shape[1]} columns, the column ID {self.coeffs.shape[1]}")
+        return A[:, self.J_s] @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,10 @@ class RowID:
     coeffs: np.ndarray  # m x l
 
     def reconstruct(self, A):
-        return self.coeffs @ as_matrix(A, "A")[self.I_s, :]
+        A = as_matrix(A, "A")
+        if A.shape[0] != self.coeffs.shape[0]:
+            raise ShapeMismatch(f"A has {A.shape[0]} rows, the row ID {self.coeffs.shape[0]}")
+        return self.coeffs @ A[self.I_s, :]
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,6 @@ def _column_pivots(pivot, M, count):
     return perm[:min(count, rank)], rank
 
 
-def _plain_power_sketch(A, l, q, seed, embedding):
-    """Row approximator Gamma (A A^T)^q A; q = 0 is the plain row sketch."""
-    gamma = make_embedding(embedding, l, A.shape[0], seed=seed)
-    X = sketch_rows(gamma, A)
-    for _ in range(q):
-        T = np.ascontiguousarray(A.matmat(X.T).T)    # X A^T  (l x m)
-        X = np.ascontiguousarray(A.rmatmat(T.T).T)   # (X A^T) A  (l x n)
-    return X
-
-
 def _skeleton(A, X, l, pivot, method, seed):
     """Column pivots of the row approximator ``X``, then row pivots of the
     chosen columns of ``A``, with ``eta`` of the column skeleton."""
@@ -158,7 +154,8 @@ def _select_on_sketch(A, l, q, seed, embedding, pivot):
     q = _count(q, "q", 0, 1)
     A = as_operator(A)
     l = _count(l, "l", 1, min(A.shape))
-    X = _in_range("the plain power iteration", _plain_power_sketch, A, l, q, seed, embedding)
+    gamma = make_embedding(embedding, l, A.shape[0], seed=seed)
+    X = _power(A.T, gamma, q, "the plain power iteration").T  # Gamma (A A^T)^q A
     method = f"rand-{pivot}-1piter" if q == 1 else f"rand-{pivot}"
     return _skeleton(A, X, l, pivot, method, seed)
 
@@ -260,6 +257,11 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
         raise BadShape(f"pivot must be 'lupp' or 'cpqr', got {pivot!r}")
     m, n = _count(m, "m", 1), _count(n, "n", 1)
     l = _count(l, "l", 1, min(m, n))
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise BadShape("blocks must be an iterable of column blocks, "
+                       f"got {type(blocks).__name__}") from None
     # the row embedding matches select_columns_lupp's draw for the same seed,
     # so a single-block stream reproduces its column pivots exactly
     gamma = make_embedding("gaussian", l, m, seed=seed)
@@ -288,6 +290,8 @@ def streaming_interp_coeffs(result):
     exact coefficients that avoids a second pass over the input. ``X1`` has
     full column rank: the pivots are cut at the detected rank.
     """
+    if not isinstance(result, SkeletonResult):
+        raise BadShape(f"result must be a SkeletonResult, got {type(result).__name__}")
     if result.X is None:
         raise BadShape("result carries no row sketch")
     X = as_matrix(result.X, "X")

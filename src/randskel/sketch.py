@@ -232,8 +232,16 @@ def make_embedding(kind, l, m, seed=None):
     return factory(l, m, seed=seed)
 
 
+def _as_embedding(op, name):
+    """``op`` if it is an embedding, else :class:`BadShape` naming ``name``."""
+    if not isinstance(op, SketchOperator):
+        raise BadShape(f"{name} must be an embedding from make_embedding, got {type(op).__name__}")
+    return op
+
+
 def sketch_rows(op, A):
     """Row sketch ``X = G @ A`` of a dense matrix or a matvec-only operator
-    (``shape``, ``matmat`` and ``rmatmat``; only ``rmatmat`` forms the sketch,
-    from the materialized embedding)."""
-    return as_operator(A).left_sketch(op)
+    (``shape``, ``matmat`` and ``rmatmat``): the transposed column sketch of
+    ``A^T``, ``(A^T G^T)^T``, so only ``rmatmat`` forms it for an operator,
+    from the materialized embedding."""
+    return as_operator(A).T.right_sketch(_as_embedding(op, "op")).T

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import aslinearoperator
 from hypothesis import given, settings, strategies as st
 
 from randskel import (build_cur_stable, cpqr, lupp, make_gaussian, power_iter_plain, qr_ortho,
@@ -343,6 +344,38 @@ class TestOperatorColumns:
         assert as_operator(snn).rows(J).tobytes() == snn.rows(J).tobytes()
 
 
+_FORMS = {"dense": lambda A: A, "matvec": MatvecOnly, "linear-operator": aslinearoperator}
+
+
+class TestTransposeView:
+    """Each operator kind states one side; every transposed member is its twin on ``T``."""
+
+    A = np.random.default_rng(12).standard_normal((13, 7))
+
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_transposed_members_are_twins_on_t(self, form):
+        op, I = as_operator(_FORMS[form](self.A)), [4, 0, 4, 12]
+        M = np.random.default_rng(13).standard_normal((13, 3))
+        assert op.T.shape == (7, 13)
+        assert op.rows(I).tobytes() == np.ascontiguousarray(op.T.columns(I).T).tobytes()
+        assert op.rows(I).tobytes() == self.A[I, :].tobytes()
+        assert op.rmatmat(M).tobytes() == op.T.matmat(M).tobytes()
+
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_t_of_t_is_the_operator(self, form):
+        op = as_operator(_FORMS[form](self.A))
+        M = np.random.default_rng(14).standard_normal((7, 2))
+        assert op.T.T.shape == op.shape == (13, 7)
+        assert op.T.T.matmat(M).tobytes() == op.matmat(M).tobytes()
+        assert op.T.T.columns([6, 1]).tobytes() == op.columns([6, 1]).tobytes()
+
+    def test_wrong_result_on_t_names_rmatmat(self):
+        op = as_operator(MatvecOnly(self.A, rmatmat=lambda P: P[:-1]))
+        with pytest.raises(ShapeMismatch, match=r"^operator rmatmat returned shape \(6, 2\), "
+                                                r"expected \(7, 2\)$"):
+            op.T.matmat(np.ones((13, 2)))
+
+
 class TestCpqr:
     def test_norm_dominant_first_pivot(self):
         M = np.array([[0.0, 5.0], [1.0, 0.0]])
@@ -666,10 +699,10 @@ class TestSpectralNormEstimate:
 
 
 def _sketch_snn_with_wrong_embedding():
-    from randskel import SnnParams, gen_snn_operator, make_gaussian, snn_weights
+    from randskel import SnnParams, gen_snn_operator, make_gaussian, sketch_rows, snn_weights
 
     op = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=0.5, seed=0))
-    as_operator(op).left_sketch(make_gaussian(3, 7, seed=0))
+    sketch_rows(make_gaussian(3, 7, seed=0), op)
 
 
 def _operator(**members):
@@ -678,6 +711,12 @@ def _operator(**members):
     A = np.ones((5, 4))
     own = dict(shape=A.shape, matmat=lambda M: A @ M, rmatmat=lambda M: A.T @ M)
     return types.SimpleNamespace(**{k: v for k, v in {**own, **members}.items() if v is not None})
+
+
+def _growing():
+    """An ``apply`` whose results grow by one entry per call, from length 3."""
+    calls = iter(range(3, 100))
+    return lambda v: np.ones(next(calls))
 
 
 def _run_at_threads(n):
@@ -714,6 +753,27 @@ _OPERATOR_CALLS = [
                  id="estimate-iters<1"),
     *size_cases("estimate-iters", "iters",
                 lambda i: spectral_norm_estimate(lambda v: v, lambda w: w, 3, i), 2, 0),
+    *size_cases("estimate-dim", "dim",
+                lambda d: spectral_norm_estimate(lambda v: v, lambda w: w, d, 2), 3, -2),
+    *[pytest.param(lambda apply=apply, adjoint=adjoint: spectral_norm_estimate(
+        apply, adjoint, 3, 2, seed=0), pytest.raises(error, match=match), id=f"estimate-{tag}")
+      for tag, apply, adjoint, error, match in (
+          ("apply-none", lambda v: None, lambda w: w, BadShape, "^apply must return a vector"),
+          ("apply-nan", lambda v: v * np.nan, lambda w: w, BadShape,
+           "^apply returned non-finite entries$"),
+          ("apply-inf", lambda v: v * np.inf, lambda w: w, BadShape,
+           "^apply returned non-finite entries$"),
+          ("apply-text", lambda v: "abc", lambda w: w, BadShape,
+           "^apply must return a numeric vector"),
+          ("adjoint-length", lambda v: np.ones(4), lambda w: w, ShapeMismatch,
+           r"^apply_adjoint returned length 4, expected 3$"),
+          ("adjoint-2-d", lambda v: v, lambda w: w[:, None], BadShape,
+           r"^apply_adjoint must return a vector, got shape \(3, 1\)$"),
+          ("norm-overflow", lambda v: np.full(4, 1.5e308), lambda w: w[:3], BadShape,
+           "^the norm of the apply product exceeds the float range$"))],
+    pytest.param(lambda: spectral_norm_estimate(_growing(), lambda w: w[:3], 3, 2, seed=0),
+                 pytest.raises(ShapeMismatch, match=r"^apply returned length 4, expected 3$"),
+                 id="estimate-apply-length-changes"),
     *size_cases("blas-threads", "n", _run_at_threads, 2, 0),
     pytest.param(lambda: as_operator(_operator(matmat=None)),
                  pytest.raises(BadShape, match="lacks matmat$"), id="operator-no-matmat"),

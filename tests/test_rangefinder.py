@@ -219,6 +219,10 @@ _B = np.random.default_rng(31).standard_normal((60, 40))
     pytest.param(lambda: power_iter_plain(_HUGE, make_gaussian(2, 4, seed=0), 1),
                  pytest.raises(BadShape, match=r"^the plain power iteration \(A A\^T\)\^q A "
                                r"Omega\^T overflows"), id="plain-overflow"),
+    pytest.param(lambda: power_iter_plain(_A, "gaussian", 1),
+                 pytest.raises(BadShape, match="^omega must be an embedding"), id="plain-omega"),
+    pytest.param(lambda: power_iter_stable(_A, None, 1),
+                 pytest.raises(BadShape, match="^omega must be an embedding"), id="stable-omega"),
     *size_cases("plain-q", "q", lambda q: power_iter_plain(_A, _OMEGA, q), 1, -1),
     *size_cases("stable-q", "q", lambda q: power_iter_stable(_A, _OMEGA, q), 1, -1),
     *size_cases("rsvd-l", "l", lambda l: randomized_svd(_A, l), 3, 7),

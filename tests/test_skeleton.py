@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 from randskel import (
     SnnParams,
@@ -11,7 +12,9 @@ from randskel import (
     estimate_cur_from_skeletons,
     gen_snn,
     lupp,
+    make_embedding,
     posterior_eta,
+    power_iter_plain,
     select_columns_cpqr,
     select_columns_lupp,
     select_deim,
@@ -29,6 +32,7 @@ from randskel.errors import (
     SingularSkeleton,
     StreamExhausted,
 )
+from randskel.dense import as_operator
 from randskel.skeleton import _column_pivots, _sample_without_replacement
 from oracles import (
     MatvecOnly,
@@ -537,7 +541,21 @@ def test_low_precision_operator_products_are_factored_in_float64(select, dtype):
     assert got.eta_column == want.eta_column
 
 
+@pytest.mark.parametrize("form", ["dense", "matvec", "linear-operator"])
+@pytest.mark.parametrize("kind", ["gaussian", "srtt", "sparse_sign"])
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("select", [select_columns_lupp, select_columns_cpqr])
+def test_row_sketch_is_the_power_iteration_on_the_transpose(select, q, kind, form):
+    # X = Gamma (A A^T)^q A is power_iter_plain on A^T with the same Gamma, transposed
+    A = np.random.default_rng(35).standard_normal((40, 25))
+    op = {"dense": A, "matvec": MatvecOnly(A), "linear-operator": aslinearoperator(A)}[form]
+    sel = select(op, 6, q, seed=3, embedding=kind)
+    want = power_iter_plain(as_operator(op).T, make_embedding(kind, 6, 40, seed=3), q).T
+    assert sel.X.shape == (6, 25) and sel.X.tobytes() == want.tobytes()
+
+
 _A = np.random.default_rng(31).standard_normal((8, 6))
+_C = np.random.default_rng(34).standard_normal((20, 12))
 _B = np.random.default_rng(32).standard_normal((60, 40))
 _I, _J = np.arange(5), np.arange(5)
 #: A finite input whose plain power iteration leaves the float range.
@@ -553,6 +571,18 @@ _HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
                  id="streaming-block-height"),
     pytest.param(lambda: streaming_interp_coeffs(select_leverage(_A, 2, 3, seed=0)), BadShape,
                  id="interp-coeffs-without-X"),
+    pytest.param(lambda: select_streaming(None, 3, m=20, n=12),
+                 pytest.raises(BadShape, match="^blocks must be an iterable"),
+                 id="streaming-blocks-none"),
+    pytest.param(lambda: streaming_interp_coeffs(None),
+                 pytest.raises(BadShape, match="^result must be a SkeletonResult"),
+                 id="interp-coeffs-none"),
+    *[pytest.param(lambda size=size: build_column_id(_C, [0, 1, 2]).reconstruct(_C[:, :size]),
+                   pytest.raises(ShapeMismatch, match=f"^A has {size} columns, the column ID 12$"),
+                   id=f"column-id-reconstruct-{size}-columns") for size in (10, 2)],
+    *[pytest.param(lambda size=size: build_row_id(_C, [0, 1, 2]).reconstruct(_C[:size]),
+                   pytest.raises(ShapeMismatch, match=f"^A has {size} rows, the row ID 20$"),
+                   id=f"row-id-reconstruct-{size}-rows") for size in (8, 2)],
     pytest.param(lambda: build_two_sided_id(_A, [0, 1], [0]), ShapeMismatch,
                  id="two-sided-sizes"),
     pytest.param(lambda: _sample_without_replacement(np.random.default_rng(0), np.zeros(5), 2),

@@ -283,6 +283,8 @@ def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
     pytest.param(lambda: make_gaussian(3, 5, seed=0).apply_t(np.full((2, 5), -np.inf)),
                  pytest.raises(BadShape, match="^A contains non-finite entries$"),
                  id="apply-t-inf"),
+    pytest.param(lambda: sketch_rows("gaussian", np.ones((5, 3))),
+                 pytest.raises(BadShape, match="^op must be an embedding"), id="sketch-rows-op"),
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):
