@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _gesdd, _in_range, _norm_fro, _project_out, _r_checked,
-                    _real, _spectrum, as_matrix, lstsq_full_rank, qr_checked, solve_upper,
-                    spectral_norm, spectral_norm_estimate)
+from .dense import (_child_seeds, _count, _floats, _gesdd, _in_range, _norm_fro, _project_out,
+                    _r_checked, _real, _spectrum, as_matrix, lstsq_full_rank, qr_checked,
+                    solve_upper, spectral_norm, spectral_norm_estimate)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -265,11 +265,11 @@ def unbiased_estimates(sigma, k, l, q, n_trials, seed=None, side="left"):
 
 def _posterior_spectrum(sigma, k):
     """The first ``k`` entries of ``sigma``, the only ones a bound reads, by
-    :func:`_spectrum`; :class:`ShapeMismatch` if a vector ``sigma`` has fewer."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim == 1 and sigma.size < k:
+    :func:`_spectrum`; :class:`ShapeMismatch` if ``sigma`` has fewer."""
+    sigma = _floats(sigma, "sigma", (1,))
+    if sigma.size < k:
         raise ShapeMismatch(f"spectrum shorter than k={k}")
-    return _spectrum(sigma[:k] if sigma.ndim == 1 else sigma, "sigma")
+    return _spectrum(sigma[:k], "sigma")
 
 
 def _simple_bound(s_res, sigma, k):

@@ -23,8 +23,9 @@ scipy's, a second runtime with its own threads.
   greedy column pivoting,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
 * :func:`_seed_sequence`, :func:`_child_seeds`, :func:`_count`,
-  :func:`_real` and :func:`_spectrum` -- the one reading of a seed, a size
-  or count, a real parameter and a spectrum,
+  :func:`_real`, :func:`_floats` and :func:`_spectrum` -- the one reading of
+  a seed, a size or count, a real parameter, a real numeric array (complex,
+  text or ragged input raises :class:`BadShape`) and a spectrum,
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
@@ -36,7 +37,8 @@ times a per-routine reference.
 Data from outside the library is checked once, where it enters: each array
 argument of a public call by :func:`as_matrix` (or :func:`as_operator`),
 and each result of a matvec-only operator by
-:meth:`_MatvecOperator.matmat`. Here the checked entries are
+:meth:`_MatvecOperator.matmat`; :func:`_floats` alone reads such an array,
+a spectrum and an oracle's vector too. Here the checked entries are
 :func:`qr_ortho`, :func:`svd_thin`, :func:`svdvals`, :func:`lupp` and
 :func:`cpqr`; every other routine, the kernels among them, takes finite
 float64 arrays and scans none. A product of finite arrays may still leave
@@ -90,14 +92,27 @@ _TSQR_NB = 32
 
 
 def as_matrix(a, name="matrix"):
-    """Validate ``a`` as a finite 2-D float64 array and return it C-ordered."""
-    try:
-        arr = np.ascontiguousarray(a, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise BadShape(f"{name} must be a numeric array, got {type(a).__name__}") from None
-    if arr.ndim != 2:
-        raise BadShape(f"{name} must be 2-D, got ndim={arr.ndim}")
+    """``a`` read by :func:`_floats` as a 2-D array, C-ordered and checked finite."""
+    arr = np.ascontiguousarray(_floats(a, name, (2,)))
     return _check_finite(arr, f"{name} contains non-finite entries")
+
+
+def _floats(value, name, ndims):
+    """``value`` as a float64 array with a number of dimensions in ``ndims`` (any
+    when None), in the caller's memory layout, copied only to cast a bool,
+    integer or real dtype. Anything else (complex, text, ``None``, a ragged
+    list, an object) raises :class:`BadShape` naming ``name``."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged nest of lists
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "biuf":
+        raise BadShape(f"{name} must be a real numeric {'vector' if ndims == (1,) else 'array'}, "
+                       f"got {type(value).__name__ if arr.dtype == object else arr.dtype}")
+    if ndims is not None and arr.ndim not in ndims:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise BadShape(f"{name} must be {dims}, got shape {arr.shape}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _check_finite(arr, message):
@@ -182,11 +197,8 @@ def _spectrum(values, name, size=None):
     """``values`` as a non-empty float64 vector (of length ``size`` when given)
     that is finite, positive and nonincreasing to within 1e-15. Anything else
     raises :class:`BadShape` naming ``name`` and the first entry at fault."""
-    try:
-        s = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise BadShape(f"{name} must be a numeric vector, got {type(values).__name__}") from None
-    if s.ndim != 1 or s.size == 0 or size is not None and s.size != size:
+    s = _floats(values, name, (1,))
+    if s.size == 0 or size is not None and s.size != size:
         length = "non-empty" if size is None else f"length-{size}"
         raise BadShape(f"{name} must be a {length} vector, got shape {s.shape}")
     bad = np.flatnonzero(~(np.isfinite(s) & (s > 0)))
@@ -284,13 +296,13 @@ class _MatvecOperator(Operator):
 
     def matmat(self, M):
         """The operator's own product with ``M``, its ``rmatmat`` on the view
-        ``T``: :class:`ShapeMismatch` naming that member unless the result has
-        the product's shape, else read by :func:`as_matrix`."""
+        ``T``, read by :func:`_floats`: :class:`ShapeMismatch` naming that
+        member unless it has the product's shape, else read by :func:`as_matrix`."""
         member = "rmatmat" if self._transposed else "matmat"
-        out, shape = getattr(self.A, member)(M), (self.shape[0], M.shape[1])
-        if np.shape(out) != shape:
-            raise ShapeMismatch(f"operator {member} returned shape {np.shape(out)}, "
-                                f"expected {shape}")
+        shape = (self.shape[0], M.shape[1])
+        out = _floats(getattr(self.A, member)(M), f"operator {member}", None)
+        if out.shape != shape:
+            raise ShapeMismatch(f"operator {member} returned shape {out.shape}, expected {shape}")
         return as_matrix(out, f"operator {member}")
 
     def columns(self, J):
@@ -868,13 +880,7 @@ def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):
 def _product(oracle, name, x, size):
     """``oracle(x)`` as a finite float64 vector (of length ``size`` unless None)
     and its 2-norm, else :class:`BadShape` or :class:`ShapeMismatch` naming ``name``."""
-    out = oracle(x)
-    try:
-        y = np.asarray(out, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise BadShape(f"{name} must return a numeric vector, got {type(out).__name__}") from None
-    if y.ndim != 1:
-        raise BadShape(f"{name} must return a vector, got shape {y.shape}")
+    y = _floats(oracle(x), f"{name} result", (1,))
     if size is not None and y.size != size:
         raise ShapeMismatch(f"{name} returned length {y.size}, expected {size}")
     if not np.isfinite(y).all():

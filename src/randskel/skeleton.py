@@ -183,7 +183,7 @@ def select_deim(A, l, q=0, seed=None, embedding="gaussian"):
 
 
 def _sample_without_replacement(rng, scores, count):
-    scores = np.asarray(scores, dtype=np.float64).copy()
+    scores = scores.copy()
     if scores.max(initial=0.0) < 1e-15:
         raise DegenerateDistribution("all sampling scores below 1e-15")
     picked = np.empty(count, dtype=np.intp)
@@ -302,14 +302,12 @@ def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):
     """One-pass middle-factor estimate ``C S^{-1} R``.
 
     Disabled by default: inverting the skeleton block trades away both
-    accuracy and stability, so callers must opt in explicitly. ``S`` must be
-    square, fit ``C`` and ``R``, and be numerically nonsingular.
+    accuracy and stability, so callers opt in with a bool ``True`` only.
+    ``S`` must be square, fit ``C`` and ``R``, and be numerically nonsingular.
     """
-    if not allow_unstable:
-        raise BadShape(
-            "C S^{-1} R estimation is numerically unstable; "
-            "pass allow_unstable=True to opt in"
-        )
+    if not (isinstance(allow_unstable, (bool, np.bool_)) and allow_unstable):
+        raise BadShape("C S^{-1} R estimation is numerically unstable; pass "
+                       f"allow_unstable=True to opt in, got allow_unstable={allow_unstable!r}")
     C, S, R = as_matrix(C, "C"), as_matrix(S, "S"), as_matrix(R, "R")
     l = S.shape[0]
     if S.shape != (l, l) or C.shape[1] != l or R.shape[0] != l:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _check_finite, _count, _seed_sequence, as_matrix, as_operator
+from .dense import _check_finite, _count, _floats, _seed_sequence, as_operator
 from .errors import BadShape, ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
@@ -55,19 +55,15 @@ class SketchOperator:
 
     def apply(self, A):
         """Return ``G @ A`` for a finite ``A`` with ``in_dim`` rows (or a vector)."""
-        try:
-            arr = np.asarray(A, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise BadShape(f"operand must be a numeric array, got {type(A).__name__}") from None
-        if arr.ndim not in (1, 2):
-            raise BadShape(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
+        arr = _floats(A, "operand", (1, 2))
         out = self._sketch(_check_finite(arr[:, None] if arr.ndim == 1 else arr,
                                          "operand contains non-finite entries"))
         return out[:, 0] if arr.ndim == 1 else out
 
     def apply_t(self, A):
-        """Return ``A @ G.T`` for a finite ``A`` with ``in_dim`` columns."""
-        return np.ascontiguousarray(self._sketch(as_matrix(A, "A").T).T)
+        """Return ``A @ G.T`` for a finite ``A`` with ``in_dim`` columns: the
+        column sketch of :func:`~randskel.dense.as_operator` of ``A``."""
+        return as_operator(A).right_sketch(self)
 
     def _sketch(self, A):
         """``G @ A`` for a 2-D float64 ``A``, checked for its row count only."""

@@ -194,14 +194,13 @@ def spectrum_values(profile, r):
     nonincreasing)."""
     r = _count(r, "r", 1)
     i = np.arange(1, r + 1, dtype=np.float64)
-    if isinstance(profile, SlowDecay):
-        s = np.where(i <= profile.r1, 1.0, 1.0 / np.sqrt(np.maximum(i - profile.r1 + 1, 1.0)))
-    elif isinstance(profile, FastDecay):
-        s = np.where(i <= profile.r1, 1.0,
-                     np.maximum(0.99 ** (i - profile.r1), 1e-3))
+    if isinstance(profile, (SlowDecay, FastDecay)):
+        r1 = _count(profile.r1, "r1", 0)
+        s = np.where(i <= r1, 1.0, 1.0 / np.sqrt(np.maximum(i - r1 + 1, 1.0))
+                     if isinstance(profile, SlowDecay) else np.maximum(0.99 ** (i - r1), 1e-3))
     elif isinstance(profile, StepSpectrum):
-        s = np.full(r, float(profile.sigma_k1))
-        s[:_count(profile.k, "StepSpectrum.k", 0, r)] = profile.sigma1
+        s = np.full(r, _real(profile.sigma_k1, "sigma_k1", 0, np.inf))
+        s[:_count(profile.k, "StepSpectrum.k", 0, r)] = _real(profile.sigma1, "sigma1", 0, np.inf)
     elif isinstance(profile, ExplicitSpectrum):
         s = profile.values
     else:

@@ -573,6 +573,12 @@ _BAL = BalanceConfig(**_BALANCE)
                    id=f"{label}-{tag}-spectrum")
       for label, call in _POSTERIOR_CALLS.items()
       for tag, bad in (("nan", np.nan), ("inf", np.inf), ("zero", 0.0))],
+    *[pytest.param(lambda call=call, bad=bad: call(bad), names("sigma", "a real numeric vector"),
+                   id=f"{label}-{tag}-spectrum")
+      for label, call in _POSTERIOR_CALLS.items()
+      for tag, bad in (("complex", _SIGMA * (1 + 1j)), ("text", "abc"), ("none", None))],
+    pytest.param(lambda: pad_spectrum(_SIGMA * (1 + 1j), 8),
+                 names("sigma_hat", "a real numeric vector"), id="pad-complex-spectrum"),
     pytest.param(lambda: posterior_gap(_A, "lr", _SIGMA, 2), BadShape, id="lr-type"),
     pytest.param(lambda: posterior_gap(_A, randomized_svd(_A, 2, seed=0), _SIGMA, 2), BadShape,
                  id="l<=k"),

@@ -758,17 +758,20 @@ _OPERATOR_CALLS = [
     *[pytest.param(lambda apply=apply, adjoint=adjoint: spectral_norm_estimate(
         apply, adjoint, 3, 2, seed=0), pytest.raises(error, match=match), id=f"estimate-{tag}")
       for tag, apply, adjoint, error, match in (
-          ("apply-none", lambda v: None, lambda w: w, BadShape, "^apply must return a vector"),
+          ("apply-none", lambda v: None, lambda w: w, BadShape,
+           "^apply result must be a real numeric vector, got NoneType$"),
           ("apply-nan", lambda v: v * np.nan, lambda w: w, BadShape,
            "^apply returned non-finite entries$"),
           ("apply-inf", lambda v: v * np.inf, lambda w: w, BadShape,
            "^apply returned non-finite entries$"),
           ("apply-text", lambda v: "abc", lambda w: w, BadShape,
-           "^apply must return a numeric vector"),
+           "^apply result must be a real numeric vector"),
+          ("apply-complex", lambda v: v * (1 + 1j), lambda w: w, BadShape,
+           "^apply result must be a real numeric vector, got complex128$"),
           ("adjoint-length", lambda v: np.ones(4), lambda w: w, ShapeMismatch,
            r"^apply_adjoint returned length 4, expected 3$"),
           ("adjoint-2-d", lambda v: v, lambda w: w[:, None], BadShape,
-           r"^apply_adjoint must return a vector, got shape \(3, 1\)$"),
+           r"^apply_adjoint result must be 1-D, got shape \(3, 1\)$"),
           ("norm-overflow", lambda v: np.full(4, 1.5e308), lambda w: w[:3], BadShape,
            "^the norm of the apply product exceeds the float range$"))],
     pytest.param(lambda: spectral_norm_estimate(_growing(), lambda w: w[:3], 3, 2, seed=0),
@@ -788,6 +791,21 @@ _OPERATOR_CALLS = [
     pytest.param(lambda: as_operator(_operator(rmatmat=lambda M: np.ones((1, 4)))).rows([0, 2]),
                  pytest.raises(ShapeMismatch, match=r"rmatmat returned shape \(1, 4\), "
                                r"expected \(4, 2\)"), id="operator-rows-shape"),
+    *[pytest.param(lambda call=call, value=value: call(value),
+                   pytest.raises(BadShape, match=f"^M must be a real numeric array, got {got}$"),
+                   id=f"{call.__name__}-{tag}")
+      for call in (qr_ortho, svd_thin, svdvals, lupp, cpqr)
+      for tag, value, got in (("complex", np.eye(3) * (1 + 1j), "complex128"),
+                              ("text", [["1", "2"]], "<U1"),
+                              ("ragged", [[1.0], [1.0, 2.0]], "list"),
+                              ("none", None, "NoneType"),
+                              ("object", np.eye(2, dtype=object), "ndarray"))],
+    *[pytest.param(lambda out=out: as_operator(_operator(matmat=lambda M: out)).matmat(
+        np.ones((4, 1))), pytest.raises(BadShape, match=f"^operator matmat must be a real "
+                                        f"numeric array, got {got}$"), id=f"operator-{tag}-result")
+      for tag, out, got in (("ragged", [[1.0]] * 4 + [[1.0, 2.0]], "list"),
+                            ("complex", np.ones((5, 1)) * 1j, "complex128"),
+                            ("none", None, "NoneType"))],
     pytest.param(lambda: qr_ortho([[1e308], [1e308]]),
                  pytest.raises(BadShape, match="^Q overflows the float range"),
                  id="qr-ortho-overflow"),

@@ -341,6 +341,27 @@ def test_library_calls_no_checked_entry():
     assert not found, f"call the unchecked kernel instead at {found}"
 
 
+#: The numpy calls that read an array as a given dtype when passed one.
+COERCIONS = {"asarray", "ascontiguousarray", "array"}
+
+
+def test_arrays_read_only_in_dense():
+    # an array from outside is read by dense._floats alone, which refuses a
+    # complex or non-numeric one; a coercion with a dtype anywhere else would
+    # cast it silently (dropping an imaginary part with only a warning). The
+    # library's own arrays need no dtype. No other exception exists.
+    src = Path(__file__).resolve().parents[1] / "src" / "randskel"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "dense.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") in COERCIONS \
+                    and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)):
+                found.append(f"{path.relative_to(src)}:{node.lineno} {node.func.attr}")
+    assert not found, f"read the array through dense._floats instead at {found}"
+
+
 @pytest.mark.parametrize("exponent", [-560, 530])
 def test_rank_decisions_do_not_depend_on_scale(exponent):
     # 2**exponent is exact in binary, so every rank test and pivot sees the

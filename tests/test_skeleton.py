@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator
@@ -459,6 +461,12 @@ class TestBuilders:
         out = estimate_cur_from_skeletons(C, S, R, allow_unstable=True)
         assert out.shape == (10, 10)
 
+    def test_unstable_estimate_takes_a_numpy_bool(self):
+        A = np.random.default_rng(36).standard_normal((10, 10))
+        C, S, R = A[:, :3], A[:3, :3], A[:3]
+        assert np.array_equal(estimate_cur_from_skeletons(C, S, R, allow_unstable=np.True_),
+                              estimate_cur_from_skeletons(C, S, R, allow_unstable=True))
+
     @pytest.mark.parametrize("rows, cols", [(2, 3), (4, 3)], ids=["wide", "tall"])
     def test_unstable_estimate_needs_square_block(self, rows, cols):
         A = np.random.default_rng(36).standard_normal((10, 10))
@@ -585,6 +593,11 @@ _HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
                    id=f"row-id-reconstruct-{size}-rows") for size in (8, 2)],
     pytest.param(lambda: build_two_sided_id(_A, [0, 1], [0]), ShapeMismatch,
                  id="two-sided-sizes"),
+    *[pytest.param(lambda flag=flag: estimate_cur_from_skeletons(
+        _A[:, :3], _A[:3, :3], _A[:3], allow_unstable=flag),
+        pytest.raises(BadShape, match=rf"to opt in, got allow_unstable={re.escape(repr(flag))}$"),
+        id=f"estimate-cur-allow-unstable-{tag}")
+      for tag, flag in (("text", "no"), ("int", 1), ("false", False), ("numpy-false", np.False_))],
     pytest.param(lambda: _sample_without_replacement(np.random.default_rng(0), np.zeros(5), 2),
                  DegenerateDistribution, id="all-zero-scores"),
     *[pytest.param(lambda select=select: select(_A, 11), names("l"), id=f"{select.__name__}-l>n")

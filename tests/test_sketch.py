@@ -278,6 +278,13 @@ def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
         id=f"apply-{kind}-{tag}")
       for kind in ("gaussian", "srtt", "sparse_sign") for tag, value in (("nan", np.nan),
                                                                           ("inf", np.inf))],
+    *[pytest.param(lambda kind=kind: make_embedding(kind, 3, 5, seed=0).apply(np.eye(5) * 1j),
+                   pytest.raises(BadShape, match="^operand must be a real numeric array, "
+                                 "got complex128$"), id=f"apply-{kind}-complex")
+      for kind in ("gaussian", "srtt", "sparse_sign")],
+    pytest.param(lambda: make_gaussian(3, 5, seed=0).apply_t(np.ones((2, 5)) * (1 + 1j)),
+                 pytest.raises(BadShape, match="^A must be a real numeric array, got complex128$"),
+                 id="apply-t-complex"),
     pytest.param(lambda: make_srtt(3, 5, seed=0).apply(np.eye(5) * [1, 1, np.nan, 1, 1]),
                  pytest.raises(BadShape, match="non-finite"), id="apply-matrix-nan"),
     pytest.param(lambda: make_gaussian(3, 5, seed=0).apply_t(np.full((2, 5), -np.inf)),

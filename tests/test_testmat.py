@@ -260,6 +260,15 @@ _OP = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=
     pytest.param(lambda: spectrum_values(ExplicitSpectrum(np.ones(2)), 3), BadShape,
                  id="explicit-length"),
     pytest.param(lambda: spectrum_values("flat", 3), BadShape, id="unknown-profile"),
+    *[pytest.param(lambda profile=profile, r1=r1: spectrum_values(profile(r1=r1), 3),
+                   names("r1"), id=f"{profile.__name__}-r1-{tag}")
+      for profile, tag, r1 in ((FastDecay, "text", "a"), (SlowDecay, "negative", -1),
+                               (SlowDecay, "float", 2.5), (SlowDecay, "bool", True))],
+    *[pytest.param(lambda fields=fields: spectrum_values(StepSpectrum(k=2, **fields), 3),
+                   names(name, "finite and above 0"), id=f"step-{name}-{tag}")
+      for name, tag, fields in (("sigma1", "text", dict(sigma1="a")),
+                                ("sigma_k1", "none", dict(sigma1=2.0, sigma_k1=None)),
+                                ("sigma1", "complex", dict(sigma1=2 + 1j)))],
     pytest.param(lambda: gen_gaussian_spectrum(4, 3, SlowDecay(), r=4), BadShape,
                  id="gaussian-r>min(m,n)"),
     pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=[np.inf, 1.0]), names("s", "finite"),
