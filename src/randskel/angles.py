@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _floats, _gesdd, _in_range, _norm_fro, _project_out,
-                    _r_checked, _real, _spectrum, as_matrix, lstsq_full_rank, qr_checked,
-                    solve_upper, spectral_norm, spectral_norm_estimate)
+from .dense import (_child_seeds, _choice, _count, _floats, _gesdd, _in_range, _instance,
+                    _norm_fro, _project_out, _r_checked, _real, _spectrum, as_matrix,
+                    lstsq_full_rank, qr_checked, solve_upper, spectral_norm,
+                    spectral_norm_estimate)
 from .errors import (
     BadShape,
     DistortionOutOfRange,
@@ -40,16 +41,14 @@ from .errors import (
 )
 from .rangefinder import LowRankSVD
 
-
-def _check_side(side):
-    if side not in ("left", "right"):
-        raise BadShape(f"side must be 'left' or 'right', got {side!r}")
+#: The sides a bound or an exponent is taken on.
+_SIDES = ("left", "right")
 
 
 def _exponent(q, side):
     """Spectrum power behind the angles after ``q`` power iterations: 4q+2 (left)
     or 4q+4 (right, whose factor absorbs an extra half iteration)."""
-    _check_side(side)
+    side = _choice(side, "side", _SIDES)
     q = _count(q, "q", 0)
     return 4 * q + 2 if side == "left" else 4 * q + 4
 
@@ -95,7 +94,8 @@ def pad_spectrum(sigma_hat, r):
 
 
 def default_distortions(k, l, r):
-    """The experimental convention eps1 = sqrt(k/l), eps2 = sqrt(l/(r-k))."""
+    """The experimental convention eps1 = sqrt(k/l), eps2 = sqrt(l/(r-k)), for 1 <= k < r."""
+    l, r = _count(l, "l", 1), _count(r, "r", _count(k, "k", 1) + 1)
     return float(np.sqrt(k / l)), float(np.sqrt(l / (r - k)))
 
 
@@ -135,7 +135,7 @@ class PriorBoundInputs:
         object.__setattr__(self, "sigma", sigma)
         _count(self.k, "k", 1, _count(self.l, "l", 2, sigma.size - 1) - 1)
         _count(self.q, "q", 0)
-        _check_side(self.side)
+        _choice(self.side, "side", _SIDES)
         e1, e2 = default_distortions(self.k, self.l, sigma.size)
         for name, default in (("eps1", e1), ("eps2", e2),
                               ("eps1_lower", 2 * e1), ("eps2_lower", 2 * e2)):
@@ -174,9 +174,8 @@ def prior_space_agnostic(inputs):
     ``None`` when eps2' >= 1 leaves its formula undefined. Evaluation is
     linear in the spectrum length.
     """
-    p = inputs.exponent
-    sigma = inputs.sigma
-    k, l = inputs.k, inputs.l
+    inputs = _instance(inputs, PriorBoundInputs, "inputs", "a PriorBoundInputs")
+    p, sigma, k, l = inputs.exponent, inputs.sigma, inputs.k, inputs.l
     scale = sigma[0]
     pow_all = (sigma / scale) ** p
     tail_sum = pow_all[k:].sum()
@@ -288,7 +287,7 @@ def posterior_simple(A, basis, sigma, k, side="left"):
     Needs ``1 <= k <= min(m, n)``.
     """
     A, basis = as_matrix(A, "A"), as_matrix(basis, "basis")
-    _check_side(side)
+    side = _choice(side, "side", _SIDES)
     k = _count(k, "k", 1, min(A.shape))
     sigma = _posterior_spectrum(sigma, k)
     return _simple_bound(_gesdd(_project_out(A, basis, side))[1], sigma, k)
@@ -317,21 +316,24 @@ class PosteriorGapReport:
 
 
 def _low_rank_factors(A, lr, k):
-    """Validated ``(U_hat, V_hat)`` of a rank-l SVD of ``A`` for index ``k``."""
-    if not isinstance(lr, LowRankSVD):
-        raise BadShape("lr must be a LowRankSVD")
-    _count(k, "k", 1, min(*A.shape, lr.sigma_hat.size - 1))
+    """Validated ``(U_hat, sigma_hat, V_hat)`` of a rank-l SVD of ``A`` for index
+    ``k``; ``sigma_hat`` is finite, with an entry per column of both factors."""
+    lr = _instance(lr, LowRankSVD, "lr", "a LowRankSVD")
     U, V = as_matrix(lr.U_hat, "U_hat"), as_matrix(lr.V_hat, "V_hat")
-    if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
+    s = _floats(lr.sigma_hat, "sigma_hat", (1,))
+    if s.size != U.shape[1] or not np.isfinite(s).all():
+        raise BadShape(f"sigma_hat must be a finite vector of length {U.shape[1]}, got {s}")
+    _count(k, "k", 1, min(*A.shape, s.size - 1))
+    if U.shape[0] != A.shape[0] or V.shape != (A.shape[1], U.shape[1]):
         raise ShapeMismatch(f"factors {U.shape}, {V.shape} do not fit A {A.shape}")
-    return U, V
+    return U, s, V
 
 
-def _gap_norms(A, lr, V, k, spectral=spectral_norm):
+def _gap_norms(A, U, s, V, k, spectral=spectral_norm):
     """``||EV||_F``, ``||EV||_2`` and ``||E32||_2`` by ``spectral``, from one
     product ``EV = (A - U S V^T) V`` (``[E31, E32]`` up to rotation), whose
     trailing ``l - k`` columns are ``E32``."""
-    EV = _in_range("EV = (A - U S V^T) V", lambda: (A - lr.approx()) @ V)
+    EV = _in_range("EV = (A - U S V^T) V", lambda: (A - (U * s) @ V.T) @ V)
     return _norm_fro(EV), spectral(EV), spectral(EV[:, k:])
 
 
@@ -410,9 +412,9 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
     exact dense norms are too expensive).
     """
     A = as_matrix(A, "A")
-    _, V = _low_rank_factors(A, lr, k)
+    U, s, V = _low_rank_factors(A, lr, k)
     sigma = _posterior_spectrum(sigma, k)
-    if estimate_spectral:
+    if _instance(estimate_spectral, (bool, np.bool_), "estimate_spectral", "a bool"):
         # child streams 0, 1, 2 for EV, E32 and E33, in the order they are estimated
         seeds = iter(_child_seeds(estimate_seed, 3))
 
@@ -421,9 +423,8 @@ def posterior_gap(A, lr, sigma, k, estimate_spectral=False,
                                           estimate_iters, seed=next(seeds))
     else:
         spectral = spectral_norm
-    norms = _gap_norms(A, lr, V, k, spectral)
-    return _gap_report(*norms, spectral(_project_out(A, V, "right")), sigma, k,
-                       float(lr.sigma_hat[k]))
+    norms = _gap_norms(A, U, s, V, k, spectral)
+    return _gap_report(*norms, spectral(_project_out(A, V, "right")), sigma, k, float(s[k]))
 
 
 @dataclass(frozen=True)
@@ -447,8 +448,7 @@ class PosteriorResiduals:
 
     def simple(self, sigma, side="left"):
         """Equals ``posterior_simple(A, lr.U_hat or lr.V_hat, sigma, k, side)``."""
-        _check_side(side)
-        s_res = self.left if side == "left" else self.right
+        s_res = self.left if _choice(side, "side", _SIDES) == "left" else self.right
         return _simple_bound(s_res, _posterior_spectrum(sigma, self.k), self.k)
 
     def gap(self, sigma):
@@ -467,12 +467,12 @@ def posterior_residuals(A, lr, k):
     Needs ``1 <= k <= min(m, n)`` and ``l > k``.
     """
     A = as_matrix(A, "A")
-    U, V = _low_rank_factors(A, lr, k)
-    n_fro, n_spec, n_e32 = _gap_norms(A, lr, V, k)  # EV is freed before the residuals
+    U, s, V = _low_rank_factors(A, lr, k)
+    n_fro, n_spec, n_e32 = _gap_norms(A, U, s, V, k)  # EV is freed before the residuals
     return PosteriorResiduals(k=k, left=_gesdd(_project_out(A, U, "left"))[1],
                               right=_gesdd(_project_out(A, V, "right"))[1], norm_EV_fro=n_fro,
                               norm_EV_spec=n_spec, norm_E32_spec=n_e32,
-                              shat_k1=float(lr.sigma_hat[k]))
+                              shat_k1=float(s[k]))
 
 
 @dataclass(frozen=True)
@@ -512,11 +512,12 @@ class BalanceConfig:
         return list(range(self.max_q() + 1))
 
     def sample_size(self, q):
-        """Integer l = floor(N / (2q+1)) actually usable at iteration count q."""
-        return int(self.budget // (2 * q + 1))
+        """Integer l = floor(N / (2q+1)) actually usable at iteration count q >= 0."""
+        return int(self.budget // (2 * _count(q, "q", 0) + 1))
 
 
 def _check_admissible(config, q):
+    config = _instance(config, BalanceConfig, "config", "a BalanceConfig")
     top = config.alpha / config.gamma ** 2
     if 2 * _count(q, "q", 0) + 1 > top:
         raise InadmissibleQ(f"q={q} outside admissible range (2q+1 <= alpha/gamma^2 = {top:.3f})")

@@ -23,9 +23,10 @@ scipy's, a second runtime with its own threads.
   greedy column pivoting,
 * :func:`spectral_norm_estimate` -- randomized power-method lower estimate,
 * :func:`_seed_sequence`, :func:`_child_seeds`, :func:`_count`,
-  :func:`_real`, :func:`_floats` and :func:`_spectrum` -- the one reading of
-  a seed, a size or count, a real parameter, a real numeric array (complex,
-  text or ragged input raises :class:`BadShape`) and a spectrum,
+  :func:`_real`, :func:`_floats`, :func:`_spectrum`, :func:`_choice` and
+  :func:`_instance` -- the one reading of a seed, a size or count, a real,
+  an array (complex, text or ragged raises :class:`BadShape`), a spectrum,
+  a choice among names, and a flag, record or oracle (an instance of a type),
 * :func:`blas_threads` -- run a block with every loaded OpenBLAS runtime at
   a given thread count, restoring each runtime's own count on exit.
 
@@ -65,6 +66,7 @@ import glob
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -191,6 +193,22 @@ def _real(value, name, low, high, closed=False):
     else:
         allowed = "a finite real number" if low == -np.inf else f"finite and above {low}"
     raise BadShape(f"{name} must be {allowed}, got {name}={value!r}")
+
+
+def _choice(value, name, choices):
+    """``value`` if it is a ``str`` (a ``np.str_`` too) among ``choices``, else
+    :class:`BadShape` naming ``name``, the choices and the value (an array too)."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise BadShape(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+
+
+def _instance(value, kind, name, what):
+    """``value`` if it is an instance of ``kind`` (a type or a tuple of them),
+    else :class:`BadShape`: ``<name> must be <what>, got <type>``."""
+    if isinstance(value, kind):
+        return value
+    raise BadShape(f"{name} must be {what}, got {type(value).__name__}")
 
 
 def _spectrum(values, name, size=None):
@@ -857,6 +875,8 @@ def spectral_norm_estimate(apply, apply_adjoint, dim, iters, seed=None):
     ``||A v||_2`` for a unit vector ``v``, hence never exceeds the true
     spectral norm. Each product is read by :func:`_product`.
     """
+    _instance(apply, Callable, "apply", "a callable")
+    _instance(apply_adjoint, Callable, "apply_adjoint", "a callable")
     dim = _count(dim, "dim", 0)
     if dim == 0:
         raise ZeroDimension("operator has dimension zero")

@@ -91,9 +91,9 @@ def randomized_svd(A, l=None, q=0, seed=None, embedding_kind="gaussian",
     """
     A = as_operator(A)
     m, n = A.shape
+    if (l is None) == (target_rank is None):
+        raise BadShape("pass either l or target_rank, not both")
     if l is None:
-        if target_rank is None:
-            raise BadShape("pass either l or target_rank")
         l = min(_count(target_rank, "target_rank", 1, min(m, n)) + DEFAULT_OVERSAMPLING, m, n)
     l = _count(l, "l", 1, min(m, n))
     Q = power_iter_stable(A, make_embedding(embedding_kind, l, n, seed=seed), q)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_child_seeds, _count, _cpqr_pivots, _in_range, _index_vector, _lu_pivots,
-                    as_matrix, as_operator, lstsq_full_rank, qr_checked, spectral_norm)
+from .dense import (_child_seeds, _choice, _count, _cpqr_pivots, _in_range, _index_vector,
+                    _instance, _lu_pivots, as_matrix, as_operator, lstsq_full_rank, qr_checked,
+                    spectral_norm)
 from .errors import (
     BadShape,
     DegenerateDistribution,
@@ -64,7 +65,7 @@ class ColumnID:
         A = as_matrix(A, "A")
         if A.shape[1] != self.coeffs.shape[1]:
             raise ShapeMismatch(f"A has {A.shape[1]} columns, the column ID {self.coeffs.shape[1]}")
-        return A[:, self.J_s] @ self.coeffs
+        return A[:, _index_vector(self.J_s, A.shape[1], "J_s")] @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class RowID:
         A = as_matrix(A, "A")
         if A.shape[0] != self.coeffs.shape[0]:
             raise ShapeMismatch(f"A has {A.shape[0]} rows, the row ID {self.coeffs.shape[0]}")
-        return self.coeffs @ A[self.I_s, :]
+        return self.coeffs @ A[_index_vector(self.I_s, A.shape[0], "I_s"), :]
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,7 @@ def select_streaming(blocks, l, seed=None, pivot="lupp", *, m, n):
     column-wise for ``J_s`` and Y row-wise for ``I_s``. The input matrix is
     never stored.
     """
-    if pivot not in ("lupp", "cpqr"):
-        raise BadShape(f"pivot must be 'lupp' or 'cpqr', got {pivot!r}")
+    pivot = _choice(pivot, "pivot", ("lupp", "cpqr"))
     m, n = _count(m, "m", 1), _count(n, "n", 1)
     l = _count(l, "l", 1, min(m, n))
     try:
@@ -290,12 +290,11 @@ def streaming_interp_coeffs(result):
     exact coefficients that avoids a second pass over the input. ``X1`` has
     full column rank: the pivots are cut at the detected rank.
     """
-    if not isinstance(result, SkeletonResult):
-        raise BadShape(f"result must be a SkeletonResult, got {type(result).__name__}")
-    if result.X is None:
+    if _instance(result, SkeletonResult, "result", "a SkeletonResult").X is None:
         raise BadShape("result carries no row sketch")
     X = as_matrix(result.X, "X")
-    return lstsq_full_rank(X[:, result.J_s], X, SingularPivotBlock, "pivot block")
+    J_s = _index_vector(result.J_s, X.shape[1], "J_s")
+    return lstsq_full_rank(X[:, J_s], X, SingularPivotBlock, "pivot block")
 
 
 def estimate_cur_from_skeletons(C, S, R, *, allow_unstable=False):

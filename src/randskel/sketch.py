@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _check_finite, _count, _floats, _seed_sequence, as_operator
-from .errors import BadShape, ShapeMismatch
+from .dense import _check_finite, _choice, _count, _floats, _instance, _seed_sequence, as_operator
+from .errors import ShapeMismatch
 
 #: Input rows copied per step into the transposed SRTT buffer.
 _GATHER_ROWS = 256
@@ -221,18 +221,12 @@ _FACTORIES = {
 
 def make_embedding(kind, l, m, seed=None):
     """Construct an embedding by kind name."""
-    try:
-        factory = _FACTORIES[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise BadShape(f"unknown embedding kind {kind!r}") from None
-    return factory(l, m, seed=seed)
+    return _FACTORIES[_choice(kind, "kind", tuple(_FACTORIES))](l, m, seed=seed)
 
 
 def _as_embedding(op, name):
     """``op`` if it is an embedding, else :class:`BadShape` naming ``name``."""
-    if not isinstance(op, SketchOperator):
-        raise BadShape(f"{name} must be an embedding from make_embedding, got {type(op).__name__}")
-    return op
+    return _instance(op, SketchOperator, name, "an embedding from make_embedding")
 
 
 def sketch_rows(op, A):

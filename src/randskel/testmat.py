@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_count, _index_vector, _real, _seed_sequence, _spectrum, as_matrix,
-                    qr_checked)
+from .dense import (_count, _index_vector, _instance, _real, _seed_sequence, _spectrum,
+                    as_matrix, qr_checked)
 from .errors import (
     BadShape,
     EmptyFactor,
@@ -50,7 +50,9 @@ class SnnParams:
 
 
 def snn_weights(a, r1, r):
-    """Weight profile a/i for i <= r1, then 1/i up to r."""
+    """Weight profile a/i for i <= r1, then 1/i up to r (a finite a > 0, 0 <= r1 <= r)."""
+    r = _count(r, "r", 1)
+    r1, a = _count(r1, "r1", 0, r), _real(a, "a", 0, np.inf)
     i = np.arange(1, r + 1, dtype=np.float64)
     s = 1.0 / i
     s[:r1] = a / i[:r1]
@@ -63,6 +65,7 @@ def _snn_factors(params, retries=100):
     i of X, then of Y, for each i: an attempt draws ``dim`` mask uniforms,
     then ``dim`` values, and keeps the masked-in nonzero ones; an all-zero
     column is drawn again, at most ``retries`` times."""
+    params = _instance(params, SnnParams, "params", "an SnnParams")
     rng = np.random.default_rng(_seed_sequence(params.seed))
     factors = [], []
     for _ in range(params.r):
@@ -147,8 +150,9 @@ class ImplicitSnnOperator:
 
 def gen_snn(params):
     """Dense SNN matrix; entries are nonnegative by construction."""
+    factors = _snn_factors(params)
     X, Y = np.zeros((params.m, params.r)), np.zeros((params.n, params.r))
-    for F, columns in zip((X, Y), _snn_factors(params)):
+    for F, columns in zip((X, Y), factors):
         for i, (rows, values) in enumerate(columns):
             F[rows, i] = values
     return (X * params.s) @ Y.T

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -635,6 +636,31 @@ _BAL = BalanceConfig(**_BALANCE)
                 2, 7),
     *size_cases("posterior-gap-k", "k", lambda k: posterior_gap(_A, _LR, _SIGMA, k), 2, 4),
     *size_cases("residuals-k", "k", lambda k: posterior_residuals(_A, _LR, k), 2, 0),
+    *[pytest.param(lambda call=call: call(np.array(["left"])),
+                   names("side", "one of 'left', 'right', got array"), id=f"{label}-array-side")
+      for label, call in (
+          ("prior", lambda side: PriorBoundInputs(sigma=_SIGMA, k=1, l=2, q=0, side=side)),
+          ("posterior-simple", lambda side: posterior_simple(_A, _LR.U_hat, _SIGMA, 2, side)),
+          ("residuals-simple", lambda side: posterior_residuals(_A, _LR, 2).simple(_SIGMA, side)))],
+    pytest.param(lambda: posterior_gap(_A, _LR, _SIGMA, 2, estimate_spectral="no"),
+                 names("estimate_spectral", "a bool, got str$"), id="gap-estimate-spectral-text"),
+    pytest.param(lambda: prior_space_agnostic("x"), names("inputs", "a PriorBoundInputs, got str$"),
+                 id="prior-inputs-text"),
+    *[pytest.param(lambda phi=phi: phi(None, 0), names("config", "a BalanceConfig, got NoneType$"),
+                   id=f"{phi.__name__}-config-none") for phi in (balance_phi, balance_phi_from_l)],
+    *size_cases("sample-size-q", "q", _BAL.sample_size, 1, -1),
+    pytest.param(lambda: _BAL.sample_size("a"), names("q"), id="sample-size-q-text"),
+    pytest.param(lambda: default_distortions(2, 1, 2), names("r", "an integer >= 3"),
+                 id="distortions-r<=k"),
+    pytest.param(lambda: default_distortions("2", 1, 3), names("k"), id="distortions-k-text"),
+    *[pytest.param(lambda call=call, sigma_hat=sigma_hat: call(replace(_LR, sigma_hat=sigma_hat)),
+                   names("sigma_hat", rule), id=f"{label}-sigma-hat-{tag}")
+      for label, call in (("gap", lambda lr: posterior_gap(_A, lr, _SIGMA, 2)),
+                          ("residuals", lambda lr: posterior_residuals(_A, lr, 2)))
+      for tag, sigma_hat, rule in (
+          ("short", _LR.sigma_hat[:-1], "a finite vector of length 4"),
+          ("nan", np.r_[_LR.sigma_hat[:-1], np.nan], "a finite vector of length 4"),
+          ("text", "abcd", "a real numeric vector"))],
 ])
 def test_documented_errors(call, error):
     with error if isinstance(error, pytest.RaisesExc) else pytest.raises(error):

@@ -774,6 +774,9 @@ _OPERATOR_CALLS = [
            r"^apply_adjoint result must be 1-D, got shape \(3, 1\)$"),
           ("norm-overflow", lambda v: np.full(4, 1.5e308), lambda w: w[:3], BadShape,
            "^the norm of the apply product exceeds the float range$"))],
+    *[pytest.param(lambda args=args: spectral_norm_estimate(*args, 3, 2),
+                   names(name, "a callable, got NoneType$"), id=f"estimate-{name}-not-callable")
+      for name, args in (("apply", (None, lambda w: w)), ("apply_adjoint", (lambda v: v, None)))],
     pytest.param(lambda: spectral_norm_estimate(_growing(), lambda w: w[:3], 3, 2, seed=0),
                  pytest.raises(ShapeMismatch, match=r"^apply returned length 4, expected 3$"),
                  id="estimate-apply-length-changes"),

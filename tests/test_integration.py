@@ -2,10 +2,12 @@
 through the CLI, the installed console script, and opt-in estimation paths."""
 
 import ast
+import inspect
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from randskel import (
     build_row_id,
     build_two_sided_id,
 )
-from randskel.errors import BadShape
+from randskel.errors import BadShape, RandskelError
 from randskel.bench.cli import run
 from randskel.bench.experiments import METHODS
 from randskel.dense import svdvals
@@ -360,6 +362,152 @@ def test_arrays_read_only_in_dense():
                     and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)):
                 found.append(f"{path.relative_to(src)}:{node.lineno} {node.func.attr}")
     assert not found, f"read the array through dense._floats instead at {found}"
+
+
+#: The values each parameter of the sweep is given in turn. A call may take
+#: one where it is valid there: ``[1, 0]`` as indices, ``None`` as a seed.
+JUNK = (None, "x", object(), np.array([1, 0]), -1, True, np.nan)
+
+#: Constructors of the result records that the library builds; they are not
+#: swept, since each public call that consumes a record reads the fields it
+#: uses (``lr.sigma_hat``, ``result.J_s``, ...).
+BUILT_RECORDS = {"ColumnID", "CurFactors", "EstimateReport", "GaussianSketch",
+                 "ImplicitSnnOperator", "LowRankSVD", "PivotedLU", "PivotedQR",
+                 "PosteriorGapReport", "PosteriorResiduals", "PriorBounds", "RowID",
+                 "SkeletonResult", "SparseSignSketch", "SrttSketch", "ThinSVD", "TwoSidedID"}
+
+#: File paths, not swept: a path that cannot be opened raises ``open``'s OSError.
+UNSWEPT = {("load_csv", "path"), ("save_csv", "path")}
+
+
+def _call(f, *args, **kwargs):
+    """A sweep row: the valid call ``f(*args, **kwargs)``, keyed by the name of
+    ``f`` (``Class.method`` for a bound method)."""
+    owner = getattr(f, "__self__", None)
+    name = f.__qualname__ if owner is None else f"{type(owner).__name__}.{f.__name__}"
+    return name, (f, args, kwargs)
+
+
+def _sweep_rows(tmp_path):
+    """A valid call of every public function and method reachable from
+    ``randskel.__all__``, on inputs of a few rows."""
+    rs = randskel
+    A = np.random.default_rng(40).standard_normal((8, 6))
+    J = [0, 1, 2]
+    sigma = svdvals(A)
+    lr = rs.randomized_svd(A, 4, seed=0)
+    omega = rs.make_gaussian(3, 6, seed=0)
+    snn = rs.SnnParams(m=8, n=6, r=3, s=rs.snn_weights(2, 1, 3), density=0.5, seed=0)
+    op = rs.gen_snn_operator(snn)
+    bal = rs.BalanceConfig(k=2, alpha=8, beta=1, gamma=1.1, gap=2)
+    residuals = rs.posterior_residuals(A, lr, 2)
+    path = tmp_path / "A.csv"
+    rs.save_csv(path, A)
+    rows = [
+        _call(rs.cpqr, A), _call(rs.lupp, A), _call(rs.qr_ortho, A), _call(rs.svd_thin, A),
+        _call(rs.spectral_norm_estimate, lambda v: A @ v, lambda w: A.T @ w, 6, 3, seed=0),
+        _call(rs.make_embedding, "gaussian", 3, 8, seed=0),
+        _call(rs.make_gaussian, 3, 8, seed=0), _call(rs.make_srtt, 3, 8, seed=0),
+        _call(rs.make_sparse_sign, 3, 8, zeta=2, seed=0), _call(rs.sketch_rows, omega, A.T),
+        _call(rs.power_iter_plain, A, omega, 1), _call(rs.power_iter_stable, A, omega, 1),
+        _call(rs.randomized_svd, A, 4, q=1, seed=0), _call(rs.rangefinder_error, A, A[:3]),
+        _call(lr.approx),
+        _call(rs.build_column_id, A, J), _call(rs.build_row_id, A, J),
+        _call(rs.build_two_sided_id, A, J, J), _call(rs.build_cur_stable, A, J, J),
+        _call(rs.build_column_id(A, J).reconstruct, A), _call(rs.build_row_id(A, J).reconstruct, A),
+        _call(rs.build_two_sided_id(A, J, J).reconstruct),
+        _call(rs.build_cur_stable(A, J, J).reconstruct),
+        _call(rs.estimate_cur_from_skeletons, A[:, :3], A[:3, :3], A[:3], allow_unstable=True),
+        _call(rs.posterior_eta, A[:3], J),
+        *[_call(select, A, 3, q=1, seed=0, embedding="srtt")
+          for select in (rs.select_columns_lupp, rs.select_columns_cpqr, rs.select_deim)],
+        _call(rs.select_leverage, A, 2, 3, seed=0),
+        _call(rs.select_streaming, [A], 3, seed=0, pivot="cpqr", m=8, n=6),
+        _call(rs.streaming_interp_coeffs, rs.select_streaming([A], 3, seed=0, m=8, n=6)),
+        _call(rs.canonical_angles, lr.U_hat, A[:, :3]),
+        _call(rs.canonical_angles_cos, lr.U_hat, A[:, :3]),
+        _call(rs.default_distortions, 1, 2, 6), _call(rs.pad_spectrum, sigma[:4], 6),
+        _call(rs.tail_flatness, sigma, 2, 0),
+        _call(rs.PriorBoundInputs, sigma=sigma, k=1, l=2, q=0, side="right"),
+        _call(rs.prior_space_agnostic, rs.PriorBoundInputs(sigma=sigma, k=1, l=2, q=0)),
+        _call(rs.prior_reference_bound, sigma, 2, 3, 0, A[:2, :3], A[2:6, :3], side="right"),
+        _call(rs.unbiased_estimates, sigma, 1, 2, 0, 2, seed=0, side="right"),
+        _call(rs.posterior_simple, A, lr.U_hat, sigma, 2, side="left"),
+        _call(rs.posterior_gap, A, lr, sigma, 2, estimate_spectral=True, estimate_iters=3,
+              estimate_seed=0),
+        _call(rs.posterior_residuals, A, lr, 2), _call(residuals.simple, sigma, side="right"),
+        _call(residuals.gap, sigma),
+        _call(rs.BalanceConfig, k=2, alpha=8, beta=1, gamma=1.1, gap=2),
+        _call(bal.max_q), _call(bal.admissible_q), _call(bal.sample_size, 1),
+        _call(rs.balance_phi, bal, 1), _call(rs.balance_phi_from_l, bal, 1),
+        _call(rs.SnnParams, m=8, n=6, r=3, s=rs.snn_weights(2, 1, 3), density=0.5, seed=0),
+        _call(rs.snn_weights, 2, 1, 3), _call(rs.gen_snn, snn), _call(rs.gen_snn_operator, snn),
+        _call(op.matvec, np.ones(6)), _call(op.matvec_adjoint, np.ones(8)),
+        _call(op.matmat, np.ones((6, 2))), _call(op.rmatmat, np.ones((8, 2))),
+        _call(op.columns, J), _call(op.rows, J), _call(op.to_dense),
+        _call(rs.SlowDecay, 2), _call(rs.FastDecay, 2), _call(rs.StepSpectrum, 2, 3.0),
+        _call(rs.ExplicitSpectrum, sigma), _call(rs.spectrum_values, rs.FastDecay(2), 5),
+        _call(rs.gen_gaussian_spectrum, 8, 6, rs.StepSpectrum(2, 3.0), seed=0, r=5),
+        _call(rs.load_csv, path), _call(rs.save_csv, tmp_path / "B.csv", A),
+    ]
+    for kind in ("gaussian", "srtt", "sparse_sign"):
+        emb = rs.make_embedding(kind, 3, 8, seed=0)
+        rows += [_call(emb.apply, A), _call(emb.apply_t, A.T), _call(emb.to_dense)]
+    return dict(rows)
+
+
+def _public_callables():
+    """The names of the public functions, classes and methods reachable from
+    ``randskel.__all__``, but the constructors of :data:`BUILT_RECORDS`."""
+    found = set()
+    for name in randskel.__all__:
+        obj = getattr(randskel, name)
+        if inspect.isclass(obj):
+            found |= {f"{name}.{attr}" for attr in dir(obj)
+                      if not attr.startswith("_") and inspect.isfunction(getattr(obj, attr))}
+        if callable(obj):
+            found.add(name)
+    return found - BUILT_RECORDS
+
+
+def _raw_failure(f, bound):
+    """``None`` if ``f`` on ``bound`` returns or raises a :class:`RandskelError`
+    with no warning, else what it raised or warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f(*bound.args, **bound.kwargs)
+        except RandskelError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the failure the sweep reports
+            return f"{type(exc).__name__}: {exc}"
+    return f"{caught[0].category.__name__}: {caught[0].message}" if caught else None
+
+
+def test_public_parameters_raise_only_library_errors(tmp_path):
+    # every parameter of every public call, given each JUNK value in turn,
+    # returns or raises a RandskelError, with no warning: no raw TypeError,
+    # AttributeError or numpy error, and no silent cast of a flag
+    found = []
+    for name, (f, args, kwargs) in _sweep_rows(tmp_path).items():
+        valid = inspect.signature(f).bind(*args, **kwargs)
+        valid.apply_defaults()
+        assert _raw_failure(f, valid) is None, name
+        for param in valid.arguments:
+            if (name, param) in UNSWEPT:
+                continue
+            for junk in JUNK:
+                bound = inspect.BoundArguments(valid.signature, {**valid.arguments, param: junk})
+                fault = _raw_failure(f, bound)
+                if fault:
+                    found.append(f"{name}({param}={junk!r}) -> {fault}")
+    assert not found, f"{len(found)} raw failures:\n" + "\n".join(found)
+
+
+def test_every_public_callable_has_a_sweep_row(tmp_path):
+    rows = set(_sweep_rows(tmp_path))
+    assert _public_callables() - rows == set(), "add a row to _sweep_rows"
+    assert rows - _public_callables() == set(), "a row names no public callable"
 
 
 @pytest.mark.parametrize("exponent", [-560, 530])

@@ -210,6 +210,9 @@ _B = np.random.default_rng(31).standard_normal((60, 40))
     pytest.param(lambda: power_iter_stable(_A, _OMEGA, -1), BadShape, id="stable-q<0"),
     pytest.param(lambda: randomized_svd(_A), BadShape, id="rsvd-no-l-or-rank"),
     pytest.param(lambda: randomized_svd(_A, 0), BadShape, id="rsvd-l=0"),
+    pytest.param(lambda: randomized_svd(_A, 3, target_rank=2),
+                 pytest.raises(BadShape, match="^pass either l or target_rank, not both$"),
+                 id="rsvd-l-and-target-rank"),
     pytest.param(lambda: randomized_svd(_A, 7), BadShape, id="rsvd-l>min(m,n)"),
     pytest.param(lambda: rangefinder_error(_A, np.ones((2, 5))), ShapeMismatch,
                  id="rangefinder-error-columns"),

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -573,6 +574,18 @@ _HUGE = np.random.default_rng(33).standard_normal((6, 4)) * 1e300
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: select_streaming([_A], 3, pivot="qr", m=8, n=6), BadShape,
                  id="streaming-pivot"),
+    pytest.param(lambda: select_streaming([_A], 3, pivot=np.array(["lupp"]), m=8, n=6),
+                 names("pivot", "one of 'lupp', 'cpqr', got array"), id="streaming-pivot-array"),
+    pytest.param(lambda: streaming_interp_coeffs(
+        replace(select_streaming([_A], 3, m=8, n=6), J_s=np.array([0, 1, 6]))),
+        pytest.raises(BadShape, match=r"^J_s entries must lie in \[0, 6\)"),
+        id="interp-coeffs-J-out-of-range"),
+    pytest.param(lambda: replace(build_column_id(_C, [0, 1, 2]), J_s=[0, 12]).reconstruct(_C),
+                 pytest.raises(BadShape, match=r"^J_s entries must lie in \[0, 12\)"),
+                 id="column-id-reconstruct-J-out-of-range"),
+    pytest.param(lambda: replace(build_row_id(_C, [0, 1, 2]), I_s=[20, 0]).reconstruct(_C),
+                 pytest.raises(BadShape, match=r"^I_s entries must lie in \[0, 20\)"),
+                 id="row-id-reconstruct-I-out-of-range"),
     pytest.param(lambda: select_streaming([_A, _A], 3, m=8, n=6), ShapeMismatch,
                  id="streaming-too-many-columns"),
     pytest.param(lambda: select_streaming([_A[:5]], 3, m=8, n=6), ShapeMismatch,

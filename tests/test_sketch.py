@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -251,6 +252,12 @@ def test_reproducible_sketch_output():
         assert np.array_equal(a, b)
 
 
+def test_numpy_string_kind_is_the_kind():
+    for kind in ("gaussian", "srtt", "sparse_sign"):
+        got, want = (make_embedding(k, 3, 8, seed=0).to_dense() for k in (np.str_(kind), kind))
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("l, m, zeta", [(64, 5000, 8), (64, 5000, 64), (9, 700, 2), (9, 700, 9),
                                          (2, 3, 2), (40, 3000, 37), (700, 1500, 700)])
 def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
@@ -265,6 +272,9 @@ def test_sparse_sign_supports_match_floyd_oracle(l, m, zeta):
                  id="apply-3-d"),
     pytest.param(lambda: make_embedding("fourier", 2, 5), BadShape, id="unknown-kind"),
     pytest.param(lambda: make_embedding(["gaussian"], 2, 5), BadShape, id="unhashable-kind"),
+    *[pytest.param(lambda kind=kind: make_embedding(kind, 2, 5), names(
+        "kind", f"one of 'gaussian', 'srtt', 'sparse_sign', got {re.escape(repr(kind))}$"),
+        id=f"kind-{tag}") for tag, kind in (("unknown", "fourier"), ("array", np.array(["srtt"])))],
     pytest.param(lambda: make_gaussian(2, 3, seed=0).apply("abc"), BadShape, id="apply-text"),
     pytest.param(lambda: make_gaussian(2, 3, seed=0).apply([[1, 2], [3], [4, 5]]), BadShape,
                  id="apply-ragged"),

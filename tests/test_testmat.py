@@ -269,6 +269,15 @@ _OP = gen_snn_operator(SnnParams(m=8, n=6, r=3, s=snn_weights(2, 1, 3), density=
       for name, tag, fields in (("sigma1", "text", dict(sigma1="a")),
                                 ("sigma_k1", "none", dict(sigma1=2.0, sigma_k1=None)),
                                 ("sigma1", "complex", dict(sigma1=2 + 1j)))],
+    pytest.param(lambda: snn_weights(2, -1, 3), names("r1"), id="weights-r1-negative"),
+    pytest.param(lambda: snn_weights(2, 5, 3), names("r1", r"an integer in \[0, 3\]"),
+                 id="weights-r1>r"),
+    *[pytest.param(lambda a=a: snn_weights(a, 1, 3), names("a", "finite and above 0"),
+                   id=f"weights-a-{tag}")
+      for tag, a in (("text", "2"), ("zero", 0), ("nan", np.nan))],
+    pytest.param(lambda: snn_weights(2, 1, "3"), names("r"), id="weights-r-text"),
+    *[pytest.param(lambda gen=gen: gen("x"), names("params", "an SnnParams, got str$"),
+                   id=f"{gen.__name__}-params-text") for gen in (gen_snn, gen_snn_operator)],
     pytest.param(lambda: gen_gaussian_spectrum(4, 3, SlowDecay(), r=4), BadShape,
                  id="gaussian-r>min(m,n)"),
     pytest.param(lambda: SnnParams(m=5, n=5, r=2, s=[np.inf, 1.0]), names("s", "finite"),
